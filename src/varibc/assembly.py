@@ -59,11 +59,6 @@ class ElementKinematics:
         # unit-modulus linear element stiffness, scaled by E at assembly
         self.kl0 = vol[:, None, None] * np.einsum("nai,ab,nbj->nij", B, D0, B)
 
-    def displacement_gradient(self, U):
-        """Unscaled per-element displacement gradient H (Ne, 2, 2)."""
-        ue = U[self.dofs].reshape(-1, 3, 2)
-        return np.einsum("nia,nib->nab", ue, self.grads)
-
     def nonlinear_B(self, F):
         """Total-Lagrangian strain-displacement matrix for gradient F."""
         g = self.grads

@@ -2,7 +2,7 @@
 
 Subcommands:
   run <config>      optimize a problem and write all result artifacts
-  verify            run the built-in property/gradient suites
+  verify            run acceptance criteria 1-6 and the property checks
   mesh <config>     generate (or re-export) the analysis mesh only
   replay <summary>  re-solve a stored design at fine displacement resolution
 
@@ -74,9 +74,7 @@ def _solver_config(cfg, problem):
 
 
 def cmd_run(args):
-    import numpy as np
-
-    from . import assembly, config, optimizer, outputs
+    from . import config, optimizer, outputs
 
     try:
         cfg = config.parse_config(args.config)
@@ -109,7 +107,6 @@ def cmd_run(args):
     dump_every = cfg.get("output", "dump_every")
     history = outputs.HistoryWriter(os.path.join(outdir, "history.csv"),
                                     problem)
-    kin = assembly.ElementKinematics(problem.mesh, problem.material)
 
     def on_iteration(record, design, evaluation):
         history(record, design, evaluation)
@@ -243,7 +240,8 @@ def main(argv=None):
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify",
-                           help="run the built-in verification suites")
+                           help="run acceptance criteria 1-6 and the "
+                                "property checks")
     p_ver.set_defaults(func=cmd_verify)
 
     p_mesh = sub.add_parser("mesh", help="generate the mesh only")

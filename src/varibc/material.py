@@ -55,18 +55,12 @@ def hooke_plane_stress(nu):
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Lame parameters and linear constitutive matrix for a unit modulus.
-
-    printed_coefficients switches to the volumetric coefficient 2J^2 - J in
-    the stress (for comparison runs only); the default uses J^2 - J, which is
-    the energy-consistent form with zero stress at the identity.
-    """
+    """Lame parameters and linear constitutive matrix for a unit modulus."""
 
     nu: float
     lam0: float = field(init=False)
     mu0: float = field(init=False)
     D0: np.ndarray = field(init=False, repr=False)
-    printed_coefficients: bool = False
 
     def __post_init__(self):
         lam0, mu0 = lame_parameters(self.nu)
@@ -101,8 +95,6 @@ def strain_energy(F, params):
 
 
 def _vol_coeff(J, params):
-    if params.printed_coefficients:
-        return params.lam0 * (2.0 * J * J - J)
     return params.lam0 * (J * J - J)
 
 
@@ -162,10 +154,7 @@ def pk2_and_tangent_batch(F, params, want_tangent=True, element_offset=None):
     Cinv[:, 1, 1] = C[:, 0, 0] / detC
     Cinv[:, 0, 1] = -C[:, 0, 1] / detC
     Cinv[:, 1, 0] = -C[:, 1, 0] / detC
-    if params.printed_coefficients:
-        vol = params.lam0 * (2.0 * J * J - J)
-    else:
-        vol = params.lam0 * (J * J - J)
+    vol = _vol_coeff(J, params)
     S = vol[:, None, None] * Cinv + params.mu0 * (np.eye(2)[None] - Cinv)
     if not want_tangent:
         return S, None, J

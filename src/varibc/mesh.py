@@ -256,13 +256,6 @@ class ShapeSample:
             [[ux @ self.grad_x, ux @ self.grad_y], [uy @ self.grad_x, uy @ self.grad_y]]
         )
 
-    def transpose_scatter(self, w):
-        """N^T w for a 2-vector w, returned as a dense global DOF vector pair."""
-        out = np.zeros((len(self.weights), 2))
-        out[:, 0] = self.weights * w[0]
-        out[:, 1] = self.weights * w[1]
-        return out
-
 
 def shape_gradients(mesh, element):
     """Constant shape-function gradients (grad_x, grad_y) of one element."""

@@ -107,11 +107,6 @@ class VolumeFraction(QuantitySpec):
         return out
 
 
-def volume_fraction(rho_bar, mesh):
-    """Plain functional form of the volume fraction."""
-    return float(np.sum(rho_bar * mesh.volumes) / np.sum(mesh.volumes))
-
-
 class OutputOffsetSq(QuantitySpec):
     """Squared distance of the deformed output point from a target point."""
 
@@ -146,22 +141,6 @@ def f_in(lam_x, lam_y, theta):
 def f_p(lam_x, lam_y, theta):
     """Force perpendicular to the input direction."""
     return -lam_x * np.sin(theta) + lam_y * np.cos(theta)
-
-
-def path_error(paths_outputs, precision_points):
-    """Sum of squared output-point offsets over load cases and steps.
-
-    paths_outputs[i][m] is the deformed (x, y) of the output point in load
-    case i at step m; precision_points[m] the target for step m.
-    """
-    total = 0.0
-    for case in paths_outputs:
-        if len(case) != len(precision_points):
-            raise ValueError("one output position per precision point needed")
-        for pos, target in zip(case, precision_points):
-            d = np.asarray(pos, float) - np.asarray(target, float)
-            total += float(d @ d)
-    return total
 
 
 @dataclass

@@ -138,25 +138,35 @@ def _factorize(K):
         raise SingularTangent(str(err)) from None
 
 
-def predictor(model, control, state, delta_ubar, lu=None, system=None):
-    """One predictor step of length delta_ubar along the input direction.
+def predictor(model, control, state, s_target, lu=None, system=None,
+              counter_column=None):
+    """Predictor step from state = (U, lam) to the input fraction s_target.
 
-    Returns the predicted (U, lambda_x, lambda_y). The predicted input-point
-    displacement increment equals delta_ubar * (cos theta, sin theta) to
-    machine precision.
+    One factorization solves for the two reference loads and, when given,
+    the counter-load increment column; the 2x2 solve then picks the
+    intensity increments that close the input-point defect
+    target(s_target) - u_in(U). Returns the predicted (U, lambda). Without a
+    counter column the predicted input-point displacement equals
+    target(s_target) to machine precision.
     """
     U, lam = state
     if system is None:
         system = model.assemble(U)
     if lu is None:
         lu = _factorize(system.K_T)
-    if delta_ubar == 0.0:
-        return U.copy(), np.array(lam, dtype=float)
-    cols = lu.solve(np.column_stack([system.F_ext_x, system.F_ext_y]))
-    M2 = input_point_response(control.sample, cols)
-    dlam = _solve_2x2(M2, delta_ubar * control.direction())
-    U_new = U + cols @ dlam
-    return U_new, np.array([lam[0] + dlam[0], lam[1] + dlam[1]])
+    rhs_cols = [system.F_ext_x, system.F_ext_y]
+    if counter_column is not None:
+        rhs_cols.append(counter_column)
+    cols = lu.solve(np.column_stack(rhs_cols))
+    M2 = input_point_response(control.sample, cols[:, :2])
+    defect = control.target(s_target) - control.sample.interpolate(U)
+    if counter_column is not None:
+        defect = defect - control.sample.interpolate(cols[:, 2])
+    dlam = _solve_2x2(M2, defect)
+    U_new = U + cols[:, :2] @ dlam
+    if counter_column is not None:
+        U_new = U_new + cols[:, 2]
+    return U_new, np.asarray(lam, dtype=float) + dlam
 
 
 def corrector(model, control, U, lam, s_target, config,
@@ -219,29 +229,18 @@ def solve_equilibrium_path(model, control, config, trace=None):
     state = {"U": U, "lam": lam, "system": None, "lu": None,
              "alpha": 1.0 if not has_counter else 0.0, "s": 0.0}
 
-    def attempt(s_new, alpha_new, depth):
+    def attempt(s_new, alpha_new):
         t0 = time.perf_counter()
         sys0 = state["system"]
         lu0 = state["lu"]
         if sys0 is None:
             sys0 = model.assemble(state["U"], counter_scale=state["alpha"])
             lu0 = _factorize(sys0.K_T)
-        d_s = s_new - state["s"]
         d_alpha = alpha_new - state["alpha"]
-        # predictor: shared factorization, optional counter-load column
-        rhs_cols = [sys0.F_ext_x, sys0.F_ext_y]
-        if d_alpha != 0.0:
-            rhs_cols.append(d_alpha * model.F_counter)
-        cols = lu0.solve(np.column_stack(rhs_cols))
-        M2 = input_point_response(control.sample, cols[:, :2])
-        defect = control.target(s_new) - control.sample.interpolate(state["U"])
-        if d_alpha != 0.0:
-            defect = defect - control.sample.interpolate(cols[:, 2])
-        dlam = _solve_2x2(M2, defect)
-        U_pred = state["U"] + cols[:, :2] @ dlam
-        if d_alpha != 0.0:
-            U_pred = U_pred + cols[:, 2]
-        lam_pred = state["lam"] + dlam
+        counter = d_alpha * model.F_counter if d_alpha != 0.0 else None
+        U_pred, lam_pred = predictor(
+            model, control, (state["U"], state["lam"]), s_new, lu=lu0,
+            system=sys0, counter_column=counter)
         U_new, lam_new, system, lu, iters, hist = corrector(
             model, control, U_pred, lam_pred, s_new, config,
             counter_scale=alpha_new,
@@ -254,7 +253,7 @@ def solve_equilibrium_path(model, control, config, trace=None):
 
     def advance(s_new, alpha_new, depth, requested):
         try:
-            iters, hist = attempt(s_new, alpha_new, depth)
+            iters, hist = attempt(s_new, alpha_new)
         except (CorrectorFailed, SingularTangent, Singular2x2,
                 NonPositiveJacobian) as err:
             if depth >= config.max_bisections:

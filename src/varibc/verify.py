@@ -1,11 +1,19 @@
-"""Built-in verification: property and gradient suites on packaged fixtures.
+"""Built-in verification: acceptance criteria 1-6 plus three property checks.
 
-Each check recomputes its expectation from an independent oracle (finite
-differences, direct formula evaluation, brute-force scans) and reports
-pass/fail; the CLI prints the table and sets the exit code.
+`varibc verify` prints one row per entry of CHECKS. The first six rows are
+acceptance criteria 1-6 with the oracles, seeds, probes and tolerances of the
+acceptance gate; tests/test_acceptance.py calls these same functions, so the
+table and the gate cannot drift apart. The last three rows are property
+checks only this table runs: smooth-min distance bounds, the global tangent
+against a directional finite difference, and mesh area conservation.
+
+Every check returns (ok, detail); the CLI prints the table and sets the exit
+code.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -13,11 +21,116 @@ from . import adjoint, assembly, design_field as df, fixtures as fx
 from . import material as mat, mesh as msh, problems as P, solver as S
 
 
-def _check_material():
+def gradient_exactness():
+    """Criterion 1: adjoint design derivatives against central differences.
+
+    Probes 10 seeded densities, theta, all four support coordinates and both
+    load coordinates for U_out, F_in, F_p, the volume fraction and a
+    path-error term; the whole check must finish within 60 s.
+    """
+    t0 = time.perf_counter()
+    f = fx.load_fixture("mini_gripper_100")
+    fields, model = f.build()
+    ctrl = f.control()
+    cfg = S.SolverConfig(steps=2, tol_residual=1e-11, max_corrector_iters=30)
+    path = S.solve_equilibrium_path(model, ctrl, cfg)
+
+    out_node = f.output_springs[0][0] // 2
+    quantities = [
+        P.UOut(f.output_selector, step=2, name="u_out"),
+        P.FIn(step=2, name="f_in"),
+        P.FP(step=2, name="f_p"),
+        P.VolumeFraction(step=2),
+        P.OutputOffsetSq(out_node, (0.105, 0.061), 2, 0, name="path_err"),
+    ]
+    sens = adjoint.path_sensitivities(model, ctrl, path, fields, f.design,
+                                      quantities)
+
+    def values(design):
+        flds, mdl = assembly.build_model(
+            f.mesh, design, f.params, f.material, A_f=fields.A_f,
+            output_springs=f.output_springs)
+        c = S.InputControl(sample=msh.shape_values_at(f.mesh, design.load),
+                           theta=design.theta, u_in_norm=f.u_in_norm)
+        p = S.solve_equilibrium_path(mdl, c, cfg)
+        out = {}
+        for q in quantities:
+            ctx = adjoint.StateContext(state=p.state_at_step(q.step),
+                                       model=mdl, control=c, fields=flds,
+                                       design=design)
+            out[q.name] = q.evaluate(ctx)
+        return out
+
+    n_rho = len(f.design.rho)
+    rng = np.random.default_rng(2024)
+    probes = [("rho", int(j), 1e-4, int(j), 1e-4)
+              for j in rng.choice(n_rho, size=10, replace=False)]
+    probes += [("theta", None, 1e-6, f.design.size - 1, 1e-4)]
+    probes += [("sup", (0, 0), 1e-6, n_rho + 0, 1e-3),
+               ("sup", (0, 1), 1e-6, n_rho + 2, 1e-3),
+               ("sup", (1, 0), 1e-6, n_rho + 1, 1e-3),
+               ("sup", (1, 1), 1e-6, n_rho + 3, 1e-3),
+               ("load", 0, 1e-6, n_rho + 4, 1e-3),
+               ("load", 1, 1e-6, n_rho + 5, 1e-3)]
+    worst = 0.0
+    for kind, idx, h, col, tol in probes:
+        dp, dm = f.design.copy(), f.design.copy()
+        if kind == "rho":
+            dp.rho[idx] += h
+            dm.rho[idx] -= h
+        elif kind == "sup":
+            dp.supports[idx] += h
+            dm.supports[idx] -= h
+        elif kind == "load":
+            dp.load[idx] += h
+            dm.load[idx] -= h
+        else:
+            dp.theta += h
+            dm.theta -= h
+        vp, vm = values(dp), values(dm)
+        for name in vp:
+            diff = vp[name] - vm[name]
+            # skip entries beneath the FD oracle's own resolution: when the
+            # central difference is < 1e-9 of the value, its relative error
+            # is dominated by solver roundoff, not by the adjoint
+            if abs(diff) <= 1e-9 * max(abs(vp[name]), abs(vm[name]), 1e-30):
+                continue
+            fd = diff / (2 * h)
+            got = sens[name].dgdzeta[col]
+            rel = abs(got - fd) / abs(fd)
+            worst = max(worst, rel)
+            if rel > tol:
+                return False, (f"{name} d/d{kind}[{idx}] rel err {rel:.2e} "
+                               f"> {tol:g}")
+    elapsed = time.perf_counter() - t0
+    return elapsed <= 60.0, (f"adjoint vs FD worst rel err {worst:.2e} in "
+                             f"{elapsed:.1f} s (limit 60 s)")
+
+
+def material_consistency():
+    """Criterion 2: S against the energy and D against an independent S.
+
+    Both oracles are central differences in C of closed-form expressions
+    written here, not of the functions under test.
+    """
     p = mat.MaterialParams(nu=0.49)
-    rng = np.random.default_rng(1)
-    worst_s = worst_d = 0.0
+    zero = np.abs(mat.pk2_stress(np.eye(2), p)).max()
+    hooke = np.abs(mat.tangent_moduli(np.eye(2), p) - p.D0).max()
+
+    def energy_of_C(C):
+        J = np.sqrt(np.linalg.det(C))
+        return (0.5 * p.mu0 * (C[0, 0] + C[1, 1] + 1 - 3)
+                - p.mu0 * np.log(J) + 0.5 * p.lam0 * (J - 1) ** 2)
+
+    def stress_of_C(C):
+        Ci = np.linalg.inv(C)
+        J = np.sqrt(np.linalg.det(C))
+        return p.lam0 * (J * J - J) * Ci + p.mu0 * (np.eye(2) - Ci)
+
+    rng = np.random.default_rng(7)
+    pairs = [(0, 0), (1, 1), (0, 1)]
     n = 0
+    worst_s = worst_d = 0.0
     while n < 100:
         F = np.eye(2) + rng.uniform(-0.6, 0.6, (2, 2))
         J = np.linalg.det(F)
@@ -27,56 +140,112 @@ def _check_material():
         C = F.T @ F
         h = 1e-6
         S_fd = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                dC = np.zeros((2, 2))
-                dC[i, j] += 0.5 * h
-                dC[j, i] += 0.5 * h
-
-                def psi(Cm):
-                    Jm = np.sqrt(np.linalg.det(Cm))
-                    return (0.5 * p.mu0 * (Cm[0, 0] + Cm[1, 1] + 1 - 3)
-                            - p.mu0 * np.log(Jm)
-                            + 0.5 * p.lam0 * (Jm - 1) ** 2)
-
-                S_fd[i, j] = (psi(C + dC) - psi(C - dC)) / h
-        Sv = mat.pk2_stress(F, p)
-        worst_s = max(worst_s, np.linalg.norm(Sv - S_fd)
-                      / max(np.linalg.norm(S_fd), 1e-3))
-        D = mat.tangent_moduli(F, p)
-        pairs = [(0, 0), (1, 1), (0, 1)]
         D_fd = np.zeros((3, 3))
         for b, (k, l) in enumerate(pairs):
             dC = np.zeros((2, 2))
             dC[k, l] += 0.5 * h
             dC[l, k] += 0.5 * h
-            Sp = mat.pk2_stress(np.linalg.cholesky(C + dC).T, p)
-            Sm = mat.pk2_stress(np.linalg.cholesky(C - dC).T, p)
-            dS = (Sp - Sm) / h
+            S_fd[k, l] = S_fd[l, k] = (energy_of_C(C + dC)
+                                       - energy_of_C(C - dC)) / h
+            dS = (stress_of_C(C + dC) - stress_of_C(C - dC)) / h
             for a, (i, j) in enumerate(pairs):
                 D_fd[a, b] = dS[i, j]
-        worst_d = max(worst_d, np.linalg.norm(D - D_fd) / np.linalg.norm(D_fd))
-    zero = np.linalg.norm(mat.pk2_stress(np.eye(2), p))
-    hooke = np.linalg.norm(mat.tangent_moduli(np.eye(2), p) - p.D0)
-    ok = worst_s <= 1e-7 and worst_d <= 1e-6 and zero == 0.0 and hooke <= 1e-10
+        Sv = mat.pk2_stress(F, p)
+        Dv = mat.tangent_moduli(F, p)
+        worst_s = max(worst_s, np.linalg.norm(Sv - S_fd)
+                      / max(np.linalg.norm(S_fd), 1e-3))
+        worst_d = max(worst_d,
+                      np.linalg.norm(Dv - D_fd) / np.linalg.norm(D_fd))
+    ok = zero == 0.0 and hooke <= 1e-10 and worst_s <= 1e-7 and worst_d <= 1e-6
     return ok, (f"S-energy {worst_s:.1e}, D-stress {worst_d:.1e}, "
                 f"S(I) {zero:.1e}, D(I)-Hooke {hooke:.1e}")
 
 
-def _check_projection():
-    g0 = df.super_gaussian(0.0, 3.0, 2.0, 0.5, 4.0)
-    gr = df.super_gaussian(0.5, 3.0, 2.0, 0.5, 4.0)
+def solver_contract():
+    """Criterion 3: residual and input constraint; bisection on the arch."""
     f = fx.load_fixture("mini_gripper_100")
     fields, model = f.build()
+    ctrl = f.control()
+    path = S.solve_equilibrium_path(model, ctrl, S.SolverConfig(steps=4))
+    worst_r = worst_c = 0.0
+    for st in path.requested_states:
+        got = ctrl.sample.interpolate(st.U)
+        want = ctrl.target(st.input_fraction)
+        worst_r = max(worst_r, st.residual_norm)
+        worst_c = max(worst_c, np.abs(got - want).max())
+    detail = (f"max residual {worst_r:.2e} N, "
+              f"constraint {worst_c / ctrl.u_in_norm:.2e}")
+    if worst_r > 1e-6 or worst_c > 1e-10 * ctrl.u_in_norm:
+        return False, detail
+
+    arch = fx.load_fixture("toy_arch")
+    afields, amodel = arch.build()
+    actrl = S.InputControl(
+        sample=msh.shape_values_at(arch.mesh, arch.design.load),
+        theta=arch.design.theta,
+        u_in_norm=arch.expected["bisect_stroke"])
+    try:
+        S.solve_equilibrium_path(amodel, actrl,
+                                 S.SolverConfig(steps=1, max_bisections=0))
+        return False, "arch: nominal step unexpectedly converged"
+    except S.PathFailed:
+        pass
+    rec = S.solve_equilibrium_path(amodel, actrl,
+                                   S.SolverConfig(steps=1, max_bisections=6))
+    ok = (rec.total_bisections >= 1
+          and rec.requested_states[-1].input_fraction == 1.0)
+    return ok, (f"{detail}; arch recovers with {rec.total_bisections} "
+                f"bisections")
+
+
+def linear_limit():
+    """Criterion 4: at a 1e-6 stroke the path matches the linear solve."""
+    f = fx.load_fixture("mini_gripper_100")
+    fields, model = f.build()
+    domain = 0.1
+    ctrl = S.InputControl(
+        sample=msh.shape_values_at(f.mesh, f.design.load),
+        theta=f.design.theta, u_in_norm=1e-6 * domain)
+    path = S.solve_equilibrium_path(
+        model, ctrl, S.SolverConfig(steps=1, tol_residual=1e-11,
+                                    max_corrector_iters=25))
+    st = path.requested_states[0]
+    U_lin, lam_lin = S.linear_reference_solve(model, ctrl, s=1.0)
+    du = np.linalg.norm(st.U - U_lin) / np.linalg.norm(U_lin)
+    dl = np.hypot(st.lambda_x - lam_lin[0], st.lambda_y - lam_lin[1]) \
+        / np.hypot(*lam_lin)
+    return du <= 1e-3 and dl <= 1e-3, (
+        f"nonlinear vs one-shot linear: dU {du:.1e}, dlambda {dl:.1e}")
+
+
+def projection_identities():
+    """Criterion 5: G(0)=A, G(r)=A/b, unit load, stochastic filter rows."""
+    A, b, r, Pexp = 3.7, 2.0, 0.031, 4.0
+    g0 = df.super_gaussian(0.0, A, b, r, Pexp)
+    gr = df.super_gaussian(r, A, b, r, Pexp)
+    f = fx.load_fixture("mini_gripper_100")
+    fields, _ = f.build()
     total = np.sum(fields.f_e * f.mesh.volumes)
-    W = fields.W
-    rows = np.asarray(W.sum(axis=1)).ravel()
-    ok = (g0 == 3.0 and abs(gr - 1.5) <= 1e-15
+    rows = np.asarray(fields.W.sum(axis=1)).ravel()
+    ok = (g0 == A and abs(gr - A / b) <= 1e-15 * A
           and abs(total - 1.0) <= 1e-9
-          and np.all(np.abs(rows - 1.0) <= 1e-12))
-    return ok, (f"G(0)-A 0, G(r)-A/b {abs(gr - 1.5):.1e}, "
+          and np.abs(rows - 1.0).max() <= 1e-12)
+    return ok, (f"G(0)-A {abs(g0 - A):.1e}, G(r)-A/b {abs(gr - A / b):.1e}, "
                 f"sum fV - 1 {abs(total - 1):.1e}, filter rows "
                 f"{np.abs(rows - 1).max():.1e}")
+
+
+def force_decomposition_identity():
+    """Criterion 6: F_in^2 + F_p^2 = lam_x^2 + lam_y^2 on 1e5 samples."""
+    rng = np.random.default_rng(99)
+    lx = rng.normal(scale=20, size=100_000)
+    ly = rng.normal(scale=20, size=100_000)
+    th = rng.uniform(-np.pi, np.pi, size=100_000)
+    lhs = P.f_in(lx, ly, th) ** 2 + P.f_p(lx, ly, th) ** 2
+    rhs = lx**2 + ly**2
+    worst = np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-30))
+    return worst <= 1e-12, (f"F_in^2 + F_p^2 identity to {worst:.1e} over "
+                            f"1e5 samples")
 
 
 def _check_smooth_min():
@@ -108,104 +277,6 @@ def _check_tangent():
     return err <= 1e-5, f"directional FD error {err:.2e}"
 
 
-def _check_force_identity():
-    rng = np.random.default_rng(4)
-    lx = rng.normal(scale=10, size=100_000)
-    ly = rng.normal(scale=10, size=100_000)
-    th = rng.uniform(-np.pi, np.pi, 100_000)
-    lhs = P.f_in(lx, ly, th) ** 2 + P.f_p(lx, ly, th) ** 2
-    rhs = lx * lx + ly * ly
-    worst = np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-30))
-    return worst <= 1e-12, f"identity error {worst:.2e} over 1e5 samples"
-
-
-def _check_solver_contract():
-    f = fx.load_fixture("mini_gripper_100")
-    fields, model = f.build()
-    ctrl = f.control()
-    path = S.solve_equilibrium_path(model, ctrl, S.SolverConfig(steps=4))
-    worst_r = max(st.residual_norm for st in path.requested_states)
-    worst_c = 0.0
-    for st in path.requested_states:
-        got = ctrl.sample.interpolate(st.U)
-        worst_c = max(worst_c, np.max(np.abs(got - ctrl.target(
-            st.input_fraction))) / ctrl.u_in_norm)
-    ok = worst_r <= 1e-6 and worst_c <= 1e-10
-    return ok, f"max residual {worst_r:.2e} N, constraint {worst_c:.2e}"
-
-
-def _check_bisection_recovery():
-    f = fx.load_fixture("toy_arch")
-    fields, model = f.build()
-    smp = msh.shape_values_at(f.mesh, f.design.load)
-    ctrl = S.InputControl(sample=smp, theta=f.design.theta,
-                          u_in_norm=f.expected["bisect_stroke"])
-    try:
-        S.solve_equilibrium_path(model, ctrl,
-                                 S.SolverConfig(steps=1, max_bisections=0))
-        return False, "nominal step unexpectedly converged"
-    except S.PathFailed:
-        pass
-    path = S.solve_equilibrium_path(model, ctrl,
-                                    S.SolverConfig(steps=1, max_bisections=6))
-    done = path.requested_states[-1].input_fraction == 1.0
-    return done and path.total_bisections >= 1, (
-        f"recovered with {path.total_bisections} bisections")
-
-
-def _check_adjoint():
-    f = fx.load_fixture("mini_gripper_100")
-    fields, model = f.build()
-    ctrl = f.control()
-    cfg = S.SolverConfig(steps=2, tol_residual=1e-11, max_corrector_iters=30)
-    path = S.solve_equilibrium_path(model, ctrl, cfg)
-    qs = [P.UOut(f.output_selector, step=2, name="u_out"),
-          P.FIn(step=2, name="f_in"), P.VolumeFraction(step=2)]
-    sens = adjoint.path_sensitivities(model, ctrl, path, fields, f.design, qs)
-
-    def value_at(design):
-        flds, mdl = assembly.build_model(
-            f.mesh, design, f.params, f.material, A_f=fields.A_f,
-            output_springs=f.output_springs)
-        c = S.InputControl(sample=msh.shape_values_at(f.mesh, design.load),
-                           theta=design.theta, u_in_norm=f.u_in_norm)
-        p = S.solve_equilibrium_path(mdl, c, cfg)
-        out = {}
-        for q in qs:
-            ctx = adjoint.StateContext(state=p.state_at_step(q.step),
-                                       model=mdl, control=c, fields=flds,
-                                       design=design)
-            out[q.name] = q.evaluate(ctx)
-        return out
-
-    worst = 0.0
-    checks = [("rho", 40, 1e-4, 0), ("theta", None, 1e-6, f.design.size - 1),
-              ("load", 0, 1e-6, len(f.design.rho) + 4)]
-    for kind, idx, h, col in checks:
-        dp, dm = f.design.copy(), f.design.copy()
-        if kind == "rho":
-            dp.rho[idx] += h
-            dm.rho[idx] -= h
-            col = idx
-        elif kind == "load":
-            dp.load[idx] += h
-            dm.load[idx] -= h
-        else:
-            dp.theta += h
-            dm.theta -= h
-        vp, vm = value_at(dp), value_at(dm)
-        for name in vp:
-            fd = (vp[name] - vm[name]) / (2 * h)
-            got = sens[name].dgdzeta[col]
-            tol = 1e-4 if kind in ("rho", "theta") else 1e-3
-            rel = abs(got - fd) / max(abs(fd), 1e-12)
-            if abs(fd) > 1e-12:
-                worst = max(worst, rel)
-                if rel > tol:
-                    return False, f"{name} d/d{kind} rel err {rel:.2e}"
-    return True, f"worst relative error {worst:.2e}"
-
-
 def _check_mesh_area():
     g = msh.rectangle_geometry(1.3, 0.8, 0.11,
                                nondesign_regions=())
@@ -218,14 +289,17 @@ def _check_mesh_area():
 
 
 CHECKS = [
-    ("material consistency (S, D, identity limits)", _check_material),
-    ("projection identities (Eq contracts)", _check_projection),
+    ("criterion 1: adjoint gradients vs finite differences",
+     gradient_exactness),
+    ("criterion 2: material consistency (S, D, identity limits)",
+     material_consistency),
+    ("criterion 3: solver contract and bisection recovery", solver_contract),
+    ("criterion 4: linear limit vs one-shot linear solve", linear_limit),
+    ("criterion 5: projection identities", projection_identities),
+    ("criterion 6: force decomposition identity",
+     force_decomposition_identity),
     ("smooth-min distance bounds", _check_smooth_min),
     ("global tangent vs directional FD", _check_tangent),
-    ("force decomposition identity", _check_force_identity),
-    ("solver residual and input constraint", _check_solver_contract),
-    ("step bisection recovery on the arch", _check_bisection_recovery),
-    ("adjoint gradients vs finite differences", _check_adjoint),
     ("mesh area conservation", _check_mesh_area),
 ]
 

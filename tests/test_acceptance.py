@@ -1,7 +1,9 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
-Each test prints a single PASS line on success (run with -s or -rA to see
-them); failures surface as ordinary assertion errors. Criterion 7 runs two
+Criteria 1-6 are the check functions of varibc.verify, which also back the
+`varibc verify` table; their oracles and tolerances live there. Each test
+prints a single PASS line on success (run with -s or -rA to see them);
+failures surface as ordinary assertion errors. Criterion 7 runs two
 desk-scale optimizations and dominates the suite's runtime.
 """
 
@@ -10,230 +12,47 @@ import time
 import numpy as np
 import pytest
 
-from varibc import adjoint as adj
-from varibc import assembly as asm
-from varibc import design_field as df
 from varibc import fixtures as fx
-from varibc import material as mat
-from varibc import mesh as msh
 from varibc import optimizer as O
 from varibc import problems as P
 from varibc import solver as S
+from varibc import verify as V
 
 
 def _ok(n, text):
     print(f"ACCEPTANCE {n}: PASS  {text}")
 
 
-# -- 1 ----------------------------------------------------------------------
+# -- 1-6: the same check functions `varibc verify` runs ---------------------
+
+def _gate(n, check):
+    ok, detail = check()
+    assert ok, detail
+    _ok(n, detail)
+
 
 def test_01_gradient_exactness():
-    t0 = time.perf_counter()
-    f = fx.load_fixture("mini_gripper_100")
-    fields, model = f.build()
-    ctrl = f.control()
-    cfg = S.SolverConfig(steps=2, tol_residual=1e-11, max_corrector_iters=30)
-    path = S.solve_equilibrium_path(model, ctrl, cfg)
+    _gate(1, V.gradient_exactness)
 
-    out_node = f.output_springs[0][0] // 2
-    quantities = [
-        P.UOut(f.output_selector, step=2, name="u_out"),
-        P.FIn(step=2, name="f_in"),
-        P.FP(step=2, name="f_p"),
-        P.VolumeFraction(step=2),
-        P.OutputOffsetSq(out_node, (0.105, 0.061), 2, 0, name="path_err"),
-    ]
-    sens = adj.path_sensitivities(model, ctrl, path, fields, f.design,
-                                  quantities)
-
-    def values(design):
-        flds, mdl = asm.build_model(
-            f.mesh, design, f.params, f.material, A_f=fields.A_f,
-            output_springs=f.output_springs)
-        c = S.InputControl(sample=msh.shape_values_at(f.mesh, design.load),
-                           theta=design.theta, u_in_norm=f.u_in_norm)
-        p = S.solve_equilibrium_path(mdl, c, cfg)
-        out = {}
-        for q in quantities:
-            ctx = adj.StateContext(state=p.state_at_step(q.step), model=mdl,
-                                   control=c, fields=flds, design=design)
-            out[q.name] = q.evaluate(ctx)
-        return out
-
-    n_rho = len(f.design.rho)
-    rng = np.random.default_rng(2024)
-    probes = [("rho", int(j), 1e-4, int(j), 1e-4)
-              for j in rng.choice(n_rho, size=10, replace=False)]
-    probes += [("theta", None, 1e-6, f.design.size - 1, 1e-4)]
-    probes += [("sup", (0, 0), 1e-6, n_rho + 0, 1e-3),
-               ("sup", (0, 1), 1e-6, n_rho + 2, 1e-3),
-               ("sup", (1, 0), 1e-6, n_rho + 1, 1e-3),
-               ("sup", (1, 1), 1e-6, n_rho + 3, 1e-3),
-               ("load", 0, 1e-6, n_rho + 4, 1e-3),
-               ("load", 1, 1e-6, n_rho + 5, 1e-3)]
-    worst = 0.0
-    for kind, idx, h, col, tol in probes:
-        dp, dm = f.design.copy(), f.design.copy()
-        if kind == "rho":
-            dp.rho[idx] += h
-            dm.rho[idx] -= h
-        elif kind == "sup":
-            dp.supports[idx] += h
-            dm.supports[idx] -= h
-        elif kind == "load":
-            dp.load[idx] += h
-            dm.load[idx] -= h
-        else:
-            dp.theta += h
-            dm.theta -= h
-        vp, vm = values(dp), values(dm)
-        for name in vp:
-            diff = vp[name] - vm[name]
-            # skip entries beneath the FD oracle's own resolution: when the
-            # central difference is < 1e-9 of the value, its relative error
-            # is dominated by solver roundoff, not by the adjoint
-            if abs(diff) <= 1e-9 * max(abs(vp[name]), abs(vm[name]), 1e-30):
-                continue
-            fd = diff / (2 * h)
-            got = sens[name].dgdzeta[col]
-            rel = abs(got - fd) / abs(fd)
-            worst = max(worst, rel)
-            assert rel <= tol, (name, kind, idx, rel)
-    elapsed = time.perf_counter() - t0
-    assert elapsed <= 60.0
-    _ok(1, f"adjoint vs FD worst rel err {worst:.2e} in {elapsed:.1f} s")
-
-
-# -- 2 ----------------------------------------------------------------------
 
 def test_02_material_consistency():
-    p = mat.MaterialParams(nu=0.49)
-    assert np.all(mat.pk2_stress(np.eye(2), p) == 0.0)
-    D_I = mat.tangent_moduli(np.eye(2), p)
-    assert np.abs(D_I - p.D0).max() <= 1e-10
+    _gate(2, V.material_consistency)
 
-    def energy_of_C(C):
-        J = np.sqrt(np.linalg.det(C))
-        return (0.5 * p.mu0 * (C[0, 0] + C[1, 1] + 1 - 3)
-                - p.mu0 * np.log(J) + 0.5 * p.lam0 * (J - 1) ** 2)
-
-    def stress_of_C(C):
-        Ci = np.linalg.inv(C)
-        J = np.sqrt(np.linalg.det(C))
-        return p.lam0 * (J * J - J) * Ci + p.mu0 * (np.eye(2) - Ci)
-
-    rng = np.random.default_rng(7)
-    pairs = [(0, 0), (1, 1), (0, 1)]
-    n = 0
-    worst_s = worst_d = 0.0
-    while n < 100:
-        F = np.eye(2) + rng.uniform(-0.6, 0.6, (2, 2))
-        J = np.linalg.det(F)
-        if not 0.5 <= J <= 2.0:
-            continue
-        n += 1
-        C = F.T @ F
-        h = 1e-6
-        S_fd = np.zeros((2, 2))
-        D_fd = np.zeros((3, 3))
-        for b, (k, l) in enumerate(pairs):
-            dC = np.zeros((2, 2))
-            dC[k, l] += 0.5 * h
-            dC[l, k] += 0.5 * h
-            S_fd[k, l] = S_fd[l, k] = (energy_of_C(C + dC)
-                                       - energy_of_C(C - dC)) / h
-            dS = (stress_of_C(C + dC) - stress_of_C(C - dC)) / h
-            for a, (i, j) in enumerate(pairs):
-                D_fd[a, b] = dS[i, j]
-        Sv = mat.pk2_stress(F, p)
-        Dv = mat.tangent_moduli(F, p)
-        worst_s = max(worst_s, np.linalg.norm(Sv - S_fd)
-                      / max(np.linalg.norm(S_fd), 1e-3))
-        worst_d = max(worst_d,
-                      np.linalg.norm(Dv - D_fd) / np.linalg.norm(D_fd))
-    assert worst_s <= 1e-7
-    assert worst_d <= 1e-6
-    _ok(2, f"S-energy {worst_s:.1e}, D-stress {worst_d:.1e}, exact limits")
-
-
-# -- 3 ----------------------------------------------------------------------
 
 def test_03_solver_contract():
-    f = fx.load_fixture("mini_gripper_100")
-    fields, model = f.build()
-    ctrl = f.control()
-    path = S.solve_equilibrium_path(model, ctrl, S.SolverConfig(steps=4))
-    for st in path.requested_states:
-        assert st.residual_norm <= 1e-6
-        got = ctrl.sample.interpolate(st.U)
-        want = ctrl.target(st.input_fraction)
-        assert np.all(np.abs(got - want) <= 1e-10 * ctrl.u_in_norm)
+    _gate(3, V.solver_contract)
 
-    arch = fx.load_fixture("toy_arch")
-    afields, amodel = arch.build()
-    actrl = S.InputControl(
-        sample=msh.shape_values_at(arch.mesh, arch.design.load),
-        theta=arch.design.theta,
-        u_in_norm=arch.expected["bisect_stroke"])
-    with pytest.raises(S.PathFailed):
-        S.solve_equilibrium_path(amodel, actrl,
-                                 S.SolverConfig(steps=1, max_bisections=0))
-    rec = S.solve_equilibrium_path(amodel, actrl,
-                                   S.SolverConfig(steps=1, max_bisections=6))
-    assert rec.total_bisections >= 1
-    assert rec.requested_states[-1].input_fraction == 1.0
-    _ok(3, "residual/constraint contracts hold; bisection recovers the arch")
-
-
-# -- 4 ----------------------------------------------------------------------
 
 def test_04_linear_limit():
-    f = fx.load_fixture("mini_gripper_100")
-    fields, model = f.build()
-    domain = 0.1
-    ctrl = S.InputControl(
-        sample=msh.shape_values_at(f.mesh, f.design.load),
-        theta=f.design.theta, u_in_norm=1e-6 * domain)
-    path = S.solve_equilibrium_path(
-        model, ctrl, S.SolverConfig(steps=1, tol_residual=1e-11,
-                                    max_corrector_iters=25))
-    st = path.requested_states[0]
-    U_lin, lam_lin = S.linear_reference_solve(model, ctrl, s=1.0)
-    du = np.linalg.norm(st.U - U_lin) / np.linalg.norm(U_lin)
-    dl = np.hypot(st.lambda_x - lam_lin[0], st.lambda_y - lam_lin[1]) \
-        / np.hypot(*lam_lin)
-    assert du <= 1e-3
-    assert dl <= 1e-3
-    _ok(4, f"nonlinear vs one-shot linear: dU {du:.1e}, dlambda {dl:.1e}")
+    _gate(4, V.linear_limit)
 
-
-# -- 5 ----------------------------------------------------------------------
 
 def test_05_projection_identities():
-    A, b, r, Pexp = 3.7, 2.0, 0.031, 4.0
-    assert df.super_gaussian(0.0, A, b, r, Pexp) == A
-    assert abs(df.super_gaussian(r, A, b, r, Pexp) - A / b) <= 1e-15 * A
-    f = fx.load_fixture("mini_gripper_100")
-    fields, _ = f.build()
-    total = np.sum(fields.f_e * f.mesh.volumes)
-    assert abs(total - 1.0) <= 1e-9
-    rows = np.asarray(fields.W.sum(axis=1)).ravel()
-    assert np.abs(rows - 1.0).max() <= 1e-12
-    _ok(5, "G(0)=A, G(r)=A/b, unit load normalization, stochastic filter")
+    _gate(5, V.projection_identities)
 
-
-# -- 6 ----------------------------------------------------------------------
 
 def test_06_force_decomposition_identity():
-    rng = np.random.default_rng(99)
-    lx = rng.normal(scale=20, size=100_000)
-    ly = rng.normal(scale=20, size=100_000)
-    th = rng.uniform(-np.pi, np.pi, size=100_000)
-    lhs = P.f_in(lx, ly, th) ** 2 + P.f_p(lx, ly, th) ** 2
-    rhs = lx**2 + ly**2
-    worst = np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-30))
-    assert worst <= 1e-12
-    _ok(6, f"F_in^2 + F_p^2 identity to {worst:.1e} over 1e5 samples")
+    _gate(6, V.force_decomposition_identity)
 
 
 # -- 7 ----------------------------------------------------------------------

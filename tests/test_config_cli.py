@@ -7,7 +7,7 @@ import pytest
 
 from varibc import cli, config
 from varibc import mesh as M
-from varibc import outputs
+from varibc import outputs, verify
 
 
 class TestParseConfig:
@@ -164,6 +164,33 @@ class TestCliMesh:
         mesh = M.read_mesh(out)
         assert mesh.num_elements > 100
         assert "elements" in capsys.readouterr().out
+
+
+class TestCliVerify:
+    def test_every_check_passes(self, capsys):
+        assert cli.main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(verify.CHECKS) + 1
+        for line, (name, _) in zip(lines, verify.CHECKS):
+            assert line.startswith("PASS") and name in line
+        assert lines[-1] == "all checks passed"
+
+    def test_raising_check_is_a_failed_row(self, monkeypatch, capsys):
+        def boom():
+            raise RuntimeError("kaput")
+
+        checks = list(verify.CHECKS)
+        name = checks[4][0]
+        checks[4] = (name, boom)
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        assert cli.main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        row = lines[4]
+        assert row.startswith("FAIL") and name in row
+        assert "raised RuntimeError: kaput" in row
+        passed = [line for line in lines if line.startswith("PASS")]
+        assert len(passed) == len(checks) - 1
+        assert lines[-1] == "FAILURES present"
 
 
 class TestCustomProblem:

@@ -172,8 +172,3 @@ class TestBatch:
             mat.pk2_and_tangent_batch(Fs, p)
         assert ei.value.element == 1
 
-
-def test_printed_coefficients_differ_at_identity():
-    p = mat.MaterialParams(nu=0.3, printed_coefficients=True)
-    S = mat.pk2_stress(np.eye(2), p)
-    assert np.linalg.norm(S) > 0.0  # the printed form is not stress-free

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -63,14 +65,35 @@ class TestUOut:
         assert abs(q.evaluate(ctx) - 0.014) < 1e-15
 
 
+def volume_fraction(rho_bar, mesh):
+    """VolumeFraction.evaluate on a stub context holding rho_bar."""
+    ctx = SimpleNamespace(mesh=mesh, fields=SimpleNamespace(rho_bar=rho_bar))
+    return P.VolumeFraction().evaluate(ctx)
+
+
+def path_error(outs, prec):
+    """Sum of OutputOffsetSq.evaluate over load cases and steps.
+
+    outs[i][m] is the deformed output point of case i at step m, carried as
+    the displacement of a one-node stub mesh whose node sits at the origin.
+    """
+    mesh = SimpleNamespace(nodes=np.zeros((1, 2)))
+    total = 0.0
+    for i, case in enumerate(outs):
+        for m, (pos, target) in enumerate(zip(case, prec)):
+            ctx = SimpleNamespace(mesh=mesh, U=np.asarray(pos, dtype=float))
+            total += P.OutputOffsetSq(0, target, m + 1, i).evaluate(ctx)
+    return total
+
+
 class TestVolumeFraction:
     def test_all_solid(self):
         mesh = M.generate_mesh(M.rectangle_geometry(1.0, 1.0, 0.4))
-        assert P.volume_fraction(np.ones(mesh.num_elements), mesh) == 1.0
+        assert volume_fraction(np.ones(mesh.num_elements), mesh) == 1.0
 
     def test_uniform(self):
         mesh = M.generate_mesh(M.rectangle_geometry(1.0, 1.0, 0.4))
-        vf = P.volume_fraction(np.full(mesh.num_elements, 0.3), mesh)
+        vf = volume_fraction(np.full(mesh.num_elements, 0.3), mesh)
         assert abs(vf - 0.3) <= 1e-12
 
     def test_nondesign_solid_only(self):
@@ -81,35 +104,31 @@ class TestVolumeFraction:
         rho = np.where(mesh.element_tag == M.SOLID_NONDESIGN, 1.0, 0.0)
         want = (mesh.volumes[mesh.element_tag == M.SOLID_NONDESIGN].sum()
                 / mesh.volumes.sum())
-        assert abs(P.volume_fraction(rho, mesh) - want) <= 1e-14
+        assert abs(volume_fraction(rho, mesh) - want) <= 1e-14
 
 
 class TestPathError:
     def test_exact_hit_is_zero(self):
         prec = [(1.0, 2.0), (1.5, 2.0)]
         outs = [[(1.0, 2.0), (1.5, 2.0)]]
-        assert P.path_error(outs, prec) == 0.0
+        assert path_error(outs, prec) == 0.0
 
     def test_millimeter_offset(self):
         prec = [(0.0, 0.0)]
         outs = [[(1e-3, 0.0)]]
-        assert abs(P.path_error(outs, prec) - 1e-6) <= 1e-18
+        assert abs(path_error(outs, prec) - 1e-6) <= 1e-18
 
     def test_matches_double_sum_oracle(self):
         rng = np.random.default_rng(7)
         prec = rng.normal(size=(4, 2))
         outs = [rng.normal(size=(4, 2)) for _ in range(3)]
-        got = P.path_error(outs, prec)
+        got = path_error(outs, prec)
         want = 0.0
         for case in outs:
             for m in range(4):
                 want += (case[m][0] - prec[m][0]) ** 2
                 want += (case[m][1] - prec[m][1]) ** 2
         assert abs(got - want) <= 1e-12 * want
-
-    def test_step_count_mismatch(self):
-        with pytest.raises(ValueError):
-            P.path_error([[(0, 0)]], [(0, 0), (1, 1)])
 
 
 @pytest.fixture(scope="module")

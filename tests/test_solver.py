@@ -97,7 +97,8 @@ class TestPredictorCorrector:
         ctrl = f.control()
         U0 = np.zeros(f.mesh.num_dofs)
         du = 1e-7
-        U, lam = S.predictor(model, ctrl, (U0, (0.0, 0.0)), du)
+        U, lam = S.predictor(model, ctrl, (U0, (0.0, 0.0)),
+                             du / ctrl.u_in_norm)
         got = ctrl.sample.interpolate(U)
         want = du * ctrl.direction()
         assert np.linalg.norm(got - want) <= 1e-12 * du
