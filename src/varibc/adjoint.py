@@ -11,6 +11,10 @@ quantity f(zeta, U, lambda) the multipliers solve
 and the total derivative is df/dzeta + psi_R^T dR/dzeta + psi_c^T dc/dzeta.
 One factorization per converged state serves every quantity read there; the
 reference-load solves and the interpolation-row solves are shared.
+StateAdjoint reuses the converged GlobalSystem that the solver attaches to
+each requested state and assembles only for states that carry none (bisection
+substates on a failed path, hand-made states). It still factorizes K_T,
+because the corrector's last factorization belongs to the previous iterate.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .assembly import residual_vjp
-from .solver import Singular2x2, _solve_2x2, input_point_response
+from .solver import (Singular2x2, SingularTangent, _solve_2x2,
+                     input_point_response)
 
 
 class SingularReducedSystem(Exception):
@@ -118,9 +123,14 @@ class StateAdjoint:
     def __init__(self, model, control, state, fields, design):
         self.ctx = StateContext(state=state, model=model, control=control,
                                 fields=fields, design=design)
-        self.system = model.assemble(state.U,
-                                     counter_scale=state.counter_scale)
-        self.lu = splu(self.system.K_T)
+        self.system = state.system
+        if self.system is None:
+            self.system = model.assemble(state.U,
+                                         counter_scale=state.counter_scale)
+        try:
+            self.lu = splu(self.system.K_T)
+        except RuntimeError as err:
+            raise SingularTangent(str(err)) from None
         cols = self.lu.solve(
             np.column_stack([self.system.F_ext_x, self.system.F_ext_y]))
         self.V = cols
@@ -207,7 +217,7 @@ def path_sensitivities(model, control, path, fields, design, quantities):
     """Adjoint gradients for a batch of quantities along one path.
 
     Quantities are grouped by the step they read so each converged state is
-    assembled and factorized once. Returns {name: SensitivityRecord}.
+    factorized once. Returns {name: SensitivityRecord}.
     """
     by_step = {}
     for q in quantities:

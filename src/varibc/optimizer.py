@@ -121,7 +121,8 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
         paths.append(path)
         bisections += path.total_bisections
         iterations += path.total_corrector_iterations
-        # one assembly and factorization per unique converged state
+        # one factorization per unique converged state; requested states
+        # carry the converged system, so only fallback states re-assemble
         steps_needed = sorted({q.step for q in by_case.get(i, [])})
         for m in steps_needed:
             state = _state_for_step(path, m, problem.mesh.num_dofs)

@@ -92,6 +92,9 @@ class EquilibriumState:
     requested: bool = True
     counter_scale: float = 1.0
     residual_history: tuple = ()
+    # converged GlobalSystem of a requested state, reused by the adjoint;
+    # None for bisection substates and hand-made states
+    system: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -217,8 +220,9 @@ def solve_equilibrium_path(model, control, config, trace=None):
     """March the input displacement to its full stroke.
 
     Reports converged states at the fractions m / steps (bisection substates
-    are kept and flagged as not requested). A nonzero counter force on the
-    model is ramped first with the input held at zero.
+    are kept and flagged as not requested). Each requested state carries the
+    corrector's converged GlobalSystem for the adjoint. A nonzero counter
+    force on the model is ramped first with the input held at zero.
     """
     n = model.mesh.num_dofs
     U = np.zeros(n)
@@ -270,6 +274,7 @@ def solve_equilibrium_path(model, control, config, trace=None):
             residual_norm=hist[-1], corrector_iterations=iters,
             requested=requested, counter_scale=alpha_new,
             residual_history=hist,
+            system=state["system"] if requested else None,
         )
         path.states.append(st)
         if trace is not None:
