@@ -7,6 +7,15 @@ weighted by gamma, and the linear part by (1 - gamma^2). The assembled
 tangent gamma^2 k_nl + (1 - gamma^2) k_l is then the exact derivative of the
 internal force, which Newton convergence and the adjoint both rely on.
 
+One fused kernel evaluates every element at once with batched matrix
+products: it forms the nonlinear element stiffness
+k_nl = E V (BN^T D BN + G S G^T) once and takes both the tangent and the
+d f / d gamma term k_nl U_e from it. The global tangent is scattered straight
+into a CSC pattern that ElementKinematics computes once per mesh, so each
+assembly is one np.bincount into the nonzeros. The single-element functions
+below compute the same quantities one element at a time and serve as the
+reference the kernel is tested against.
+
 Support springs are lumped k_e/3 to each element node on both DOFs; the
 reference load vectors distribute f_e V_e / 3 likewise.
 """
@@ -23,7 +32,14 @@ from .material import NonPositiveJacobian
 
 
 class ElementKinematics:
-    """Per-mesh constant element data: shape gradients, DOF maps, linear parts."""
+    """Per-mesh constant element data: shape gradients, DOF maps, linear parts.
+
+    Also holds the CSC pattern of the assembled tangent (csc_indices,
+    csc_indptr: every DOF pair that shares an element, rows sorted within
+    each column) and csc_scatter, which maps each entry (element, row,
+    column) of the (Ne, 6, 6) element matrices, in C order, to its position
+    in the CSC data array.
+    """
 
     def __init__(self, mesh, material_params):
         self.mesh = mesh
@@ -43,8 +59,17 @@ class ElementKinematics:
         dofs[:, 0::2] = 2 * tri
         dofs[:, 1::2] = 2 * tri + 1
         self.dofs = dofs
-        self.rows = np.repeat(dofs, 6, axis=1).reshape(n_e, 6, 6)
-        self.cols = np.tile(dofs, (1, 6)).reshape(n_e, 6, 6)
+        n_dof = mesh.num_dofs
+        rows = np.repeat(dofs, 6, axis=1).ravel()
+        cols = np.tile(dofs, (1, 6)).ravel()
+        keys, self.csc_scatter = np.unique(cols * n_dof + rows,
+                                           return_inverse=True)
+        pattern = sp.csc_matrix(
+            (np.zeros(len(keys)), keys % n_dof,
+             np.searchsorted(keys, np.arange(n_dof + 1) * n_dof)),
+            shape=(n_dof, n_dof))
+        self.csc_indices = pattern.indices
+        self.csc_indptr = pattern.indptr
 
         # linear strain-displacement matrix (Voigt 11, 22, 12-engineering)
         B = np.zeros((n_e, 3, 6))
@@ -57,22 +82,20 @@ class ElementKinematics:
         self.vol = vol
         D0 = material_params.D0
         # unit-modulus linear element stiffness, scaled by E at assembly
-        self.kl0 = vol[:, None, None] * np.einsum("nai,ab,nbj->nij", B, D0, B)
+        self.kl0 = vol[:, None, None] * (B.transpose(0, 2, 1) @ (D0 @ B))
 
     def nonlinear_B(self, F):
-        """Total-Lagrangian strain-displacement matrix for gradient F."""
-        g = self.grads
-        n_e = len(g)
-        BN = np.zeros((n_e, 3, 6))
-        for i in range(3):
-            gxi = g[:, i, 0]
-            gyi = g[:, i, 1]
-            for a in range(2):
-                c = 2 * i + a
-                BN[:, 0, c] = F[:, a, 0] * gxi
-                BN[:, 1, c] = F[:, a, 1] * gyi
-                BN[:, 2, c] = F[:, a, 0] * gyi + F[:, a, 1] * gxi
-        return BN
+        """Total-Lagrangian strain-displacement matrix for gradient F.
+
+        Column 2i + a of row (11, 22, 12) holds F_a1 g_i1, F_a2 g_i2 and
+        F_a1 g_i2 + F_a2 g_i1 for node i, displacement component a.
+        """
+        gx = self.grads[:, :, 0, None]                    # (Ne, 3, 1)
+        gy = self.grads[:, :, 1, None]
+        Fx = F[:, None, :, 0]                             # (Ne, 1, 2)
+        Fy = F[:, None, :, 1]
+        return np.stack([Fx * gx, Fy * gy, Fx * gy + Fy * gx],
+                        axis=1).reshape(-1, 3, 6)
 
 
 @dataclass
@@ -164,40 +187,34 @@ def _element_force_tangent(kin, e, U_e, E_e, gamma_e, want_tangent):
 
 
 def internal_force_and_tangent(kin, U, E, gamma, want_tangent=True):
-    """Vectorized continuum assembly over all elements.
+    """Fused continuum assembly over all elements.
 
     Returns (F_int (2n,), K (csc) or None, ElementArrays). Raises
     NonPositiveJacobian with the offending element index.
     """
-    params = kin.material
-    mesh = kin.mesh
-    n_dof = mesh.num_dofs
-    ue = U[kin.dofs].reshape(-1, 3, 2)
-    H = np.einsum("nia,nib->nab", ue, kin.grads)
+    n_dof = kin.mesh.num_dofs
+    u_e = U[kin.dofs][:, :, None]                           # (Ne, 6, 1)
+    H = u_e.reshape(-1, 3, 2).transpose(0, 2, 1) @ kin.grads
     F = np.eye(2)[None] + gamma[:, None, None] * H
-    J = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-    if np.any(J <= 0.0):
-        raise NonPositiveJacobian(element=int(np.argmax(J <= 0.0)))
-    S, D, _ = mat.pk2_and_tangent_batch(F, params, want_tangent=True)
+    S, D, _ = mat.pk2_and_tangent_batch(F, kin.material)
     BN = kin.nonlinear_B(F)
-    sv = np.stack([S[:, 0, 0], S[:, 1, 1], S[:, 0, 1]], axis=1)
-    Evol = E * kin.vol
-    f_nl = Evol[:, None] * np.einsum("nac,na->nc", BN, sv)
-    eps = np.einsum("nai,ni->na", kin.B, U[kin.dofs])
-    f_l = Evol[:, None] * np.einsum("nai,ab,nb->ni", kin.B, params.D0, eps)
-    g2 = gamma**2
-    f_e = gamma[:, None] * f_nl + (1.0 - g2)[:, None] * f_l
+    BNt = BN.transpose(0, 2, 1)
+    Evol = (E * kin.vol)[:, None]
+    sv = np.stack([S[:, 0, 0], S[:, 1, 1], S[:, 0, 1]], axis=1)[:, :, None]
+    f_nl = Evol * (BNt @ sv)[:, :, 0]
+    # k = k_nl / (E V): material plus geometric stiffness at F
+    k = BNt @ (D @ BN)
+    geo = kin.grads @ S @ kin.grads.transpose(0, 2, 1)      # (Ne, 3, 3)
+    k[:, 0::2, 0::2] += geo
+    k[:, 1::2, 1::2] += geo
+    f_l = E[:, None] * (kin.kl0 @ u_e)[:, :, 0]
+    g = gamma[:, None]
+    g2 = g**2
+    f_e = g * f_nl + (1.0 - g2) * f_l
+    F_int = np.bincount(kin.dofs.ravel(), weights=f_e.ravel(),
+                        minlength=n_dof)
 
-    F_int = np.zeros(n_dof)
-    np.add.at(F_int, kin.dofs.ravel(), f_e.ravel())
-
-    # k_nl @ U_e without forming the matrices; needed for d f / d gamma
-    DBNu = np.einsum("nab,nbc,nc->na", D, BN, U[kin.dofs])
-    knl_u = Evol[:, None] * np.einsum("nac,na->nc", BN, DBNu)
-    geo_u = np.einsum("nia,nab,njb,njc->nic", kin.grads, S, kin.grads,
-                      ue)  # (Ne, 3, 2)
-    knl_u += Evol[:, None] * geo_u.reshape(-1, 6)
-    dF_dgamma = f_nl + gamma[:, None] * knl_u - 2.0 * gamma[:, None] * f_l
+    dF_dgamma = f_nl + g * Evol * (k @ u_e)[:, :, 0] - 2.0 * g * f_l
     with np.errstate(divide="ignore", invalid="ignore"):
         dF_dE = f_e / E[:, None]
     dF_dE = np.where(np.isfinite(dF_dE), dF_dE, 0.0)
@@ -206,18 +223,13 @@ def internal_force_and_tangent(kin, U, E, gamma, want_tangent=True):
     if not want_tangent:
         return F_int, None, arrays
 
-    k_nl = Evol[:, None, None] * np.einsum("nai,nab,nbj->nij", BN, D, BN)
-    geo = np.einsum("nia,nab,njb->nij", kin.grads, S, kin.grads)
-    kg = np.zeros_like(k_nl)
-    kg[:, 0::2, 0::2] = geo
-    kg[:, 1::2, 1::2] = geo
-    k_nl += Evol[:, None, None] * kg
-    k_e = (g2[:, None, None] * k_nl
-           + (1.0 - g2)[:, None, None] * (E[:, None, None] * kin.kl0))
-    K = sp.coo_matrix(
-        (k_e.ravel(), (kin.rows.ravel(), kin.cols.ravel())),
-        shape=(n_dof, n_dof),
-    ).tocsc()
+    # element tangents gamma^2 k_nl + (1 - gamma^2) E kl0, formed in place
+    k *= (g2 * Evol)[:, :, None]
+    k += ((1.0 - g2) * E[:, None])[:, :, None] * kin.kl0
+    data = np.bincount(kin.csc_scatter, weights=k.ravel(),
+                       minlength=len(kin.csc_indices))
+    K = sp.csc_matrix((data, kin.csc_indices, kin.csc_indptr),
+                      shape=(n_dof, n_dof))
     return F_int, K, arrays
 
 

@@ -136,7 +136,7 @@ def tangent_moduli(F, params):
     return D
 
 
-def pk2_and_tangent_batch(F, params, want_tangent=True, element_offset=None):
+def pk2_and_tangent_batch(F, params, want_tangent=True):
     """Vectorized stress/tangent over a batch of deformation gradients.
 
     F has shape (n, 2, 2). Returns (S (n,2,2), D (n,3,3) or None, J (n,)).

@@ -1,12 +1,16 @@
+import dataclasses
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from varibc import adjoint as adj
 from varibc import assembly as asm
 from varibc import fixtures as fx
 from varibc import mesh as msh
+from varibc import optimizer as O
 from varibc import problems as P
 from varibc import solver as S
 
@@ -144,6 +148,88 @@ class TestMultipliers:
         sa.M2 = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank-1
         with pytest.raises(adj.SingularReducedSystem):
             sa.solve_multipliers(None, np.array([1.0, 0.0]))
+
+
+def count_assemblies(monkeypatch):
+    """Record every call of the element kernel; returns the call list."""
+    calls = []
+    real = asm.internal_force_and_tangent
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asm, "internal_force_and_tangent", counting)
+    return calls
+
+
+class TestConvergedSystemReuse:
+    def test_records_equal_those_of_a_reassembled_state(self, gripper_setup):
+        f, fields, model, ctrl, path = gripper_setup
+        st = path.state_at_step(2)
+        assert st.system is not None
+        bare = dataclasses.replace(st, system=None)
+        carried = adj.StateAdjoint(model, ctrl, st, fields, f.design)
+        rebuilt = adj.StateAdjoint(model, ctrl, bare, fields, f.design)
+        for q in quantity_set(f):
+            a, b = carried.sensitivity(q), rebuilt.sensitivity(q)
+            assert a.value == b.value
+            for name in ("dgdzeta", "psi_c", "psi_R"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_carried_system_is_not_reassembled(self, gripper_setup,
+                                               monkeypatch):
+        f, fields, model, ctrl, path = gripper_setup
+        st = path.state_at_step(2)
+        calls = count_assemblies(monkeypatch)
+        adj.StateAdjoint(model, ctrl, st, fields, f.design)
+        assert calls == []
+        adj.StateAdjoint(model, ctrl, dataclasses.replace(st, system=None),
+                         fields, f.design)
+        assert len(calls) == 1
+
+    def test_bisection_substates_carry_no_system(self):
+        f = fx.load_fixture("mini_gripper_100")
+        _, model = f.build()
+        # two corrector iterations are too few for the full stroke at once
+        path = S.solve_equilibrium_path(
+            model, f.control(),
+            S.SolverConfig(steps=1, max_corrector_iters=2, max_bisections=2))
+        assert path.total_bisections >= 1
+        substates = [s for s in path.states if not s.requested]
+        assert substates and all(s.system is None for s in substates)
+        for s in path.requested_states:
+            assert np.array_equal(s.system.U, s.U)
+
+    def test_failed_path_fallback_reassembles(self, monkeypatch):
+        f = fx.load_fixture("toy_arch")
+        fields, model = f.build()
+        ctrl = S.InputControl(
+            sample=msh.shape_values_at(f.mesh, f.design.load),
+            theta=f.design.theta, u_in_norm=3.0)  # unreachable stroke
+        with pytest.raises(S.PathFailed) as err:
+            S.solve_equilibrium_path(model, ctrl,
+                                     S.SolverConfig(steps=2, max_bisections=3))
+        partial = err.value.partial
+        st = O._state_for_step(partial, 1, f.mesh.num_dofs)
+        assert st is partial.states[-1]
+        assert not st.requested and st.system is None
+        calls = count_assemblies(monkeypatch)
+        sa = adj.StateAdjoint(model, ctrl, st, fields, f.design)
+        assert len(calls) == 1
+        for q in (P.FIn(step=1, name="f_in"), P.VolumeFraction(step=1)):
+            rec = sa.sensitivity(q)
+            assert np.isfinite(rec.value)
+            assert np.all(np.isfinite(rec.dgdzeta))
+
+    def test_singular_tangent_raises_solver_exception(self, gripper_setup):
+        f, fields, model, ctrl, path = gripper_setup
+        n = f.mesh.num_dofs
+        stub = SimpleNamespace(K_T=sp.csc_matrix((n, n)), F_ext_x=np.zeros(n),
+                               F_ext_y=np.zeros(n))
+        st = dataclasses.replace(path.state_at_step(2), system=stub)
+        with pytest.raises(S.SingularTangent):
+            adj.StateAdjoint(model, ctrl, st, fields, f.design)
 
 
 class TestConstraintPartials:

@@ -136,6 +136,74 @@ class TestVectorizedAssembly:
                                atol=1e-7 * np.abs(fd).max() + 1e-12)
 
 
+class TestFusedKernel:
+    """The whole kernel output against the single-element reference forms."""
+
+    @pytest.fixture(scope="class")
+    def state(self, kin_small):
+        rng = np.random.default_rng(5)
+        n_e = kin_small.mesh.num_elements
+        U = rng.uniform(-0.02, 0.02, kin_small.mesh.num_dofs)
+        E = rng.uniform(1e3, 1e7, n_e)
+        gamma = rng.uniform(0.0, 1.0, n_e)
+        return U, E, gamma, asm.internal_force_and_tangent(kin_small, U, E,
+                                                           gamma)
+
+    def test_tangent_equals_dense_sum_of_element_tangents(self, kin_small,
+                                                          state):
+        U, E, gamma, (_, K, _) = state
+        n = kin_small.mesh.num_dofs
+        ref = np.zeros((n, n))
+        for e, d in enumerate(kin_small.dofs):
+            ref[np.ix_(d, d)] += asm.element_tangent(kin_small, e, U[d], E[e],
+                                                     gamma[e])
+        assert np.abs(K.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_tangent_is_canonical_symmetric_csc(self, kin_small, state):
+        K = state[3][1]
+        assert K.format == "csc"
+        assert K.has_canonical_format
+        # one stored entry per DOF pair that shares an element, no more
+        pairs = {(r, c) for d in kin_small.dofs for r in d for c in d}
+        coo = K.tocoo()
+        assert K.nnz == len(pairs)
+        assert set(zip(coo.row.tolist(), coo.col.tolist())) == pairs
+        assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
+
+    def test_force_and_gamma_derivative_match_scalar_oracles(self, kin_small,
+                                                             state):
+        U, E, gamma, (F_int, _, arrays) = state
+        ref_F = np.zeros_like(F_int)
+        for e, d in enumerate(kin_small.dofs):
+            u, g = U[d], gamma[e]
+            f_e = asm.element_internal_force(kin_small, e, u, E[e], g)
+            # d f / d gamma = f_nl + gamma k_nl u - 2 gamma f_l, with the
+            # nonlinear parts at gamma u and the linear part at gamma = 0
+            f_nl = asm.element_internal_force(kin_small, e, g * u, E[e], 1.0)
+            k_nl = asm.element_tangent(kin_small, e, g * u, E[e], 1.0)
+            f_l = asm.element_internal_force(kin_small, e, u, E[e], 0.0)
+            dfdg = f_nl + g * (k_nl @ u) - 2.0 * g * f_l
+            scale = max(np.abs(f_nl).max(), np.abs(f_l).max())
+            assert np.abs(arrays.f_int[e] - f_e).max() <= 1e-12 * scale
+            assert np.abs(arrays.dF_dgamma[e] - dfdg).max() <= 1e-12 * scale
+            ref_F[d] += f_e
+        assert np.abs(F_int - ref_F).max() <= 1e-12 * np.abs(ref_F).max()
+
+    def test_inverted_element_raises_with_its_index(self, kin_small):
+        mesh = kin_small.mesh
+        n_e = mesh.num_elements
+        e = n_e // 2
+        # u_x = -3 x gives F = diag(-2, 1); gamma = 0 keeps the others at I
+        gamma = np.zeros(n_e)
+        gamma[e] = 1.0
+        U = np.zeros(mesh.num_dofs)
+        U[0::2] = -3.0 * mesh.nodes[:, 0]
+        with pytest.raises(NonPositiveJacobian) as err:
+            asm.internal_force_and_tangent(kin_small, U, np.full(n_e, 1e7),
+                                           gamma)
+        assert err.value.element == e
+
+
 def _overlap_sum(kin, K, e, fields, U):
     # contributions of other elements sharing DOFs with element e
     rows = kin.dofs[e]

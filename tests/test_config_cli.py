@@ -15,7 +15,6 @@ class TestParseConfig:
         cfg = config.parse_config('problem = "gripper"')
         assert cfg.get("", "problem") == "gripper"
         assert cfg.get("", "fixed_bcs") is False
-        prob = cli.build_problem_from_config(cfg) if False else None
         # full construction is exercised elsewhere; here check defaults
         assert cfg.get("parameters", "b") == 2.0
         assert cfg.get("parameters", "Q") == 12.0
