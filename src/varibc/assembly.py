@@ -64,12 +64,17 @@ class ElementKinematics:
         cols = np.tile(dofs, (1, 6)).ravel()
         keys, self.csc_scatter = np.unique(cols * n_dof + rows,
                                            return_inverse=True)
+        # built through csc_matrix so the index arrays carry scipy's index
+        # dtype and are not converted again on every assembly; every
+        # assembled K shares them, so they are read-only
         pattern = sp.csc_matrix(
             (np.zeros(len(keys)), keys % n_dof,
              np.searchsorted(keys, np.arange(n_dof + 1) * n_dof)),
             shape=(n_dof, n_dof))
         self.csc_indices = pattern.indices
         self.csc_indptr = pattern.indptr
+        self.csc_indices.setflags(write=False)
+        self.csc_indptr.setflags(write=False)
 
         # linear strain-displacement matrix (Voigt 11, 22, 12-engineering)
         B = np.zeros((n_e, 3, 6))
