@@ -14,7 +14,10 @@ reference-load solves and the interpolation-row solves are shared.
 StateAdjoint reuses the converged GlobalSystem that the solver attaches to
 each requested state and assembles only for states that carry none (bisection
 substates on a failed path, hand-made states). It still factorizes K_T,
-because the corrector's last factorization belongs to the previous iterate.
+because the corrector's last factorization belongs to the previous iterate,
+and it does so through solver._factorize with this module's splu, so the
+adjoint uses the solver's symmetric fill-reducing ordering (MMD_AT_PLUS_A in
+SuperLU's symmetric mode, solver.TANGENT_SPLU).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .assembly import residual_vjp
-from .solver import (Singular2x2, SingularTangent, _solve_2x2,
+from .solver import (Singular2x2, _factorize, _solve_2x2,
                      input_point_response)
 
 
@@ -127,10 +130,7 @@ class StateAdjoint:
         if self.system is None:
             self.system = model.assemble(state.U,
                                          counter_scale=state.counter_scale)
-        try:
-            self.lu = splu(self.system.K_T)
-        except RuntimeError as err:
-            raise SingularTangent(str(err)) from None
+        self.lu = _factorize(self.system.K_T, splu)
         cols = self.lu.solve(
             np.column_stack([self.system.F_ext_x, self.system.F_ext_y]))
         self.V = cols

@@ -35,10 +35,11 @@ class ElementKinematics:
     """Per-mesh constant element data: shape gradients, DOF maps, linear parts.
 
     Also holds the CSC pattern of the assembled tangent (csc_indices,
-    csc_indptr: every DOF pair that shares an element, rows sorted within
-    each column) and csc_scatter, which maps each entry (element, row,
-    column) of the (Ne, 6, 6) element matrices, in C order, to its position
-    in the CSC data array.
+    csc_indptr: every DOF pair that shares an element plus the whole
+    diagonal, rows sorted within each column), csc_scatter, which maps each
+    entry (element, row, column) of the (Ne, 6, 6) element matrices, in C
+    order, to its position in the CSC data array, and csc_diagonal, the
+    position of each diagonal entry (i, i) in that array.
     """
 
     def __init__(self, mesh, material_params):
@@ -62,8 +63,11 @@ class ElementKinematics:
         n_dof = mesh.num_dofs
         rows = np.repeat(dofs, 6, axis=1).ravel()
         cols = np.tile(dofs, (1, 6)).ravel()
-        keys, self.csc_scatter = np.unique(cols * n_dof + rows,
-                                           return_inverse=True)
+        diag = np.arange(n_dof) * (n_dof + 1)
+        keys, positions = np.unique(
+            np.concatenate([cols * n_dof + rows, diag]), return_inverse=True)
+        self.csc_scatter = positions[:len(rows)]
+        self.csc_diagonal = positions[len(rows):]
         # built through csc_matrix so the index arrays carry scipy's index
         # dtype and are not converted again on every assembly; every
         # assembled K shares them, so they are read-only
@@ -281,6 +285,7 @@ class NonlinearModel:
         Fx, Fy = assemble_external_refs(fields.f_e, kin.mesh)
         self.F_ext_x = Fx
         self.F_ext_y = Fy
+        self.k_s_diagonal = self.K_s.diagonal()
         self.output_springs = tuple(output_springs)
         self.spring_dofs = np.array([d for d, _ in output_springs], dtype=np.int64)
         self.spring_k = np.array([k for _, k in output_springs], dtype=float)
@@ -301,15 +306,13 @@ class NonlinearModel:
             self.kin, U, self.E, self.gamma, want_tangent=want_tangent
         )
         F_int = F_int + self.K_s @ U
-        if len(self.spring_dofs):
-            F_int[self.spring_dofs] += self.spring_k * U[self.spring_dofs]
+        np.add.at(F_int, self.spring_dofs, self.spring_k * U[self.spring_dofs])
         if want_tangent:
-            K = K + self.K_s
-            if len(self.spring_dofs):
-                K = K + sp.csc_matrix(
-                    (self.spring_k, (self.spring_dofs, self.spring_dofs)),
-                    shape=K.shape,
-                )
+            # springs go into the diagonal of the element pattern, so every
+            # K_T keeps the same sparsity pattern, explicit zeros included
+            diagonal = self.kin.csc_diagonal
+            K.data[diagonal] += self.k_s_diagonal
+            np.add.at(K.data, diagonal[self.spring_dofs], self.spring_k)
         return GlobalSystem(
             U=U, F_int=F_int, K_T=K, F_ext_x=self.F_ext_x,
             F_ext_y=self.F_ext_y, F_counter=counter_scale * self.F_counter,

@@ -136,10 +136,10 @@ def tangent_moduli(F, params):
     return D
 
 
-def pk2_and_tangent_batch(F, params, want_tangent=True):
+def pk2_and_tangent_batch(F, params):
     """Vectorized stress/tangent over a batch of deformation gradients.
 
-    F has shape (n, 2, 2). Returns (S (n,2,2), D (n,3,3) or None, J (n,)).
+    F has shape (n, 2, 2). Returns (S (n,2,2), D (n,3,3), J (n,)).
     NonPositiveJacobian carries the offending batch index.
     """
     F = np.asarray(F, dtype=float)
@@ -156,8 +156,6 @@ def pk2_and_tangent_batch(F, params, want_tangent=True):
     Cinv[:, 1, 0] = -C[:, 1, 0] / detC
     vol = _vol_coeff(J, params)
     S = vol[:, None, None] * Cinv + params.mu0 * (np.eye(2)[None] - Cinv)
-    if not want_tangent:
-        return S, None, J
     c1 = params.lam0 * (2.0 * J * J - J)
     c2 = params.mu0 - vol
     pairs = ((0, 0), (1, 1), (0, 1))

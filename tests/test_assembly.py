@@ -6,6 +6,7 @@ from varibc import assembly as asm
 from varibc import design_field as df
 from varibc import fixtures as fx
 from varibc import mesh as M
+from varibc import problems as P
 from varibc.material import MaterialParams, NonPositiveJacobian
 
 
@@ -220,6 +221,38 @@ def _overlap_sum(kin, K, e, fields, U):
         idx = [list(kin.dofs[e2]).index(d) for d in shared]
         total += k2[np.ix_(idx, idx)].sum()
     return total
+
+
+class TestModelTangentPattern:
+    """Support and output springs are added into the element pattern."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        prob = P.make_problem("gripper", element_size=6e-3)
+        _, model = asm.build_model(prob.mesh, prob.design0, prob.params,
+                                   prob.material,
+                                   output_springs=prob.output_springs)
+        assert len(model.spring_dofs)
+        return model
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-4])
+    def test_tangent_keeps_the_pattern_and_equals_sparse_sum(self, model,
+                                                             scale):
+        # at U = 0 the linear element stiffness has exact zeros, which a
+        # sparse addition would drop from the pattern
+        kin = model.kin
+        n = model.mesh.num_dofs
+        U = scale * np.random.default_rng(6).uniform(-1.0, 1.0, n)
+        K = model.assemble(U).K_T
+        assert K.nnz == len(kin.csc_indices)
+        assert np.shares_memory(K.indices, kin.csc_indices)
+        assert np.shares_memory(K.indptr, kin.csc_indptr)
+        _, K_el, _ = asm.internal_force_and_tangent(kin, U, model.E,
+                                                    model.gamma)
+        ref = K_el + model.K_s + sp.csc_matrix(
+            (model.spring_k, (model.spring_dofs, model.spring_dofs)),
+            shape=K.shape)
+        assert np.array_equal(K.toarray(), ref.toarray())
 
 
 class TestSupportMatrix:

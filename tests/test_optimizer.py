@@ -224,6 +224,49 @@ class TestPathFailureHandling:
         assert len(res.history) == 4
 
 
+class TestMmaFallback:
+    @pytest.fixture
+    def evaluation(self, tiny_variable_problem):
+        prob = tiny_variable_problem
+        n, m = prob.design0.size, len(prob.constraints)
+        rng = np.random.default_rng(8)
+        return O.Evaluation(
+            objective=0.0, f0=0.0, df0=rng.normal(size=n),
+            g=np.full(m, -0.5), dg=0.1 * rng.normal(size=(m, n)),
+            values={}, paths=[], solver_bisections=0, solver_iterations=0,
+            failed=False)
+
+    def test_subproblem_failure_takes_half_move_descent_step(
+            self, tiny_variable_problem, evaluation, monkeypatch):
+        prob = tiny_variable_problem
+
+        def failing(*args, **kwargs):
+            raise mma.SubproblemError("synthetic failure")
+
+        monkeypatch.setattr(mma, "mmasub", failing)
+        state = {}
+        new = O.mma_update(prob, prob.design0, evaluation, state)
+        assert state["fallbacks"] == 1
+        # every free variable moves half its move limit against the
+        # gradient, clipped to its bounds; frozen ones stay put
+        z = prob.design0.to_array()
+        free = ~prob.frozen
+        want = np.clip(z - 0.5 * prob.move_limits * np.sign(evaluation.df0),
+                       prob.lower, prob.upper)
+        got = new.to_array()
+        assert np.array_equal(got[~free], z[~free])
+        assert np.allclose(got[free], want[free], rtol=0.0,
+                           atol=1e-12 * np.abs(z).max())
+        assert np.any(got[free] != z[free])
+
+    def test_real_subproblem_records_no_fallback(self, tiny_variable_problem,
+                                                 evaluation):
+        state = {}
+        O.mma_update(tiny_variable_problem, tiny_variable_problem.design0,
+                     evaluation, state)
+        assert state["fallbacks"] == 0
+
+
 @pytest.fixture(scope="module")
 def line_gen_eval():
     prob = P.make_problem("line_generator", element_size=6e-3)

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from varibc import assembly as asm
 from varibc import fixtures as fx
@@ -302,6 +303,31 @@ class TestToyArch:
         err = ei.value
         assert err.partial is not None
         assert 0.0 <= err.fraction_reached < 1.0
+
+
+class TestFactorize:
+    """The tangent factorization with the symmetric fill-reducing ordering."""
+
+    @pytest.fixture(scope="class")
+    def tangent(self, gripper):
+        f, fields, model = gripper
+        U = np.random.default_rng(3).uniform(-1e-4, 1e-4, f.mesh.num_dofs)
+        return model.assemble(U).K_T
+
+    def test_solves_match_default_splu(self, tangent):
+        b = np.random.default_rng(4).standard_normal((tangent.shape[0], 3))
+        ref = splu(tangent).solve(b)
+        got = S._factorize(tangent).solve(b)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_fill_below_default_ordering(self, tangent):
+        assert S._factorize(tangent).nnz < splu(tangent).nnz
+
+    def test_zero_column_raises_singular_tangent(self, tangent):
+        K = tangent.copy()
+        K.data[K.indptr[5]:K.indptr[6]] = 0.0
+        with pytest.raises(S.SingularTangent):
+            S._factorize(K)
 
 
 def test_solver_config_validation():
