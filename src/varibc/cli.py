@@ -5,10 +5,6 @@ Subcommands:
   verify            run acceptance criteria 1-6 and the property checks
   mesh <config>     generate (or re-export) the analysis mesh only
   replay <summary>  re-solve a stored design at fine displacement resolution
-
-Heavy imports happen inside the handlers so the --threads flag (or the
-VARIBC_THREADS environment variable) can pin the numeric thread pools before
-numpy initializes.
 """
 
 from __future__ import annotations
@@ -18,12 +14,6 @@ import json
 import os
 import sys
 import time
-
-
-def _set_threads(n):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 def _fail(message, code=1):
@@ -187,9 +177,9 @@ def cmd_replay(args):
     try:
         with open(args.summary, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except OSError as err:
+        cfg = config.parse_config(doc["resolved_config"])
+    except (OSError, config.ConfigError) as err:
         return _fail(str(err))
-    cfg = config.parse_config(doc["resolved_config"])
     mesh = None
     mesh_file = os.path.join(os.path.dirname(args.summary) or ".",
                              "mesh.mesh")
@@ -226,10 +216,6 @@ def main(argv=None):
         prog="varibc",
         description="Compliant mechanism synthesis with movable loads and "
                     "supports (nonlinear topology optimization)")
-    parser.add_argument("--threads", "-t", type=int,
-                        default=int(os.environ.get("VARIBC_THREADS", "1")),
-                        help="numeric thread count (default 1, or "
-                             "VARIBC_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an optimization from a config")
@@ -258,7 +244,6 @@ def main(argv=None):
     p_rep.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
-    _set_threads(args.threads)
     try:
         return args.func(args)
     except KeyboardInterrupt:

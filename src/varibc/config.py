@@ -15,7 +15,7 @@ import difflib
 import io
 from dataclasses import dataclass, field
 
-import numpy as np
+from .problems import FAMILIES
 
 
 class ConfigError(Exception):
@@ -28,16 +28,12 @@ class ConfigError(Exception):
         super().__init__(message + where)
 
 
-_FAMILIES = ("gripper", "bistable_airfoil", "line_generator", "morphing_wing",
-             "custom")
-
 # key -> (type, default); None default means "absent unless given"
 _SCHEMA = {
     "": {
         "problem": (str, "gripper"),
         "fixed_bcs": (bool, False),
         "output_dir": (str, "out"),
-        "threads": (int, 1),
     },
     "mesh": {
         "source": (str, "generate"),
@@ -75,7 +71,6 @@ _SCHEMA = {
     },
     "output": {
         "dump_every": (int, 0),
-        "trace_solver": (bool, False),
     },
     "custom": {
         "outline": (list, []),
@@ -114,26 +109,6 @@ class RunConfig:
 
     def get(self, section, key):
         return self.values[section][key]
-
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and _eq_tree(self.values,
-                                                         other.values)
-
-
-def _eq_tree(a, b):
-    if set(a) != set(b):
-        return False
-    for k in a:
-        va, vb = a[k], b[k]
-        if isinstance(va, dict):
-            if not _eq_tree(va, vb):
-                return False
-        elif isinstance(va, list):
-            if len(va) != len(vb) or any(x != y for x, y in zip(va, vb)):
-                return False
-        elif va != vb:
-            return False
-    return True
 
 
 def _defaults():
@@ -234,8 +209,9 @@ def parse_config(source):
         values[section][key] = parsed
 
     problem = values[""]["problem"]
-    if problem not in _FAMILIES:
-        near = difflib.get_close_matches(problem, _FAMILIES, n=1)
+    known = [*FAMILIES, "custom"]
+    if problem not in known:
+        near = difflib.get_close_matches(problem, known, n=1)
         hint = f"; did you mean {near[0]!r}?" if near else ""
         raise ConfigError(f"unknown problem {problem!r}{hint}")
     if problem == "custom":

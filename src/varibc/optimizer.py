@@ -162,7 +162,8 @@ def mma_update(problem, design, evaluation, state):
 
     state is a dict carrying (iteration, xold1, xold2, low, upp) across
     calls. Falls back to a bound-projected half-move steepest-descent step if
-    the subproblem solver fails.
+    the subproblem solver fails. An actuator point that leaves the mesh is
+    clamped back onto it.
     """
     z = design.to_array()
     free = ~problem.frozen
@@ -199,11 +200,10 @@ def mma_update(problem, design, evaluation, state):
     n_rho = len(design.rho)
     n_s = design.num_supports
     new = DesignVector.from_array(z_new, n_rho, n_s)
-    if problem.clamp_actuator:
-        try:
-            locate_point(problem.mesh, new.load)
-        except PointOutsideDomain:
-            new.load = clamp_to_mesh(problem.mesh, new.load)
+    try:
+        locate_point(problem.mesh, new.load)
+    except PointOutsideDomain:
+        new.load = clamp_to_mesh(problem.mesh, new.load)
     return new
 
 

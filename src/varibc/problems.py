@@ -1,13 +1,22 @@
-"""Measurable quantities and the four mechanism-synthesis problem families.
+"""Measurable quantities and the mechanism-synthesis problem families.
 
 Quantities implement the QuantitySpec interface so the adjoint engine can
 differentiate them; problem specs bundle the domain, non-design layout,
 output attachments, load cases, constraint schedule, bounds, and move limits.
+
+`FAMILIES` tables the four studied families: defaults, a geometry builder
+and a layout function that places what differs between problems on the
+mesh (BC points and boxes, move limits, outputs, load cases, objective and
+constraints). `make_custom_problem` makes such an entry from a [custom]
+config block. One shared step, `_assemble`, turns any layout into the
+initial design, zeta bounds, move limits, BC freeze and the ProblemSpec.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,8 +55,7 @@ class FIn(QuantitySpec):
         super().__init__(name or f"f_in[{step},{load_case}]", step, load_case)
 
     def evaluate(self, ctx):
-        th = ctx.control.theta
-        return float(ctx.lam @ [np.cos(th), np.sin(th)])
+        return float(f_in(*ctx.lam, ctx.control.theta))
 
     def dfdlam(self, ctx):
         th = ctx.control.theta
@@ -67,8 +75,7 @@ class FP(QuantitySpec):
         super().__init__(name or f"f_p[{step},{load_case}]", step, load_case)
 
     def evaluate(self, ctx):
-        th = ctx.control.theta
-        return float(ctx.lam @ [-np.sin(th), np.cos(th)])
+        return float(f_p(*ctx.lam, ctx.control.theta))
 
     def dfdlam(self, ctx):
         th = ctx.control.theta
@@ -133,14 +140,22 @@ class OutputOffsetSq(QuantitySpec):
         return out
 
 
+def _project(lam_x, lam_y, dir_x, dir_y):
+    """lam . dir as a batched matmul, which rounds like a 1-D dot product."""
+    lam = np.stack([lam_x, lam_y], axis=-1)
+    dirs = np.stack([dir_x, dir_y], axis=-1)
+    return (lam[..., None, :] @ dirs[..., :, None])[..., 0, 0][()]
+
+
 def f_in(lam_x, lam_y, theta):
-    """Force along the input direction (rotation form of the decomposition)."""
-    return lam_x * np.cos(theta) + lam_y * np.sin(theta)
+    """Force along the input direction (rotation form of the decomposition).
+    FIn evaluates through it, so reports match the constrained values."""
+    return _project(lam_x, lam_y, np.cos(theta), np.sin(theta))
 
 
 def f_p(lam_x, lam_y, theta):
-    """Force perpendicular to the input direction."""
-    return -lam_x * np.sin(theta) + lam_y * np.cos(theta)
+    """Force perpendicular to the input direction (FP evaluates through it)."""
+    return _project(lam_x, lam_y, -np.sin(theta), np.cos(theta))
 
 
 @dataclass
@@ -207,7 +222,6 @@ class ProblemSpec:
     lower: np.ndarray = None       # zeta bounds, natural units
     upper: np.ndarray = None
     move_limits: np.ndarray = None
-    clamp_actuator: bool = True
 
     def __post_init__(self):
         if len(self.design0.rho) != len(self.mesh.designable):
@@ -231,48 +245,42 @@ class ProblemSpec:
         return qs
 
 
-def _zeta_arrays(n_rho, n_sup, rho_bounds, sup_boxes, load_box, theta_box,
-                 rho_move, coord_move, theta_move):
-    lower = np.concatenate([
-        np.full(n_rho, rho_bounds[0]),
-        [b[0][0] for b in sup_boxes], [b[1][0] for b in sup_boxes],
-        [load_box[0][0], load_box[1][0]], [theta_box[0]],
-    ])
-    upper = np.concatenate([
-        np.full(n_rho, rho_bounds[1]),
-        [b[0][1] for b in sup_boxes], [b[1][1] for b in sup_boxes],
-        [load_box[0][1], load_box[1][1]], [theta_box[1]],
-    ])
-    move = np.concatenate([
-        np.full(n_rho, rho_move),
-        np.full(2 * n_sup, coord_move), [coord_move, coord_move],
-        [theta_move],
-    ])
-    return lower, upper, move
-
-
-def _freeze_bc(lower, upper, design, n_rho, which="all"):
-    z = design.to_array()
-    if which == "all":
-        lower[n_rho:] = z[n_rho:]
-        upper[n_rho:] = z[n_rho:]
-    else:
-        for j in which:
-            lower[n_rho + j] = z[n_rho + j]
-            upper[n_rho + j] = z[n_rho + j]
-    return lower, upper
-
-
 def _clamp_into(point, box):
-    return np.array([np.clip(point[0], box[0][0], box[0][1]),
-                     np.clip(point[1], box[1][0], box[1][1])])
+    return np.clip(point, *np.transpose(box))
 
 
-def _params(defaults, override):
-    merged = dict(defaults)
-    merged.update({k: v for k, v in (override or {}).items()
-                   if v is not None})
-    return ProjectionParams(**merged)
+def _node_box(mesh, margin=0.0):
+    """Bounding box of the mesh nodes, grown by margin on every side."""
+    lo = mesh.nodes.min(axis=0) - margin
+    hi = mesh.nodes.max(axis=0) + margin
+    return ((lo[0], hi[0]), (lo[1], hi[1]))
+
+
+def _force_caps(n_cases, caps):
+    """An F_in cap and a two-sided |F_p| cap per (step, cap_in, cap_p) entry
+    of caps, for every load case."""
+    out = []
+    for i in range(n_cases):
+        for m, cap_in, cap_p in caps:
+            out += [
+                Constraint(FIn(step=m, load_case=i), cap_in, "upper", cap_in),
+                Constraint(FP(step=m, load_case=i), cap_p, "upper", cap_p),
+                Constraint(FP(step=m, load_case=i), -cap_p, "lower", cap_p),
+            ]
+    return out
+
+
+def _path_error(mesh, node, prec, n_cases, M):
+    """Squared offsets of the output node from the precision points.
+
+    A single point is matched at step M, M points one per step, in every load
+    case. The scale is the value on the undeformed mesh.
+    """
+    steps = [M] if len(prec) == 1 else range(1, M + 1)
+    terms = [(1.0, OutputOffsetSq(node, p, m, i))
+             for i in range(n_cases) for p, m in zip(prec, steps)]
+    scale = sum(np.sum((mesh.nodes[node] - q.target) ** 2) for _, q in terms)
+    return terms, scale
 
 
 def gripper_geometry(h=1.5e-3, jaw_band=5e-3):
@@ -291,90 +299,37 @@ def gripper_geometry(h=1.5e-3, jaw_band=5e-3):
                               nondesign_regions=regions)
 
 
-def make_gripper(fixed_bcs=False, element_size=None, mesh=None,
-                 max_steps=None, u_in=None, k_out=None, thickness=None,
-                 params_override=None):
+def _gripper(mesh, params, M, u_in, k_out, fixed_bcs):
     """Displacement-maximizing jaw gripper."""
-    thickness = 0.01 if thickness is None else thickness
-    if mesh is None:
-        h = 1.5e-3 if element_size is None else element_size
-        mesh = msh.generate_mesh(gripper_geometry(h=h), thickness=thickness)
-    params = _params(dict(r=2.5e-3, r_min=3e-3, beta=500.0, t_s=thickness),
-                     params_override)
-    material = MaterialParams(nu=params.nu)
-    u_in = 5e-3 if u_in is None else u_in
-    k_out = 300.0 if k_out is None else k_out
-    M = 4 if max_steps is None else max_steps
+    box = ((params.r, 0.1 - params.r), (params.r, 0.1 - params.r))
     supports = np.array([[0.0, 0.1], [0.0, 0.0]])
     load = np.array([0.0, 0.05])
-    box = ((params.r, 0.1 - params.r), (params.r, 0.1 - params.r))
     if not fixed_bcs:
         supports = np.array([_clamp_into(p, box) for p in supports])
         load = _clamp_into(load, box)
-    n_rho = len(mesh.designable)
-    design0 = DesignVector(rho=np.full(n_rho, 0.3), supports=supports,
-                           load=load, theta=0.0)
     out_hi = msh.nearest_node(mesh, (0.1, 0.06))
     out_lo = msh.nearest_node(mesh, (0.1, 0.04))
     selector = ((2 * out_lo + 1, 1.0), (2 * out_hi + 1, -1.0))
-    springs = ((2 * out_hi + 1, k_out), (2 * out_lo + 1, k_out))
-    constraints = [Constraint(VolumeFraction(step=M), 0.3, "upper", 0.3)]
-    for m in range(1, M + 1):
-        cap_in = 30.0 * m / M
-        cap_p = 7.5 * m / M
-        constraints += [
-            Constraint(FIn(step=m), cap_in, "upper", cap_in),
-            Constraint(FP(step=m), cap_p, "upper", cap_p),
-            Constraint(FP(step=m), -cap_p, "lower", cap_p),
-        ]
-    lower, upper, move = _zeta_arrays(
-        n_rho, 2, (0.0, 1.0), [box, box], box, (-np.pi, np.pi),
-        0.2, 2.5e-3, np.deg2rad(5.0))
-    if fixed_bcs:
-        lower, upper = _freeze_bc(lower, upper, design0, n_rho)
-    return ProblemSpec(
-        name="gripper", mesh=mesh, params=params, material=material,
-        design0=design0, u_in_norm=u_in, steps=M,
+    return dict(
+        vf=0.3, supports=supports, load=load, theta=0.0, sup_box=box,
+        load_box=box, moves=(0.2, 2.5e-3, np.deg2rad(5.0)),
         objective_terms=[(1.0, UOut(selector, step=M))],
         objective_sense="max", objective_scale=u_in,
-        constraints=constraints, output_springs=springs,
+        constraints=_force_caps(1, [(m, 30.0 * m / M, 7.5 * m / M)
+                                    for m in range(1, M + 1)]),
+        output_springs=((2 * out_hi + 1, k_out), (2 * out_lo + 1, k_out)),
         output_selector=selector, output_node=out_lo,
-        lower=lower, upper=upper, move_limits=move,
     )
 
 
-def make_bistable_airfoil(fixed_bcs=False, element_size=None, mesh=None,
-                          max_steps=None, u_in=None, k_out=None,
-                          thickness=None, params_override=None):
+def _bistable_airfoil(mesh, params, M, u_in, k_out, fixed_bcs):
     """Snap-through aileron in a full NACA 0012 section, chord 20 cm."""
-    chord = 0.2
-    thickness = 0.01 if thickness is None else thickness
-    if mesh is None:
-        h = 1e-3 if element_size is None else element_size
-        geo = msh.naca0012_outline(chord, element_size=h)
-        mesh = msh.generate_mesh(geo, thickness=thickness)
-    params = _params(dict(r=2e-3, r_min=4e-3, beta=2000.0, t_s=thickness),
-                     params_override)
-    material = MaterialParams(nu=params.nu)
-    u_in = 2.5e-3 if u_in is None else u_in
-    k_out = 100.0 if k_out is None else k_out
-    M = 8 if max_steps is None else max_steps
+    chord, margin = 0.2, 0.03
     y_spar = msh.naca0012_halfthickness(0.3) * chord
     y_hinge = msh.naca0012_halfthickness(0.7) * chord
-    supports = np.array([
-        [0.06, y_spar], [0.06, -y_spar], [0.14, -y_hinge]])
-    load = np.array([0.06, 0.0])
-    n_rho = len(mesh.designable)
-    design0 = DesignVector(rho=np.full(n_rho, 0.4), supports=supports,
-                           load=load, theta=0.0)
     te = msh.nearest_node(mesh, (chord, 0.0))
     selector = ((2 * te + 1, -1.0),)   # downward positive
-    springs = ((2 * te + 1, k_out),)
-    margin = 0.03
-    sup_box = ((-margin, chord + margin), (-0.024 - margin, 0.024 + margin))
-    load_box = ((0.0, chord), (-0.024, 0.024))
     constraints = [
-        Constraint(VolumeFraction(step=M), 0.4, "upper", 0.4),
         Constraint(UOut(selector, step=M), 5e-3, "lower", 5e-3),
         Constraint(FIn(step=1), 2.0, "lower", 2.0),
     ]
@@ -386,79 +341,47 @@ def make_bistable_airfoil(fixed_bcs=False, element_size=None, mesh=None,
             Constraint(FP(step=m), 5.0, "upper", 5.0),
             Constraint(FP(step=m), -5.0, "lower", 5.0),
         ]
-    lower, upper, move = _zeta_arrays(
-        n_rho, 3, (0.0, 1.0), [sup_box] * 3, load_box, (-np.pi, np.pi),
-        0.05, 0.5e-3, np.deg2rad(1.0))
-    if fixed_bcs:
-        lower, upper = _freeze_bc(lower, upper, design0, n_rho)
-    return ProblemSpec(
-        name="bistable_airfoil", mesh=mesh, params=params, material=material,
-        design0=design0, u_in_norm=u_in, steps=M,
+    return dict(
+        vf=0.4, supports=np.array([[0.06, y_spar], [0.06, -y_spar],
+                                   [0.14, -y_hinge]]),
+        load=np.array([0.06, 0.0]), theta=0.0,
+        sup_box=((-margin, chord + margin), (-0.024 - margin, 0.024 + margin)),
+        load_box=((0.0, chord), (-0.024, 0.024)),
+        moves=(0.05, 0.5e-3, np.deg2rad(1.0)),
         objective_terms=[(1.0, FIn(step=M))],
-        objective_sense="min", objective_scale=5.0,
-        constraints=constraints, output_springs=springs,
-        output_selector=selector, output_node=te,
-        lower=lower, upper=upper, move_limits=move,
+        objective_sense="min", objective_scale=5.0, constraints=constraints,
+        output_springs=((2 * te + 1, k_out),), output_selector=selector,
+        output_node=te,
     )
 
 
-def make_line_generator(fixed_bcs=False, element_size=None, mesh=None,
-                        max_steps=None, u_in=None, k_out=None,
-                        thickness=None, params_override=None):
-    """Horizontal straight-line path generator in a 16 x 8 cm rectangle."""
-    W, H = 0.16, 0.08
-    thickness = 0.01 if thickness is None else thickness
+def _line_generator_geometry(h):
+    """16 x 8 cm rectangle with a solid pad at the output corner."""
     pad = np.array([[0.15, 0.07], [0.16, 0.07], [0.16, 0.08], [0.15, 0.08]])
-    if mesh is None:
-        h = 1.2e-3 if element_size is None else element_size
-        geo = msh.rectangle_geometry(
-            W, H, h, nondesign_regions=[(pad, msh.SOLID_NONDESIGN)])
-        mesh = msh.generate_mesh(geo, thickness=thickness)
-    params = _params(dict(r=3e-3, r_min=2.4e-3, beta=500.0, t_s=thickness),
-                     params_override)
-    material = MaterialParams(nu=params.nu)
-    u_in = 0.01 if u_in is None else u_in
-    M = 4 if max_steps is None else max_steps
+    return msh.rectangle_geometry(
+        0.16, 0.08, h, nondesign_regions=[(pad, msh.SOLID_NONDESIGN)])
+
+
+def _line_generator(mesh, params, M, u_in, k_out, fixed_bcs):
+    """Horizontal straight-line path generator, two counter-force cases."""
+    W, H = 0.16, 0.08
     box = ((params.r, W - params.r), (params.r, H - params.r))
-    supports = np.array([_clamp_into((0.03, 0.0), box),
-                         _clamp_into((0.13, 0.0), box)])
-    load = _clamp_into((0.08, 0.0), box)
-    n_rho = len(mesh.designable)
-    design0 = DesignVector(rho=np.full(n_rho, 0.2), supports=supports,
-                           load=load, theta=np.pi / 2.0)
     out = msh.nearest_node(mesh, (W, H))
-    f1 = f2 = 5.0
-    cases = [LoadCase("free"),
-             LoadCase("counter_x", out, (-f1, 0.0)),
-             LoadCase("counter_y", out, (0.0, -f2))]
     x0, y0 = mesh.nodes[out]
     prec = np.array([[x0 + 0.02 * m / M, y0] for m in range(1, M + 1)])
-    terms = []
-    for i in range(len(cases)):
-        for m in range(1, M + 1):
-            terms.append((1.0, OutputOffsetSq(out, prec[m - 1], m, i)))
-    scale = sum(w * np.sum((mesh.nodes[out] - q.target) ** 2)
-                for w, q in terms)
-    constraints = [Constraint(VolumeFraction(step=M), 0.2, "upper", 0.2)]
-    for i in range(len(cases)):
-        for m in range(1, M + 1):
-            constraints += [
-                Constraint(FIn(step=m, load_case=i), 20.0, "upper", 20.0),
-                Constraint(FP(step=m, load_case=i), 5.0, "upper", 5.0),
-                Constraint(FP(step=m, load_case=i), -5.0, "lower", 5.0),
-            ]
-    lower, upper, move = _zeta_arrays(
-        n_rho, 2, (0.0, 1.0), [box, box], box, (-np.pi, np.pi),
-        0.2, 3e-3, np.deg2rad(2.0))
-    if fixed_bcs:
-        lower, upper = _freeze_bc(lower, upper, design0, n_rho)
-    return ProblemSpec(
-        name="line_generator", mesh=mesh, params=params, material=material,
-        design0=design0, u_in_norm=u_in, steps=M,
+    cases = [LoadCase("free"),
+             LoadCase("counter_x", out, (-5.0, 0.0)),
+             LoadCase("counter_y", out, (0.0, -5.0))]
+    terms, scale = _path_error(mesh, out, prec, len(cases), M)
+    return dict(
+        vf=0.2, supports=np.array([_clamp_into((0.03, 0.0), box),
+                                   _clamp_into((0.13, 0.0), box)]),
+        load=_clamp_into((0.08, 0.0), box), theta=np.pi / 2.0, sup_box=box,
+        load_box=box, moves=(0.2, 3e-3, np.deg2rad(2.0)),
         objective_terms=terms, objective_sense="min", objective_scale=scale,
-        constraints=constraints, load_cases=cases,
-        output_node=out, precision_points=prec,
-        lower=lower, upper=upper, move_limits=move,
+        constraints=_force_caps(len(cases), [(m, 20.0, 5.0)
+                                             for m in range(1, M + 1)]),
+        load_cases=cases, output_node=out, precision_points=prec,
     )
 
 
@@ -506,68 +429,159 @@ def wing_geometry(element_size=0.5e-3, chord=0.2, leading_fraction=0.3,
                               nondesign_regions=regions)
 
 
-def make_morphing_wing(fixed_bcs=False, element_size=None, mesh=None,
-                       max_steps=None, u_in=None, k_out=None, thickness=None,
-                       params_override=None, skin_support=(0.06, 0.014)):
+def _morphing_wing(mesh, params, M, u_in, k_out, fixed_bcs):
     """Droop-nose morphing wing: single precision point, two counter cases."""
-    chord, frac = 0.2, 0.3
-    thickness = 0.01 if thickness is None else thickness
-    if mesh is None:
-        h = 0.5e-3 if element_size is None else element_size
-        mesh = msh.generate_mesh(
-            wing_geometry(element_size=h, chord=chord, leading_fraction=frac),
-            thickness=thickness)
-    params = _params(dict(r=2e-3, r_min=1e-3, beta=500.0, t_s=thickness),
-                     params_override)
-    material = MaterialParams(nu=params.nu)
-    u_in = 2e-3 if u_in is None else u_in
-    M = 4 if max_steps is None else max_steps
-    supports = np.array([[0.045, 0.006], [0.045, -0.006],
-                         list(skin_support)])
-    load = np.array([0.03, -0.008])
-    n_rho = len(mesh.designable)
-    design0 = DesignVector(rho=np.full(n_rho, 0.3), supports=supports,
-                           load=load, theta=0.0)
     out = msh.nearest_node(mesh, (0.0, 0.0))
     x0, y0 = mesh.nodes[out]
     prec = np.array([[x0 + 2.5e-3, y0 - 5e-3]])
-    f1 = f2 = 1.0
     cases = [LoadCase("free"),
-             LoadCase("drag", out, (f1, 0.0)),
-             LoadCase("lift", out, (0.0, f2))]
-    terms = [(1.0, OutputOffsetSq(out, prec[0], M, i))
-             for i in range(len(cases))]
-    scale = sum(w * np.sum((mesh.nodes[out] - q.target) ** 2)
-                for w, q in terms)
-    constraints = [Constraint(VolumeFraction(step=M), 0.3, "upper", 0.3)]
-    for i in range(len(cases)):
-        constraints += [
-            Constraint(FIn(step=M, load_case=i), 20.0, "upper", 20.0),
-            Constraint(FP(step=M, load_case=i), 5.0, "upper", 5.0),
-            Constraint(FP(step=M, load_case=i), -5.0, "lower", 5.0),
-        ]
-    margin = 0.05
-    bbox = ((mesh.nodes[:, 0].min(), mesh.nodes[:, 0].max()),
-            (mesh.nodes[:, 1].min(), mesh.nodes[:, 1].max()))
-    sup_box = ((bbox[0][0] - margin, bbox[0][1] + margin),
-               (bbox[1][0] - margin, bbox[1][1] + margin))
-    load_box = bbox
-    lower, upper, move = _zeta_arrays(
-        n_rho, 3, (0.0, 1.0), [sup_box] * 3, load_box, (-np.pi, np.pi),
-        0.2, 1e-3, np.deg2rad(5.0))
-    # the skin-attachment support stays fixed even with variable BCs
-    lower, upper = _freeze_bc(lower, upper, design0, n_rho,
-                              which=(2, 5) if not fixed_bcs else "all")
-    if fixed_bcs:
-        lower, upper = _freeze_bc(lower, upper, design0, n_rho)
-    return ProblemSpec(
-        name="morphing_wing", mesh=mesh, params=params, material=material,
-        design0=design0, u_in_norm=u_in, steps=M,
+             LoadCase("drag", out, (1.0, 0.0)),
+             LoadCase("lift", out, (0.0, 1.0))]
+    terms, scale = _path_error(mesh, out, prec, len(cases), M)
+    return dict(
+        vf=0.3, supports=np.array([[0.045, 0.006], [0.045, -0.006],
+                                   [0.06, 0.014]]),
+        load=np.array([0.03, -0.008]), theta=0.0,
+        sup_box=_node_box(mesh, 0.05), load_box=_node_box(mesh),
+        moves=(0.2, 1e-3, np.deg2rad(5.0)),
+        frozen_bcs=(2, 5),   # the skin-attachment support stays fixed
         objective_terms=terms, objective_sense="min", objective_scale=scale,
-        constraints=constraints, load_cases=cases,
-        output_node=out, precision_points=prec,
-        lower=lower, upper=upper, move_limits=move,
+        constraints=_force_caps(len(cases), [(M, 20.0, 5.0)]),
+        load_cases=cases, output_node=out, precision_points=prec,
     )
+
+
+def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
+    """Layout of a [custom] config block; see make_custom_problem."""
+    axis = {"x": 0, "y": 1}[spec.get("output_axis", "y")]
+    out, selector, springs = None, (), ()
+    if spec.get("output_point"):
+        out = msh.nearest_node(mesh, spec["output_point"])
+        selector = ((2 * out + axis, float(spec.get("output_sign", 1.0))),)
+        if k_out:
+            springs = ((2 * out + axis, float(k_out)),)
+    counters = np.asarray(spec.get("counter_forces", []),
+                          float).reshape(-1, 2)
+    if len(counters) and out is None:
+        raise ValueError("counter forces need an output_point")
+    cases = [LoadCase("nominal")] + [
+        LoadCase(f"counter{j}", out, (fx, fy))
+        for j, (fx, fy) in enumerate(counters, start=1)]
+    f_in_bound = float(spec.get("f_in_bound", 30.0))
+    f_p_bound = float(spec.get("f_p_bound", 7.5))
+    objective = spec.get("objective", "max_u_out")
+    prec = None
+    if objective == "max_u_out":
+        terms, sense, scale = [(1.0, UOut(selector, step=M))], "max", u_in
+    elif objective == "min_f_in_final":
+        terms, sense = [(1.0, FIn(step=M))], "min"
+        scale = max(abs(f_p_bound), 1.0)
+    elif objective == "path_error":
+        prec = np.asarray(spec["precision_points"], float).reshape(-1, 2)
+        if len(prec) not in (1, M):
+            raise ValueError("need 1 or M precision points")
+        terms, scale = _path_error(mesh, out, prec, len(cases), M)
+        sense = "min"
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    vf = float(spec.get("vf_bound", 0.3))
+    return dict(
+        vf=vf, rho0=float(spec.get("rho_init") or vf),
+        supports=np.asarray(spec["supports"], float).reshape(-1, 2),
+        load=np.asarray(spec["load"], float).reshape(2),
+        theta=np.deg2rad(float(spec["theta_deg"])),
+        sup_box=_node_box(mesh, float(spec.get("bc_margin", 0.0))),
+        load_box=_node_box(mesh),
+        moves=(float(spec.get("move_rho", 0.2)),
+               float(spec.get("move_xy", 2.5e-3)),
+               np.deg2rad(float(spec.get("move_theta_deg", 5.0)))),
+        objective_terms=terms, objective_sense=sense, objective_scale=scale,
+        constraints=_force_caps(len(cases), [(M, f_in_bound, f_p_bound)]),
+        load_cases=cases, output_springs=springs, output_selector=selector,
+        output_node=out, precision_points=prec,
+    )
+
+
+@dataclass(frozen=True)
+class Family:
+    """Defaults of one problem family; k_out None means no output spring."""
+
+    element_size: float | None
+    r: float
+    r_min: float
+    beta: float
+    u_in: float
+    k_out: float | None
+    steps: int
+    geometry: Callable | None   # element size -> DomainGeometry
+    layout: Callable            # (mesh, params, M, u_in, k_out, fixed_bcs)
+
+
+FAMILIES = {  # element_size, r, r_min, beta, u_in, k_out, steps, geometry
+    "gripper": Family(1.5e-3, 2.5e-3, 3e-3, 500.0, 5e-3, 300.0, 4,
+                      gripper_geometry, _gripper),
+    "bistable_airfoil": Family(
+        1e-3, 2e-3, 4e-3, 2000.0, 2.5e-3, 100.0, 8,
+        lambda h: msh.naca0012_outline(0.2, element_size=h),
+        _bistable_airfoil),
+    "line_generator": Family(1.2e-3, 3e-3, 2.4e-3, 500.0, 0.01, None, 4,
+                             _line_generator_geometry, _line_generator),
+    "morphing_wing": Family(0.5e-3, 2e-3, 1e-3, 500.0, 2e-3, None, 4,
+                            wing_geometry, _morphing_wing),
+}
+
+
+def _build(name, family, fixed_bcs, mesh=None, element_size=None,
+           max_steps=None, u_in=None, k_out=None, thickness=None,
+           params_override=None):
+    """Fill the arguments left as None from the family, then lay the
+    problem out on its mesh and assemble it."""
+    thickness = 0.01 if thickness is None else thickness
+    if mesh is None:
+        h = family.element_size if element_size is None else element_size
+        mesh = msh.generate_mesh(family.geometry(h), thickness=thickness)
+    overrides = {k: v for k, v in (params_override or {}).items()
+                 if v is not None}
+    params = ProjectionParams(**{"r": family.r, "r_min": family.r_min,
+                                 "beta": family.beta, "t_s": thickness,
+                                 **overrides})
+    M = family.steps if max_steps is None else max_steps
+    u_in = family.u_in if u_in is None else u_in
+    k_out = family.k_out if k_out is None else k_out
+    layout = family.layout(mesh, params, M, u_in, k_out, fixed_bcs)
+    return _assemble(name, mesh, params, u_in, M, fixed_bcs, **layout)
+
+
+def _assemble(name, mesh, params, u_in, M, fixed_bcs, *, vf, supports, load,
+              theta, sup_box, load_box, moves, constraints, rho0=None,
+              frozen_bcs=(), **spec):
+    """Initial design, zeta bounds, move limits and BC freeze of a layout.
+
+    All supports share sup_box; moves is (rho, coordinate, theta). The volume
+    bound vf is the first constraint and, unless rho0 is given, the initial
+    density. frozen_bcs lists BC offsets frozen even with variable BCs.
+    """
+    n_rho, n_sup = len(mesh.designable), len(supports)
+    design0 = DesignVector(rho=np.full(n_rho, vf if rho0 is None else rho0),
+                           supports=supports, load=load, theta=theta)
+    (sx, sy), (lx, ly) = sup_box, load_box
+    lower = np.concatenate([np.zeros(n_rho), np.full(n_sup, sx[0]),
+                            np.full(n_sup, sy[0]), [lx[0], ly[0], -np.pi]])
+    upper = np.concatenate([np.ones(n_rho), np.full(n_sup, sx[1]),
+                            np.full(n_sup, sy[1]), [lx[1], ly[1], np.pi]])
+    move = np.concatenate([np.full(n_rho, moves[0]),
+                           np.full(2 * n_sup + 2, moves[1]), [moves[2]]])
+    z = design0.to_array()
+    frozen = (np.arange(n_rho, len(z)) if fixed_bcs
+              else n_rho + np.asarray(frozen_bcs, dtype=int))
+    lower[frozen] = upper[frozen] = z[frozen]
+    return ProblemSpec(
+        name=name, mesh=mesh, params=params,
+        material=MaterialParams(nu=params.nu), design0=design0,
+        u_in_norm=u_in, steps=M,
+        constraints=[Constraint(VolumeFraction(step=M), vf, "upper", vf)]
+        + constraints,
+        lower=lower, upper=upper, move_limits=move, **spec)
 
 
 def make_custom_problem(spec, fixed_bcs=False, mesh=None, element_size=None,
@@ -589,114 +603,23 @@ def make_custom_problem(spec, fixed_bcs=False, mesh=None, element_size=None,
             outline.max(axis=0) - outline.min(axis=0))
         geo = msh.DomainGeometry(outline=outline, target_h=h)
         mesh = msh.generate_mesh(geo, thickness=thickness)
-    params = _params(dict(r=2.5e-3, r_min=3e-3, beta=500.0, t_s=thickness),
-                     params_override)
-    material = MaterialParams(nu=params.nu)
-    u_in = spec["u_in"] if u_in is None else u_in
-    M = int(spec["steps"]) if max_steps is None else max_steps
-    supports = np.asarray(spec["supports"], float).reshape(-1, 2)
-    load = np.asarray(spec["load"], float).reshape(2)
-    theta = np.deg2rad(float(spec["theta_deg"]))
-
-    vf_bound = float(spec.get("vf_bound", 0.3))
-    rho0 = float(spec.get("rho_init") or vf_bound)
-    n_rho = len(mesh.designable)
-    design0 = DesignVector(rho=np.full(n_rho, rho0), supports=supports,
-                           load=load, theta=theta)
-
-    axis = {"x": 0, "y": 1}[spec.get("output_axis", "y")]
-    sign = float(spec.get("output_sign", 1.0))
-    out = None
-    selector = ()
-    springs = ()
-    if spec.get("output_point"):
-        out = msh.nearest_node(mesh, spec["output_point"])
-        selector = ((2 * out + axis, sign),)
-        k = spec.get("output_k", 0.0) if k_out is None else k_out
-        if k:
-            springs = ((2 * out + axis, float(k)),)
-
-    counters = np.asarray(spec.get("counter_forces", []),
-                          float).reshape(-1, 2)
-    cases = [LoadCase("nominal")]
-    for j, (fx, fy) in enumerate(counters):
-        if out is None:
-            raise ValueError("counter forces need an output_point")
-        cases.append(LoadCase(f"counter{j + 1}", out, (fx, fy)))
-
-    objective = spec.get("objective", "max_u_out")
-    prec = None
-    if objective == "max_u_out":
-        terms = [(1.0, UOut(selector, step=M))]
-        sense, scale = "max", u_in
-    elif objective == "min_f_in_final":
-        terms = [(1.0, FIn(step=M))]
-        sense, scale = "min", max(abs(float(spec.get("f_p_bound", 5.0))), 1.0)
-    elif objective == "path_error":
-        prec = np.asarray(spec["precision_points"], float).reshape(-1, 2)
-        if len(prec) not in (1, M):
-            raise ValueError("need 1 or M precision points")
-        terms = []
-        for i in range(len(cases)):
-            if len(prec) == 1:
-                terms.append((1.0, OutputOffsetSq(out, prec[0], M, i)))
-            else:
-                for m in range(1, M + 1):
-                    terms.append((1.0, OutputOffsetSq(out, prec[m - 1], m, i)))
-        scale = sum(w * np.sum((mesh.nodes[out] - q.target) ** 2)
-                    for w, q in terms)
-        sense = "min"
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-
-    constraints = [Constraint(VolumeFraction(step=M), vf_bound, "upper",
-                              vf_bound)]
-    f_in_bound = float(spec.get("f_in_bound", 30.0))
-    f_p_bound = float(spec.get("f_p_bound", 7.5))
-    for i in range(len(cases)):
-        constraints += [
-            Constraint(FIn(step=M, load_case=i), f_in_bound, "upper",
-                       f_in_bound),
-            Constraint(FP(step=M, load_case=i), f_p_bound, "upper",
-                       f_p_bound),
-            Constraint(FP(step=M, load_case=i), -f_p_bound, "lower",
-                       f_p_bound),
-        ]
-
-    margin = float(spec.get("bc_margin", 0.0))
-    bbox = ((mesh.nodes[:, 0].min() - margin, mesh.nodes[:, 0].max() + margin),
-            (mesh.nodes[:, 1].min() - margin, mesh.nodes[:, 1].max() + margin))
-    load_box = ((mesh.nodes[:, 0].min(), mesh.nodes[:, 0].max()),
-                (mesh.nodes[:, 1].min(), mesh.nodes[:, 1].max()))
-    lower, upper, move = _zeta_arrays(
-        n_rho, len(supports), (0.0, 1.0), [bbox] * len(supports), load_box,
-        (-np.pi, np.pi), float(spec.get("move_rho", 0.2)),
-        float(spec.get("move_xy", 2.5e-3)),
-        np.deg2rad(float(spec.get("move_theta_deg", 5.0))))
-    if fixed_bcs:
-        lower, upper = _freeze_bc(lower, upper, design0, n_rho)
-    return ProblemSpec(
-        name="custom", mesh=mesh, params=params, material=material,
-        design0=design0, u_in_norm=u_in, steps=M,
-        objective_terms=terms, objective_sense=sense, objective_scale=scale,
-        constraints=constraints, load_cases=cases,
-        output_springs=springs, output_selector=selector, output_node=out,
-        precision_points=prec, lower=lower, upper=upper, move_limits=move,
-    )
-
-
-_FAMILIES = {
-    "gripper": make_gripper,
-    "bistable_airfoil": make_bistable_airfoil,
-    "line_generator": make_line_generator,
-    "morphing_wing": make_morphing_wing,
-}
+    family = Family(element_size=None, r=2.5e-3, r_min=3e-3, beta=500.0,
+                    u_in=spec["u_in"], k_out=spec.get("output_k", 0.0),
+                    steps=int(spec["steps"]), geometry=None,
+                    layout=partial(_custom, spec))
+    return _build("custom", family, fixed_bcs, mesh=mesh,
+                  max_steps=max_steps, u_in=u_in, k_out=k_out,
+                  thickness=thickness, params_override=params_override)
 
 
 def make_problem(family, fixed_bcs=False, **kwargs):
-    """Build one of the four studied problem families by name."""
-    if family not in _FAMILIES:
+    """Build one of the four studied problem families by name.
+
+    kwargs are mesh, element_size, max_steps, u_in, k_out, thickness and
+    params_override; each one left out takes the family's default.
+    """
+    if family not in FAMILIES:
         raise KeyError(
             f"unknown problem family {family!r}; known: "
-            + ", ".join(sorted(_FAMILIES)))
-    return _FAMILIES[family](fixed_bcs=fixed_bcs, **kwargs)
+            + ", ".join(sorted(FAMILIES)))
+    return _build(family, FAMILIES[family], fixed_bcs, **kwargs)

@@ -168,10 +168,8 @@ def test_09_run_determinism(tmp_path):
         'problem = "gripper"\nfixed_bcs = true\n'
         '[mesh]\nelement_size = 0.008\n'
         '[optimizer]\nmax_iterations = 3\n')
-    assert cli.main(["--threads", "1", "run", str(cfg), "-q",
-                     "-o", str(tmp_path / "a")]) == 0
-    assert cli.main(["--threads", "1", "run", str(cfg), "-q",
-                     "-o", str(tmp_path / "b")]) == 0
+    assert cli.main(["run", str(cfg), "-q", "-o", str(tmp_path / "a")]) == 0
+    assert cli.main(["run", str(cfg), "-q", "-o", str(tmp_path / "b")]) == 0
     ha = (tmp_path / "a" / "history.csv").read_bytes()
     hb = (tmp_path / "b" / "history.csv").read_bytes()
     assert ha == hb

@@ -48,7 +48,7 @@ class TestParseConfig:
         with pytest.raises(config.ConfigError):
             config.parse_config('problem = gripper')  # unquoted string
         with pytest.raises(config.ConfigError):
-            config.parse_config('problem = "gripper"\nthreads = "two"')
+            config.parse_config('problem = "gripper"\n[solver]\nsteps = "two"')
 
     def test_unknown_section(self):
         with pytest.raises(config.ConfigError) as ei:
@@ -137,6 +137,23 @@ class TestCliRun:
         cfg2 = config.parse_config(doc["resolved_config"])
         assert cfg2.get("", "problem") == "gripper"
 
+    def test_load_displacement_forces_match_summary(self, tmp_path):
+        # the CSV reports the F_in/F_p the optimizer constrained, bit for bit
+        cfg = tmp_path / "var.cfg"
+        cfg.write_text('problem = "gripper"\n[mesh]\nelement_size = 0.006\n'
+                       '[optimizer]\nmax_iterations = 3\n')
+        out = tmp_path / "var"
+        assert cli.main(["run", str(cfg), "-q", "-o", str(out)]) == 0
+        values = json.loads((out / "design_summary.json")
+                            .read_text())["quantities"]
+        rows = (out / "load_displacement_case1.csv").read_text() \
+            .strip().splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            m, _, fin, fp = row.split(",")[:4]
+            assert float(fin) == values[f"f_in[{m},0]"]
+            assert float(fp) == values[f"f_p[{m},0]"]
+
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("problem = gripper\n")
@@ -154,6 +171,18 @@ class TestCliReplay:
         rows = (tmp_path / "rep" / "replay_load_displacement_case1.csv") \
             .read_text().strip().splitlines()
         assert len(rows) == 1 + 7
+
+    def test_summary_with_removed_key_fails_cleanly(self, tiny_cfg,
+                                                    tmp_path, capsys):
+        # summaries written while the root `threads` key existed embed it
+        cli.main(["run", tiny_cfg, "-q"])
+        path = tmp_path / "out" / "design_summary.json"
+        doc = json.loads(path.read_text())
+        doc["resolved_config"] = "threads = 1\n" + doc["resolved_config"]
+        path.write_text(json.dumps(doc))
+        assert cli.main(["replay", str(path), "-o",
+                         str(tmp_path / "rep")]) == 1
+        assert "unknown key 'threads'" in capsys.readouterr().err
 
 
 class TestCliMesh:

@@ -176,14 +176,21 @@ class TestMakeProblem:
         assert np.allclose(g.lower[n_rho:n_rho + 6], r)
         assert np.allclose(g.upper[n_rho:n_rho + 6], 0.1 - r)
 
-    def test_gripper_fixed_bcs_freeze(self):
-        g = P.make_problem("gripper", fixed_bcs=True, element_size=4e-3)
+    @pytest.mark.parametrize("family,h", [
+        ("gripper", 4e-3), ("bistable_airfoil", 2.5e-3),
+        ("line_generator", 4e-3), ("morphing_wing", 2e-3),
+    ], ids=["gripper", "bistable_airfoil", "line_generator",
+            "morphing_wing"])
+    def test_fixed_bcs_freeze(self, family, h):
+        g = P.make_problem(family, fixed_bcs=True, element_size=h)
         n_rho = len(g.design0.rho)
         assert np.all(g.frozen[n_rho:])
         assert not np.any(g.frozen[:n_rho])
-        # literature corner positions kept exactly
-        assert np.allclose(g.design0.supports, [[0.0, 0.1], [0.0, 0.0]])
-        assert np.allclose(g.design0.load, [0.0, 0.05])
+        assert np.array_equal(g.lower[n_rho:], g.design0.to_array()[n_rho:])
+        if family == "gripper":
+            # literature corner positions kept exactly
+            assert np.allclose(g.design0.supports, [[0.0, 0.1], [0.0, 0.0]])
+            assert np.allclose(g.design0.load, [0.0, 0.05])
 
     def test_bistable_table_parameters(self):
         b = P.make_problem("bistable_airfoil", element_size=2.5e-3)
@@ -234,6 +241,76 @@ class TestMakeProblem:
     def test_unknown_family(self):
         with pytest.raises(KeyError):
             P.make_problem("perpetuum_mobile")
+
+
+def custom_spec(**extra):
+    """A [custom] block on a 10 x 5 cm plate, output at mid right edge."""
+    spec = dict(outline=[0.0, 0.0, 0.1, 0.0, 0.1, 0.05, 0.0, 0.05],
+                element_size=0.01, supports=[0.0, 0.0, 0.0, 0.05],
+                load=[0.0, 0.025], theta_deg=0.0, u_in=2e-3, steps=3,
+                output_point=[0.1, 0.025])
+    spec.update(extra)
+    return spec
+
+
+class TestCustomProblem:
+    def test_min_f_in_final_objective(self):
+        for f_p_bound, scale in ((7.5, 7.5), (-0.4, 1.0)):
+            p = P.make_custom_problem(custom_spec(
+                objective="min_f_in_final", f_p_bound=f_p_bound))
+            [(w, q)] = p.objective_terms
+            assert w == 1.0 and isinstance(q, P.FIn)
+            assert (q.step, q.load_case) == (3, 0)
+            assert p.objective_sense == "min"
+            assert p.objective_scale == scale
+
+    def test_path_error_single_point(self):
+        p = P.make_custom_problem(custom_spec(
+            objective="path_error", precision_points=[0.1, 0.02]))
+        assert [c.name for c in p.load_cases] == ["nominal"]
+        [(w, q)] = p.objective_terms
+        assert w == 1.0 and isinstance(q, P.OutputOffsetSq)
+        assert (q.node, q.step, q.load_case) == (p.output_node, 3, 0)
+        assert np.array_equal(q.target, [0.1, 0.02])
+        assert np.array_equal(p.precision_points, [[0.1, 0.02]])
+        x0 = p.mesh.nodes[p.output_node]
+        assert p.objective_scale == np.sum((x0 - [0.1, 0.02]) ** 2)
+        assert p.objective_sense == "min"
+
+    def test_path_error_every_step_with_counter_forces(self):
+        prec = [[0.1, 0.020], [0.1, 0.021], [0.1, 0.022]]
+        p = P.make_custom_problem(custom_spec(
+            objective="path_error", precision_points=sum(prec, []),
+            counter_forces=[1.0, 0.0, 0.0, -2.0]))
+        out = p.output_node
+        assert [(c.name, c.counter_node, tuple(c.counter_vector))
+                for c in p.load_cases] == [
+            ("nominal", None, (0.0, 0.0)), ("counter1", out, (1.0, 0.0)),
+            ("counter2", out, (0.0, -2.0))]
+        terms = [(q.load_case, q.step, tuple(q.target))
+                 for _, q in p.objective_terms]
+        assert terms == [(i, m, tuple(prec[m - 1]))
+                         for i in range(3) for m in range(1, 4)]
+        x0 = p.mesh.nodes[out]
+        want = 3 * sum(np.sum((x0 - t) ** 2) for t in np.array(prec))
+        assert np.isclose(p.objective_scale, want, rtol=1e-14, atol=0)
+        # F_in cap and two-sided F_p at the final step of every case
+        forces = [(type(c.quantity).__name__, c.quantity.load_case,
+                   c.quantity.step, c.direction)
+                  for c in p.constraints[1:]]
+        assert forces == [(k, i, 3, d) for i in range(3)
+                          for k, d in (("FIn", "upper"), ("FP", "upper"),
+                                       ("FP", "lower"))]
+
+    def test_invalid_specs_raise(self):
+        with pytest.raises(ValueError, match="precision points"):
+            P.make_custom_problem(custom_spec(
+                objective="path_error", precision_points=[0.1, 0.02] * 2))
+        with pytest.raises(ValueError, match="output_point"):
+            P.make_custom_problem(custom_spec(
+                output_point=[], counter_forces=[1.0, 0.0]))
+        with pytest.raises(ValueError, match="unknown objective"):
+            P.make_custom_problem(custom_spec(objective="max_fun"))
 
 
 class TestConstraintScaling:
