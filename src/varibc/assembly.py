@@ -39,7 +39,9 @@ class ElementKinematics:
     diagonal, rows sorted within each column), csc_scatter, which maps each
     entry (element, row, column) of the (Ne, 6, 6) element matrices, in C
     order, to its position in the CSC data array, and csc_diagonal, the
-    position of each diagonal entry (i, i) in that array.
+    position of each diagonal entry (i, i) in that array. tangent_ordering
+    is the solver's fill-reducing order of that pattern
+    (solver.TangentOrdering), set by the first factorization of a tangent.
     """
 
     def __init__(self, mesh, material_params):
@@ -79,6 +81,7 @@ class ElementKinematics:
         self.csc_indptr = pattern.indptr
         self.csc_indices.setflags(write=False)
         self.csc_indptr.setflags(write=False)
+        self.tangent_ordering = None
 
         # linear strain-displacement matrix (Voigt 11, 22, 12-engineering)
         B = np.zeros((n_e, 3, 6))

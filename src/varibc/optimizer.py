@@ -86,9 +86,21 @@ def _state_for_step(path, step, n_dofs):
                             corrector_iterations=0, counter_scale=0.0)
 
 
+def _differentiate(records, adjointer, quantities):
+    for q in quantities:
+        records[q.name] = adjointer.sensitivity(q)
+
+
 def evaluate_design(problem, design, A_f=None, W=None, kin=None,
-                    solver_cfg=None, trace=None):
-    """Solve all load cases at one design and differentiate the quantities."""
+                    solver_cfg=None):
+    """Solve all load cases at one design and differentiate the quantities.
+
+    Each requested state the quantities read is differentiated as the path
+    reaches it, with the corrector's factors (solve_equilibrium_path's
+    on_state hook). Steps that a failed path never reached are
+    differentiated at its last converged state (_state_for_step), with K_T
+    factorized afresh.
+    """
     if solver_cfg is None:
         solver_cfg = SolverConfig(steps=problem.steps)
     if kin is None:
@@ -100,10 +112,9 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
         sample=shape_values_at(problem.mesh, design.load),
         theta=design.theta, u_in_norm=problem.u_in_norm)
 
-    quantities = problem.quantities()
     by_case = {}
-    for q in quantities:
-        by_case.setdefault(q.load_case, []).append(q)
+    for q in problem.quantities():
+        by_case.setdefault(q.load_case, {}).setdefault(q.step, []).append(q)
 
     paths = []
     records = {}
@@ -112,24 +123,30 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
     for i, case in enumerate(problem.load_cases):
         Fc = case.force_vector(problem.mesh)
         model = base.with_counter_force(Fc if np.any(Fc) else None)
+        by_step = by_case.get(i, {})
+        reached = []
+
+        def on_state(state, lu):
+            reached.append(state)
+            qs = by_step.get(len(reached))
+            if qs:
+                _differentiate(records, StateAdjoint(
+                    model, control, state, fields, design, lu=lu), qs)
+
         try:
             path = solve_equilibrium_path(model, control, solver_cfg,
-                                          trace=trace)
+                                          on_state=on_state)
         except PathFailed as err:
             path = err.partial
             failed = True
         paths.append(path)
         bisections += path.total_bisections
         iterations += path.total_corrector_iterations
-        # one factorization per unique converged state; requested states
-        # carry the converged system, so only fallback states re-assemble
-        steps_needed = sorted({q.step for q in by_case.get(i, [])})
-        for m in steps_needed:
-            state = _state_for_step(path, m, problem.mesh.num_dofs)
-            adjointer = StateAdjoint(model, control, state, fields, design)
-            for q in by_case[i]:
-                if q.step == m:
-                    records[q.name] = adjointer.sensitivity(q)
+        for m in sorted(by_step):
+            if m > len(reached):
+                state = _state_for_step(path, m, problem.mesh.num_dofs)
+                _differentiate(records, StateAdjoint(
+                    model, control, state, fields, design), by_step[m])
 
     obj_val = 0.0
     obj_grad = np.zeros(design.size)

@@ -218,7 +218,6 @@ class ProblemSpec:
     output_springs: tuple = ()
     output_selector: tuple = ()
     output_node: int | None = None
-    precision_points: np.ndarray | None = None
     lower: np.ndarray = None       # zeta bounds, natural units
     upper: np.ndarray = None
     move_limits: np.ndarray = None
@@ -232,8 +231,6 @@ class ProblemSpec:
                 raise ValueError("bounds and move limits must cover zeta")
         if not np.all(self.lower <= self.upper):
             raise ValueError("lower bounds exceed upper bounds")
-        if self.precision_points is not None:
-            self.precision_points = np.asarray(self.precision_points, float)
 
     @property
     def frozen(self):
@@ -381,7 +378,7 @@ def _line_generator(mesh, params, M, u_in, k_out, fixed_bcs):
         objective_terms=terms, objective_sense="min", objective_scale=scale,
         constraints=_force_caps(len(cases), [(m, 20.0, 5.0)
                                              for m in range(1, M + 1)]),
-        load_cases=cases, output_node=out, precision_points=prec,
+        load_cases=cases, output_node=out,
     )
 
 
@@ -447,7 +444,7 @@ def _morphing_wing(mesh, params, M, u_in, k_out, fixed_bcs):
         frozen_bcs=(2, 5),   # the skin-attachment support stays fixed
         objective_terms=terms, objective_sense="min", objective_scale=scale,
         constraints=_force_caps(len(cases), [(M, 20.0, 5.0)]),
-        load_cases=cases, output_node=out, precision_points=prec,
+        load_cases=cases, output_node=out,
     )
 
 
@@ -470,7 +467,8 @@ def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
     f_in_bound = float(spec.get("f_in_bound", 30.0))
     f_p_bound = float(spec.get("f_p_bound", 7.5))
     objective = spec.get("objective", "max_u_out")
-    prec = None
+    if out is None and objective in ("max_u_out", "path_error"):
+        raise ValueError(f"objective {objective!r} needs an output_point")
     if objective == "max_u_out":
         terms, sense, scale = [(1.0, UOut(selector, step=M))], "max", u_in
     elif objective == "min_f_in_final":
@@ -498,7 +496,7 @@ def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
         objective_terms=terms, objective_sense=sense, objective_scale=scale,
         constraints=_force_caps(len(cases), [(M, f_in_bound, f_p_bound)]),
         load_cases=cases, output_springs=springs, output_selector=selector,
-        output_node=out, precision_points=prec,
+        output_node=out,
     )
 
 

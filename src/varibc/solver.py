@@ -8,12 +8,21 @@ solve a 2x2 system for the two load intensity increments so the input-point
 displacement follows the prescribed fraction exactly. Failed steps are
 retried with bisected increments from the last converged state.
 
-Every tangent factorization, here and in the adjoint, is a SuperLU call with
-the settings in TANGENT_SPLU: K_T is symmetric, so the columns are ordered by
-minimum degree on the pattern of K_T^T + K_T (MMD_AT_PLUS_A) in SuperLU's
-symmetric mode, which prefers diagonal pivots. Partial pivoting stays at its
-default threshold. Against SuperLU's default COLAMD ordering this cuts the
-L+U fill of the gripper tangents by 22% at h = 3 mm and 30% at h = 1.5 mm.
+Every tangent factorization, here and in the adjoint, is a SuperLU call in
+symmetric mode, which prefers diagonal pivots, with the columns ordered by
+minimum degree on the pattern of K_T^T + K_T (MMD_AT_PLUS_A, TANGENT_SPLU).
+Partial pivoting stays at its default threshold. Against SuperLU's default
+COLAMD ordering this cuts the L+U fill of the gripper tangents by 22% at
+h = 3 mm and 30% at h = 1.5 mm. The ordering depends only on the CSC pattern,
+which every tangent of one mesh shares (assembly.ElementKinematics), so it is
+computed once per mesh: the first factorization of each ElementKinematics
+runs MMD, and every later one gathers K_T into that order and factorizes it
+with the natural ordering (TangentOrdering). The fill is the same.
+
+solve_equilibrium_path calls an optional per-state hook with each requested
+state and the corrector's last factors while they are still live; the
+optimizer differentiates the state there (adjoint.StateAdjoint), so the
+factors need not outlive their step.
 
 Counter-force load cases first ramp the constant counter load with the input
 pinned at zero, using the same machinery with the load scale as the
@@ -22,10 +31,10 @@ continuation parameter.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .material import NonPositiveJacobian
@@ -109,7 +118,6 @@ class EquilibriumPath:
     states: list
     total_bisections: int = 0
     total_corrector_iterations: int = 0
-    wall_times: list = field(default_factory=list)
 
     @property
     def requested_states(self):
@@ -141,23 +149,81 @@ def _solve_2x2(M2, rhs):
     )
 
 
-# SuperLU settings of every tangent factorization (see the module docstring)
+# SuperLU settings of a tangent's first factorization (see the module
+# docstring); NATURAL_SPLU factorizes a tangent already in that order
 TANGENT_SPLU = {"permc_spec": "MMD_AT_PLUS_A",
+                "options": {"SymmetricMode": True}}
+NATURAL_SPLU = {"permc_spec": "NATURAL",
                 "options": {"SymmetricMode": True}}
 
 
-def _factorize(K, factor=None):
-    """SuperLU factors of the tangent K with the TANGENT_SPLU settings.
+class PermutedLU:
+    """Factors of K[q][:, q] that solve K x = b, for q = argsort(perm_c)."""
+
+    def __init__(self, lu, ordering):
+        self.lu = lu
+        self.nnz = lu.nnz
+        self.ordering = ordering
+
+    def solve(self, b):
+        return self.lu.solve(b[self.ordering.q])[self.ordering.perm_c]
+
+
+class TangentOrdering:
+    """The fill-reducing column order of one mesh's tangent pattern.
+
+    perm_c is the column permutation of the pattern's first TANGENT_SPLU
+    factorization (column i of K goes to position perm_c[i]); gather maps
+    the CSC data of K to that of K[q][:, q], whose pattern is
+    permuted_indices, permuted_indptr.
+    """
+
+    def __init__(self, K, perm_c):
+        # a copy: SuperLU's perm_c is a view that keeps its factors alive
+        self.perm_c = np.array(perm_c)
+        self.q = np.argsort(perm_c)
+        # positions, offset by one so no entry is an explicit zero
+        pos = sp.csc_matrix((np.arange(1, K.nnz + 1), K.indices, K.indptr),
+                            shape=K.shape)[self.q][:, self.q]
+        pos.sort_indices()
+        self.gather = pos.data - 1
+        self.permuted_indices = pos.indices
+        self.permuted_indptr = pos.indptr
+        for a in (self.perm_c, self.q, self.gather, self.permuted_indices,
+                  self.permuted_indptr):
+            a.setflags(write=False)
+
+    def factorize(self, K, factor):
+        Kq = sp.csc_matrix(
+            (K.data[self.gather], self.permuted_indices, self.permuted_indptr),
+            shape=K.shape)
+        return PermutedLU(factor(Kq, **NATURAL_SPLU), self)
+
+
+def _factorize(K, factor=None, kin=None):
+    """SuperLU factors of the tangent K in the symmetric fill-reducing order.
 
     factor is the splu function to call, this module's by default; the
     adjoint passes its own module's splu, so that its factorizations can be
-    wrapped and timed apart from the solver's. A failed factorization raises
+    wrapped and timed apart from the solver's. kin is the ElementKinematics
+    whose pattern K has: the first factorization of that pattern computes
+    the ordering with TANGENT_SPLU and stores it as kin.tangent_ordering,
+    and later ones reuse it. Without kin, or for another pattern, K is
+    factorized with TANGENT_SPLU. A failed factorization raises
     SingularTangent.
     """
+    factor = factor or splu
+    ordered = (kin is not None and np.array_equal(K.indptr, kin.csc_indptr)
+               and np.array_equal(K.indices, kin.csc_indices))
     try:
-        return (factor or splu)(K, **TANGENT_SPLU)
+        if ordered and kin.tangent_ordering is not None:
+            return kin.tangent_ordering.factorize(K, factor)
+        lu = factor(K, **TANGENT_SPLU)
     except RuntimeError as err:
         raise SingularTangent(str(err)) from None
+    if ordered:
+        kin.tangent_ordering = TangentOrdering(K, lu.perm_c)
+    return lu
 
 
 def predictor(model, control, state, s_target, lu=None, system=None,
@@ -175,7 +241,7 @@ def predictor(model, control, state, s_target, lu=None, system=None,
     if system is None:
         system = model.assemble(U)
     if lu is None:
-        lu = _factorize(system.K_T)
+        lu = _factorize(system.K_T, kin=model.kin)
     rhs_cols = [system.F_ext_x, system.F_ext_y]
     if counter_column is not None:
         rhs_cols.append(counter_column)
@@ -212,11 +278,11 @@ def corrector(model, control, U, lam, s_target, config,
         defect = target - control.sample.interpolate(U)
         if rnorm <= config.tol_residual and np.all(np.abs(defect) <= 100 * ctol):
             if lu is None:
-                lu = _factorize(system.K_T)
+                lu = _factorize(system.K_T, kin=model.kin)
             return U, lam, system, lu, it, tuple(history)
         if it == config.max_corrector_iters:
             break
-        lu = _factorize(system.K_T)
+        lu = _factorize(system.K_T, kin=model.kin)
         cols = lu.solve(np.column_stack([system.F_ext_x, system.F_ext_y, R]))
         M2 = input_point_response(control.sample, cols[:, :2])
         dUc_at = control.sample.interpolate(cols[:, 2])
@@ -235,13 +301,16 @@ def corrector(model, control, U, lam, s_target, config,
     )
 
 
-def solve_equilibrium_path(model, control, config, trace=None):
+def solve_equilibrium_path(model, control, config, on_state=None):
     """March the input displacement to its full stroke.
 
     Reports converged states at the fractions m / steps (bisection substates
     are kept and flagged as not requested). Each requested state carries the
-    corrector's converged GlobalSystem for the adjoint. A nonzero counter
-    force on the model is ramped first with the input held at zero.
+    corrector's converged GlobalSystem for the adjoint, and on_state, when
+    given, is called as on_state(state, lu) with each requested state, in
+    step order, and the factors of the corrector's last tangent, which the
+    next step goes on to use. A nonzero counter force on the model is ramped
+    first with the input held at zero.
     """
     n = model.mesh.num_dofs
     U = np.zeros(n)
@@ -253,12 +322,11 @@ def solve_equilibrium_path(model, control, config, trace=None):
              "alpha": 1.0 if not has_counter else 0.0, "s": 0.0}
 
     def attempt(s_new, alpha_new):
-        t0 = time.perf_counter()
         sys0 = state["system"]
         lu0 = state["lu"]
         if sys0 is None:
             sys0 = model.assemble(state["U"], counter_scale=state["alpha"])
-            lu0 = _factorize(sys0.K_T)
+            lu0 = _factorize(sys0.K_T, kin=model.kin)
         d_alpha = alpha_new - state["alpha"]
         counter = d_alpha * model.F_counter if d_alpha != 0.0 else None
         U_pred, lam_pred = predictor(
@@ -271,7 +339,6 @@ def solve_equilibrium_path(model, control, config, trace=None):
         state.update(U=U_new, lam=lam_new, system=system, lu=lu,
                      alpha=alpha_new, s=s_new)
         path.total_corrector_iterations += iters
-        path.wall_times.append(time.perf_counter() - t0)
         return iters, hist
 
     def advance(s_new, alpha_new, depth, requested):
@@ -296,16 +363,9 @@ def solve_equilibrium_path(model, control, config, trace=None):
             system=state["system"] if requested else None,
         )
         path.states.append(st)
-        if trace is not None:
-            trace.write(
-                "%d,%.10g,%d,%d,%.6e,%.10e,%.10e\n"
-                % (len(path.states), s_new, depth, iters, hist[-1],
-                   st.lambda_x, st.lambda_y)
-            )
+        if requested and on_state is not None:
+            on_state(st, state["lu"])
 
-    if trace is not None:
-        trace.write("step,fraction,bisections,iterations,residual,lambda_x,"
-                    "lambda_y\n")
     if has_counter:
         advance(0.0, 1.0, 0, requested=False)
     for m in range(1, config.steps + 1):

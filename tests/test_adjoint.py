@@ -232,6 +232,75 @@ class TestConvergedSystemReuse:
             adj.StateAdjoint(model, ctrl, st, fields, f.design)
 
 
+def count_adjoint_factorizations(monkeypatch):
+    """Record every factorization the adjoint makes; returns the list."""
+    calls = []
+    real = adj.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adj, "splu", counting)
+    return calls
+
+
+def assert_records_close(a, b, rtol):
+    assert abs(a.value - b.value) <= rtol * abs(b.value)
+    for name in ("dgdzeta", "psi_c", "psi_R"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.abs(x - y).max() <= rtol * np.abs(y).max(), name
+
+
+class TestRefinedAdjoint:
+    """StateAdjoint with the corrector's factors refines instead of
+    factorizing."""
+
+    @pytest.fixture(scope="class")
+    def hooked(self):
+        f = fx.load_fixture("mini_gripper_100")
+        fields, model = f.build()
+        ctrl = f.control()
+        seen = []
+        path = S.solve_equilibrium_path(
+            model, ctrl, S.SolverConfig(steps=4),
+            on_state=lambda state, lu: seen.append((state, lu)))
+        return f, fields, model, ctrl, path, seen
+
+    def test_multipliers_match_a_fresh_factorization(self, hooked,
+                                                     monkeypatch):
+        f, fields, model, ctrl, path, seen = hooked
+        assert len(seen) == 4
+        calls = count_adjoint_factorizations(monkeypatch)
+        for state, lu in seen:
+            refined = adj.StateAdjoint(model, ctrl, state, fields, f.design,
+                                       lu=lu)
+            got = [refined.sensitivity(q) for q in quantity_set(f)]
+            assert calls == [] and not refined.factorized
+            assert all(1 <= n <= adj.MAX_REFINEMENT_STEPS
+                       for n in refined.refinement_steps)
+            fresh = adj.StateAdjoint(model, ctrl, state, fields, f.design)
+            assert len(calls) == 1 and fresh.factorized
+            calls.clear()
+            for a, q in zip(got, quantity_set(f)):
+                assert_records_close(a, fresh.sensitivity(q), 1e-11)
+
+    def test_distant_factors_fall_back_to_one_factorization(
+            self, hooked, monkeypatch):
+        f, fields, model, ctrl, path, seen = hooked
+        state = seen[3][0]
+        far_lu = seen[0][1]  # the step-1 factors, three steps away
+        calls = count_adjoint_factorizations(monkeypatch)
+        sa = adj.StateAdjoint(model, ctrl, state, fields, f.design,
+                              lu=far_lu)
+        got = [sa.sensitivity(q) for q in quantity_set(f)]
+        assert len(calls) == 1 and sa.factorized
+        assert len(sa.refinement_steps) == 1
+        fresh = adj.StateAdjoint(model, ctrl, state, fields, f.design)
+        for a, q in zip(got, quantity_set(f)):
+            assert_records_close(a, fresh.sensitivity(q), 1e-11)
+
+
 class TestConstraintPartials:
     def test_density_and_support_columns_vanish(self, gripper_setup):
         f, fields, model, ctrl, path = gripper_setup

@@ -177,11 +177,10 @@ class TestPathFailureHandling:
 
         real = S.solve_equilibrium_path
 
-        def failing(model, control, config, trace=None):
+        def failing(model, control, config, on_state=None):
             try:
                 real(model, control,
-                     SolverConfig(steps=config.steps, max_bisections=6),
-                     trace=trace)
+                     SolverConfig(steps=config.steps, max_bisections=6))
             except S.PathFailed:
                 raise
             raise S.PathFailed(0.5, "synthetic failure",
@@ -192,6 +191,112 @@ class TestPathFailureHandling:
         assert ev.failed
         # every scaled constraint carries the retreat penalty
         assert np.all(ev.g >= O.FAILURE_PENALTY - 1.5)
+
+    def test_path_failing_after_two_of_four_steps(self, tiny_problem,
+                                                   monkeypatch):
+        from varibc import adjoint as A
+        from varibc import assembly as asm
+        from varibc import solver as S
+
+        prob = tiny_problem
+        assert prob.steps == 4
+        cfg = SolverConfig(steps=4, max_bisections=1)
+        log = []
+
+        class Recording(A.StateAdjoint):
+            def __init__(self, model, control, state, fields, design,
+                         lu=None):
+                log.append(("adjoint", state, lu))
+                super().__init__(model, control, state, fields, design, lu=lu)
+
+            def sensitivity(self, q):
+                rec = super().sensitivity(q)
+                log.append(("record", q, rec))
+                return rec
+
+        def counted(tag, fn):
+            def call(*args, **kwargs):
+                log.append((tag,))
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(O, "StateAdjoint", Recording)
+        healthy = O.evaluate_design(prob, prob.design0, solver_cfg=cfg)
+        assert not healthy.failed
+        before = {e[1].name: e[2] for e in log if e[0] == "record"}
+        log.clear()
+
+        # the corrector fails beyond 70% of the stroke: step 3 fails, its
+        # bisected half step to 0.625 converges, and the retry of step 3
+        # fails at the bisection limit
+        real_corrector = S.corrector
+
+        def corrector(model, control, U, lam, s_target, config, **kwargs):
+            if s_target > 0.7:
+                raise S.CorrectorFailed("failure beyond 70% of the stroke")
+            return real_corrector(model, control, U, lam, s_target, config,
+                                  **kwargs)
+
+        monkeypatch.setattr(S, "corrector", corrector)
+        monkeypatch.setattr(asm, "internal_force_and_tangent",
+                            counted("assemble",
+                                    asm.internal_force_and_tangent))
+        monkeypatch.setattr(A, "splu", counted("splu", A.splu))
+        ev = O.evaluate_design(prob, prob.design0, solver_cfg=cfg)
+
+        assert ev.failed
+        path = ev.paths[0]
+        substate = path.states[-1]
+        assert len(path.requested_states) == 2
+        assert not substate.requested and substate.system is None
+        assert substate.input_fraction == 0.625
+        starts = [i for i, e in enumerate(log) if e[0] == "adjoint"]
+        assert len(starts) == 4
+        # steps 1-2: the corrector's factors, no adjoint factorization,
+        # records bit-identical to the healthy path's
+        for i, state in zip(starts[:2], path.requested_states):
+            assert log[i][1] is state and log[i][2] is not None
+        assert ("splu",) not in log[:starts[2]]
+        for e in log[:starts[2]]:
+            if e[0] == "record":
+                assert e[1].step <= 2
+                ref = before[e[1].name]
+                assert e[2].value == ref.value
+                for name in ("dgdzeta", "psi_c", "psi_R"):
+                    assert np.array_equal(getattr(e[2], name),
+                                          getattr(ref, name))
+        # steps 3-4: the last converged substate, assembled and factorized
+        # once each
+        for i, j in zip(starts[2:], starts[3:] + [len(log)]):
+            assert log[i][1] is substate and log[i][2] is None
+            tags = [e[0] for e in log[i:j]]
+            assert tags.count("assemble") == 1 and tags.count("splu") == 1
+            assert {e[1].step for e in log[i:j] if e[0] == "record"} == {
+                3 if i == starts[2] else 4}
+        # every constraint carries the penalty
+        g = np.array([c.g(ev.values[c.quantity.name])
+                      for c in prob.constraints])
+        assert np.array_equal(ev.g, g + O.FAILURE_PENALTY)
+        early = [j for j, c in enumerate(prob.constraints)
+                 if c.quantity.step <= 2]
+        assert early and np.array_equal(ev.g[early],
+                                        healthy.g[early] + O.FAILURE_PENALTY)
+
+    def test_healthy_evaluation_makes_no_adjoint_factorization(
+            self, tiny_problem, monkeypatch):
+        from varibc import adjoint as A
+
+        calls = []
+        real = A.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(A, "splu", counting)
+        ev = O.evaluate_design(tiny_problem, tiny_problem.design0)
+        assert not ev.failed and ev.values
+        assert calls == []
 
     def test_state_fallback_on_partial_path(self, tiny_problem):
         from varibc.solver import EquilibriumPath, EquilibriumState

@@ -221,15 +221,17 @@ class TestMakeProblem:
         assert lg.load_cases[1].counter_vector == (-5.0, 0.0)
         assert lg.load_cases[2].counter_vector == (0.0, -5.0)
         assert lg.output_springs == ()
-        assert lg.precision_points.shape == (4, 2)
+        # one precision point per step, shared by the three load cases
+        assert len({tuple(q.target) for _, q in lg.objective_terms}) == 4
         w = P.make_problem("morphing_wing", element_size=2e-3)
         assert w.u_in_norm == 2e-3
         assert w.load_cases[1].counter_vector == (1.0, 0.0)
         assert w.load_cases[2].counter_vector == (0.0, 1.0)
-        assert w.precision_points.shape == (1, 2)
-        # precision point 2.5 mm behind, 5 mm below the output point
+        # one precision point, 2.5 mm behind and 5 mm below the output point
+        targets = {tuple(q.target) for _, q in w.objective_terms}
+        assert len(targets) == 1
         out_xy = w.mesh.nodes[w.output_node]
-        assert np.allclose(w.precision_points[0],
+        assert np.allclose(targets.pop(),
                            [out_xy[0] + 2.5e-3, out_xy[1] - 5e-3])
 
     def test_wing_skin_support_frozen_in_variable_run(self):
@@ -272,7 +274,6 @@ class TestCustomProblem:
         assert w == 1.0 and isinstance(q, P.OutputOffsetSq)
         assert (q.node, q.step, q.load_case) == (p.output_node, 3, 0)
         assert np.array_equal(q.target, [0.1, 0.02])
-        assert np.array_equal(p.precision_points, [[0.1, 0.02]])
         x0 = p.mesh.nodes[p.output_node]
         assert p.objective_scale == np.sum((x0 - [0.1, 0.02]) ** 2)
         assert p.objective_sense == "min"
@@ -311,6 +312,17 @@ class TestCustomProblem:
                 output_point=[], counter_forces=[1.0, 0.0]))
         with pytest.raises(ValueError, match="unknown objective"):
             P.make_custom_problem(custom_spec(objective="max_fun"))
+
+    def test_max_u_out_needs_an_output_point(self):
+        with pytest.raises(ValueError, match="output_point"):
+            P.make_custom_problem(custom_spec(objective="max_u_out",
+                                              output_point=[]))
+
+    def test_path_error_needs_an_output_point(self):
+        with pytest.raises(ValueError, match="output_point"):
+            P.make_custom_problem(custom_spec(
+                objective="path_error", precision_points=[0.1, 0.02],
+                output_point=[]))
 
 
 class TestConstraintScaling:

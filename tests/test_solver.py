@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -245,23 +243,36 @@ class TestEquilibriumPath:
         assert np.linalg.norm(st.U - U_lin) <= 1e-3 * np.linalg.norm(U_lin)
         assert abs(st.lambda_x - lam_lin[0]) <= 1e-3 * abs(lam_lin[0])
 
-    def test_trace_log(self, gripper):
-        f, fields, model = gripper
-        ctrl = f.control()
-        buf = io.StringIO()
-        S.solve_equilibrium_path(model, ctrl, S.SolverConfig(steps=2),
-                                 trace=buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].startswith("step,fraction,bisections")
-        assert len(lines) == 3
-        assert all(len(l.split(",")) == 7 for l in lines)
-
 
 @pytest.fixture(scope="module")
 def arch_setup():
     f = fx.load_fixture("toy_arch")
     fields, model = f.build()
     return f, model
+
+
+class TestPerStateHook:
+    def test_called_with_each_requested_state_and_live_factors(self):
+        f = fx.load_fixture("mini_gripper_100")
+        _, model = f.build()
+        seen = []
+
+        def on_state(state, lu):
+            seen.append(state)
+            # the factors solve with a tangent one Newton step away
+            b = state.system.F_ext_x
+            x = lu.solve(b)
+            r = b - state.system.K_T @ x
+            assert np.abs(r).max() <= 1e-3 * np.abs(b).max()
+
+        # two corrector iterations force bisection substates
+        path = S.solve_equilibrium_path(
+            model, f.control(),
+            S.SolverConfig(steps=1, max_corrector_iters=2, max_bisections=2),
+            on_state=on_state)
+        assert path.total_bisections >= 1
+        assert len(seen) == len(path.requested_states) == 1
+        assert all(a is b for a, b in zip(seen, path.requested_states))
 
 
 class TestToyArch:
@@ -328,6 +339,43 @@ class TestFactorize:
         K.data[K.indptr[5]:K.indptr[6]] = 0.0
         with pytest.raises(S.SingularTangent):
             S._factorize(K)
+
+    def test_pre_permuted_factors_match_tangent_splu(self, gripper, tangent):
+        f, fields, model = gripper
+        kin = asm.ElementKinematics(f.mesh, model.kin.material)
+        first = S._factorize(tangent, kin=kin)
+        assert kin.tangent_ordering is not None
+        assert not isinstance(first, S.PermutedLU)
+        # a later tangent of the same pattern, at another displacement
+        U = np.random.default_rng(5).uniform(-2e-4, 2e-4, f.mesh.num_dofs)
+        K = model.assemble(U).K_T
+        lu = S._factorize(K, kin=kin)
+        assert isinstance(lu, S.PermutedLU)
+        ref = splu(K, **S.TANGENT_SPLU)
+        assert lu.nnz == ref.nnz
+        b = np.random.default_rng(6).standard_normal((K.shape[0], 3))
+        x = ref.solve(b)
+        assert np.abs(lu.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+        assert np.abs(lu.solve(b[:, 0]) - x[:, 0]).max() <= (
+            1e-12 * np.abs(x[:, 0]).max())
+
+    def test_ordering_runs_once_per_element_kinematics(self, monkeypatch):
+        f = fx.load_fixture("mini_gripper_100")
+        specs = []
+        real = S.splu
+
+        def counting(K, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return real(K, **kwargs)
+
+        monkeypatch.setattr(S, "splu", counting)
+        for meshes in (1, 2):
+            _, model = f.build()  # a new ElementKinematics each time
+            for _ in range(2):
+                S.solve_equilibrium_path(model, f.control(),
+                                         S.SolverConfig(steps=2))
+            assert specs.count("MMD_AT_PLUS_A") == meshes
+            assert specs.count("NATURAL") == len(specs) - meshes
 
 
 def test_solver_config_validation():
