@@ -13,23 +13,23 @@ solve.
 Run:  python demos/adjoint_gradients.py
 """
 
-import numpy as np
-
-from varibc import adjoint, assembly, fixtures, problems, solver as S
+from varibc import adjoint, assembly, fixtures, optimizer, problems
+from varibc import solver as S
 from varibc.mesh import shape_values_at
 
 f = fixtures.load_fixture("mini_gripper_100")
 fields, model = f.build()
 control = f.control()
 cfg = S.SolverConfig(steps=2, tol_residual=1e-11, max_corrector_iters=30)
-path = S.solve_equilibrium_path(model, control, cfg)
 
 quantities = [
     problems.UOut(f.output_selector, step=2, name="U_out"),
     problems.FIn(step=2, name="F_in"),
 ]
-sens = adjoint.path_sensitivities(model, control, path, fields, f.design,
-                                  quantities)
+# as every optimizer iteration does: solve the path and differentiate each
+# state the quantities read with the corrector's factors
+_, sens, _ = optimizer.differentiate_path(model, control, cfg, fields,
+                                          f.design, quantities)
 print("state at full stroke: U_out = %.4e m, F_in = %.2f N"
       % (sens["U_out"].value, sens["F_in"].value))
 

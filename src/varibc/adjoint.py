@@ -264,27 +264,3 @@ class StateAdjoint:
                     "multiplier equations violated: %.2e / %.2e" % (r1, r2))
         return SensitivityRecord(name=quantity.name, value=float(value),
                                  dgdzeta=grad, psi_c=psi_c, psi_R=psi_R)
-
-
-def total_derivative(model, control, state, fields, design, quantity):
-    """One-off adjoint sensitivity of a single quantity at one state."""
-    return StateAdjoint(model, control, state, fields, design).sensitivity(
-        quantity)
-
-
-def path_sensitivities(model, control, path, fields, design, quantities):
-    """Adjoint gradients for a batch of quantities along one path.
-
-    Quantities are grouped by the step they read so each converged state is
-    factorized once. Returns {name: SensitivityRecord}.
-    """
-    by_step = {}
-    for q in quantities:
-        by_step.setdefault(q.step, []).append(q)
-    out = {}
-    for step, qs in sorted(by_step.items()):
-        state = path.state_at_step(step)
-        adj = StateAdjoint(model, control, state, fields, design)
-        for q in qs:
-            out[q.name] = adj.sensitivity(q)
-    return out

@@ -65,6 +65,7 @@ def _solver_config(cfg, problem):
 
 def cmd_run(args):
     from . import config, optimizer, outputs
+    from .design_field import evaluate_fields
 
     try:
         cfg = config.parse_config(args.config)
@@ -104,8 +105,8 @@ def cmd_run(args):
             f"max g {record.g.max():.3g}, mean |drho| {record.mean_drho:.2e}"
             + (" [path failed]" if record.path_failed else ""))
         if dump_every and record.iteration % dump_every == 0:
-            from .design_field import evaluate_fields
-            flds = evaluate_fields(design, problem.mesh, problem.params)
+            flds = evaluate_fields(design, problem.mesh, problem.params,
+                                   A_f=problem.A_f)
             outputs.write_vtk(
                 os.path.join(outdir, f"density_{record.iteration:03d}.vtk"),
                 problem.mesh, outputs.density_cell_data(problem.mesh, flds))
@@ -126,8 +127,8 @@ def cmd_run(args):
     say(f"finished: {result.stop_reason} after {len(result.history)} "
         f"iterations in {time.perf_counter() - t0:.1f} s")
 
-    from .design_field import evaluate_fields
-    fields = evaluate_fields(result.design, problem.mesh, problem.params)
+    fields = evaluate_fields(result.design, problem.mesh, problem.params,
+                             A_f=problem.A_f)
     outputs.write_vtk(os.path.join(outdir, "density_final.vtk"),
                       problem.mesh,
                       outputs.density_cell_data(problem.mesh, fields))

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .mesh import DESIGNABLE, SOLID_NONDESIGN, VOID_NONDESIGN
+from .mesh import SOLID_NONDESIGN, VOID_NONDESIGN
 
 # tanh saturates in float64 well before this; avoids overflow in cosh
 _TANH_SAT = 350.0
@@ -322,6 +322,7 @@ class FieldState:
     k_s: np.ndarray
     f_e: np.ndarray
     A_f: float
+    designable: np.ndarray       # indices of the designable elements
     W: sp.csr_matrix             # filter over designable elements
     dE_drho_bar: np.ndarray
     dgamma_drho_bar: np.ndarray
@@ -333,19 +334,13 @@ class FieldState:
 
     def rho_bar_jacobian_rho(self):
         """Sparse d(rho_bar)/d(rho) over (all elements x designable)."""
-        des = np.flatnonzero(np.asarray(self.design_mask))
+        des = self.designable
         chain = sp.diags(self.drho_bar_drho_tilde[des]) @ self.W
         n_e = len(self.rho_bar)
         lift = sp.csr_matrix(
             (np.ones(len(des)), (des, np.arange(len(des)))), shape=(n_e, len(des))
         )
         return lift @ chain
-
-    @property
-    def design_mask(self):
-        m = np.zeros(len(self.rho_bar), dtype=bool)
-        m[self._designable] = True
-        return m
 
     def rho_bar_partials_points(self):
         """d(rho_bar)/d(bc points): (Ne, ns+1, 2) through the projection."""
@@ -377,12 +372,11 @@ def evaluate_fields(design, mesh, params, A_f=None, W=None):
     k_s, dks = support_stiffness_field(design, mesh, params, with_gradients=True)
     f_e, A_f, dfe = load_magnitude_field(design, mesh, params, A_f=A_f,
                                          with_gradients=True)
-    state = FieldState(
+    return FieldState(
         design=design, rho_tilde=rho_tilde_full, rho_hat=rho_hat,
-        rho_bar=rho_bar, E=E, gamma=gam, k_s=k_s, f_e=f_e, A_f=A_f, W=W,
+        rho_bar=rho_bar, E=E, gamma=gam, k_s=k_s, f_e=f_e, A_f=A_f,
+        designable=des, W=W,
         dE_drho_bar=dE, dgamma_drho_bar=dgam, drho_bar_drho_tilde=d_dt,
         drho_bar_drho_hat=d_dh, drho_hat_dpts=dhat_dpts, dks_dsup=dks,
         dfe_dload=dfe,
     )
-    state._designable = des
-    return state

@@ -204,13 +204,3 @@ def load_fixture(name):
         raise KeyError(
             f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
     return _BUILDERS[name]()
-
-
-def regenerate_data(dest_dir):
-    """Rewrite the packaged fixture meshes from their recipes."""
-    import os
-
-    os.makedirs(dest_dir, exist_ok=True)
-    mesh = _mini_gripper_mesh_from_recipe()
-    msh.write_mesh(mesh, os.path.join(dest_dir, "mini_gripper_100.mesh"))
-    return {"mini_gripper_100": mesh.num_elements}

@@ -71,76 +71,15 @@ class MaterialParams:
         object.__setattr__(self, "D0", D0)
 
 
-def _check_jacobian(J, element=None):
-    if np.ndim(J) == 0:
-        if J <= 0.0:
-            raise NonPositiveJacobian(element=element)
-    elif np.any(J <= 0.0):
-        bad = int(np.argmax(J <= 0.0))
-        raise NonPositiveJacobian(element=bad if element is None else element)
+def pk2_and_tangent_batch(F, params):
+    """Stress S (n,2,2), tangent D = 2 dS/dC (n,3,3, Voigt) and J (n,) of
+    deformation gradients F (n,2,2), per unit modulus; F[None] for one state.
 
-
-def strain_energy(F, params):
-    """Stored energy per unit modulus and reference volume."""
-    F = np.asarray(F, dtype=float)
-    J = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-    _check_jacobian(J)
-    C = F.T @ F
-    trC = C[0, 0] + C[1, 1] + 1.0
-    return (
-        0.5 * params.mu0 * (trC - 3.0)
-        - params.mu0 * np.log(J)
-        + 0.5 * params.lam0 * (J - 1.0) ** 2
-    )
-
-
-def _vol_coeff(J, params):
-    return params.lam0 * (J * J - J)
-
-
-def pk2_stress(F, params):
-    """Second Piola-Kirchhoff stress (2x2, per unit modulus).
-
-    S = lam0 (J^2 - J) C^-1 + mu0 (I - C^-1); zero at F = I.
-    Raises NonPositiveJacobian for J <= 0.
-    """
-    F = np.asarray(F, dtype=float)
-    J = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-    _check_jacobian(J)
-    C = F.T @ F
-    Cinv = np.linalg.inv(C)
-    return _vol_coeff(J, params) * Cinv + params.mu0 * (np.eye(2) - Cinv)
-
-
-def tangent_moduli(F, params):
-    """Material tangent D = 2 dS/dC in Voigt (11, 22, 12) form, per unit modulus.
-
+    S = lam0 (J^2 - J) C^-1 + mu0 (I - C^-1), zero at F = I, and
     D_ijkl = lam0 (2J^2 - J) Cinv_ij Cinv_kl
            + (mu0 - lam0 (J^2 - J)) (Cinv_ik Cinv_jl + Cinv_il Cinv_jk),
-    which reduces to the plane-stress Hooke matrix at F = I.
-    """
-    F = np.asarray(F, dtype=float)
-    J = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-    _check_jacobian(J)
-    C = F.T @ F
-    Cinv = np.linalg.inv(C)
-    c1 = params.lam0 * (2.0 * J * J - J)
-    c2 = params.mu0 - _vol_coeff(J, params)
-    pairs = [(0, 0), (1, 1), (0, 1)]
-    D = np.empty((3, 3))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            D[a, b] = c1 * Cinv[i, j] * Cinv[k, l] + c2 * (
-                Cinv[i, k] * Cinv[j, l] + Cinv[i, l] * Cinv[j, k]
-            )
-    return D
-
-
-def pk2_and_tangent_batch(F, params):
-    """Vectorized stress/tangent over a batch of deformation gradients.
-
-    F has shape (n, 2, 2). Returns (S (n,2,2), D (n,3,3), J (n,)).
-    NonPositiveJacobian carries the offending batch index.
+    the plane-stress Hooke matrix at F = I. NonPositiveJacobian carries the
+    offending batch index.
     """
     F = np.asarray(F, dtype=float)
     J = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
@@ -154,7 +93,7 @@ def pk2_and_tangent_batch(F, params):
     Cinv[:, 1, 1] = C[:, 0, 0] / detC
     Cinv[:, 0, 1] = -C[:, 0, 1] / detC
     Cinv[:, 1, 0] = -C[:, 1, 0] / detC
-    vol = _vol_coeff(J, params)
+    vol = params.lam0 * (J * J - J)
     S = vol[:, None, None] * Cinv + params.mu0 * (np.eye(2)[None] - Cinv)
     c1 = params.lam0 * (2.0 * J * J - J)
     c2 = params.mu0 - vol

@@ -10,8 +10,7 @@ morphing wing's skin-attachment support).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +18,8 @@ from . import assembly, mma
 from .adjoint import StateAdjoint
 from .design_field import DesignVector, build_filter_matrix
 from .mesh import clamp_to_mesh, locate_point, shape_values_at, PointOutsideDomain
-from .solver import InputControl, PathFailed, SolverConfig, \
-    solve_equilibrium_path
+from .solver import EquilibriumState, InputControl, PathFailed, \
+    SolverConfig, solve_equilibrium_path
 
 FAILURE_PENALTY = 10.0
 
@@ -80,27 +79,60 @@ def _state_for_step(path, step, n_dofs):
         return req[step - 1]
     if path.states:
         return path.states[-1]
-    from .solver import EquilibriumState
     return EquilibriumState(U=np.zeros(n_dofs), lambda_x=0.0, lambda_y=0.0,
                             input_fraction=0.0, residual_norm=0.0,
                             corrector_iterations=0, counter_scale=0.0)
 
 
-def _differentiate(records, adjointer, quantities):
+def differentiate_path(model, control, solver_cfg, fields, design,
+                       quantities):
+    """Solve one load case's path and differentiate the quantities on it.
+
+    Each requested state a quantity reads is differentiated as the path
+    reaches it, with the corrector's factors (solve_equilibrium_path's
+    on_state hook), so one StateAdjoint serves every quantity of a step.
+    Steps that a failed path never reached are differentiated at its last
+    converged state (_state_for_step), with K_T factorized afresh. Returns
+    (path, {name: SensitivityRecord}, failed).
+    """
+    by_step = {}
     for q in quantities:
-        records[q.name] = adjointer.sensitivity(q)
+        by_step.setdefault(q.step, []).append(q)
+    records = {}
+    reached = []
+
+    def differentiate(state, lu, qs):
+        adjointer = StateAdjoint(model, control, state, fields, design, lu=lu)
+        for q in qs:
+            records[q.name] = adjointer.sensitivity(q)
+
+    def on_state(state, lu):
+        reached.append(state)
+        qs = by_step.get(len(reached))
+        if qs:
+            differentiate(state, lu, qs)
+
+    failed = False
+    try:
+        path = solve_equilibrium_path(model, control, solver_cfg,
+                                      on_state=on_state)
+    except PathFailed as err:
+        path = err.partial
+        failed = True
+    for m in sorted(by_step):
+        if m > len(reached):
+            state = _state_for_step(path, m, model.mesh.num_dofs)
+            differentiate(state, None, by_step[m])
+    return path, records, failed
 
 
 def evaluate_design(problem, design, A_f=None, W=None, kin=None,
                     solver_cfg=None):
-    """Solve all load cases at one design and differentiate the quantities.
-
-    Each requested state the quantities read is differentiated as the path
-    reaches it, with the corrector's factors (solve_equilibrium_path's
-    on_state hook). Steps that a failed path never reached are
-    differentiated at its last converged state (_state_for_step), with K_T
-    factorized afresh.
-    """
+    """Solve all load cases at one design and differentiate the quantities,
+    one differentiate_path call per load case. A_f defaults to the run's
+    frozen normalization, problem.A_f."""
+    if A_f is None:
+        A_f = problem.A_f
     if solver_cfg is None:
         solver_cfg = SolverConfig(steps=problem.steps)
     if kin is None:
@@ -114,7 +146,7 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
 
     by_case = {}
     for q in problem.quantities():
-        by_case.setdefault(q.load_case, {}).setdefault(q.step, []).append(q)
+        by_case.setdefault(q.load_case, []).append(q)
 
     paths = []
     records = {}
@@ -123,30 +155,13 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
     for i, case in enumerate(problem.load_cases):
         Fc = case.force_vector(problem.mesh)
         model = base.with_counter_force(Fc if np.any(Fc) else None)
-        by_step = by_case.get(i, {})
-        reached = []
-
-        def on_state(state, lu):
-            reached.append(state)
-            qs = by_step.get(len(reached))
-            if qs:
-                _differentiate(records, StateAdjoint(
-                    model, control, state, fields, design, lu=lu), qs)
-
-        try:
-            path = solve_equilibrium_path(model, control, solver_cfg,
-                                          on_state=on_state)
-        except PathFailed as err:
-            path = err.partial
-            failed = True
+        path, case_records, case_failed = differentiate_path(
+            model, control, solver_cfg, fields, design, by_case.get(i, []))
+        records.update(case_records)
+        failed = failed or case_failed
         paths.append(path)
         bisections += path.total_bisections
         iterations += path.total_corrector_iterations
-        for m in sorted(by_step):
-            if m > len(reached):
-                state = _state_for_step(path, m, problem.mesh.num_dofs)
-                _differentiate(records, StateAdjoint(
-                    model, control, state, fields, design), by_step[m])
 
     obj_val = 0.0
     obj_grad = np.zeros(design.size)
@@ -252,9 +267,7 @@ def run_optimization(problem, config=None, on_iteration=None):
     kin = assembly.ElementKinematics(problem.mesh, problem.material)
     W = build_filter_matrix(problem.mesh, problem.params.r_min)
     design = problem.design0.copy()
-    # freeze the load normalization at the initial actuator position
-    from .design_field import load_magnitude_field
-    _, A_f = load_magnitude_field(design, problem.mesh, problem.params)
+    A_f = problem.A_f
 
     history = []
     mma_state = {}

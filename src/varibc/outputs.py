@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from . import problems
+from . import assembly, problems
 from .mesh import shape_values_at
 from .solver import InputControl, SolverConfig, solve_equilibrium_path
 
@@ -145,19 +145,18 @@ def write_design_summary(path, problem, design, evaluation, stop_reason,
         f.write("\n")
 
 
-def replay_design(problem, design, steps=50, stroke_scale=1.0,
-                  solver_cfg=None):
+def replay_design(problem, design, steps=50, stroke_scale=1.0):
     """Re-solve a stored design at fine displacement resolution.
 
-    Returns the list of equilibrium paths (one per load case). Used for
-    post-analysis force-displacement curves and output paths.
+    Returns (paths, one per load case; fields; control), for post-analysis
+    force-displacement curves and output paths. The reference load keeps
+    the run's normalization (ProblemSpec.A_f), so a replay at the run's own
+    step count reproduces the run's forces.
     """
-    from . import assembly
-
-    cfg = solver_cfg or SolverConfig(steps=steps)
+    cfg = SolverConfig(steps=steps)
     fields, base = assembly.build_model(
         problem.mesh, design, problem.params, problem.material,
-        output_springs=problem.output_springs)
+        A_f=problem.A_f, output_springs=problem.output_springs)
     control = InputControl(
         sample=shape_values_at(problem.mesh, design.load),
         theta=design.theta,

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import mesh as msh
 from .adjoint import QuantitySpec
-from .design_field import DesignVector, ProjectionParams
+from .design_field import DesignVector, ProjectionParams, \
+    load_magnitude_field
 from .material import MaterialParams
 
 
@@ -235,6 +236,12 @@ class ProblemSpec:
     @property
     def frozen(self):
         return self.lower == self.upper
+
+    @property
+    def A_f(self):
+        """Reference-load normalization frozen at design0's actuator point;
+        the optimizer, the density dumps and replays all use it."""
+        return load_magnitude_field(self.design0, self.mesh, self.params)[1]
 
     def quantities(self):
         qs = [q for _, q in self.objective_terms]

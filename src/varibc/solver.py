@@ -20,9 +20,9 @@ runs MMD, and every later one gathers K_T into that order and factorizes it
 with the natural ordering (TangentOrdering). The fill is the same.
 
 solve_equilibrium_path calls an optional per-state hook with each requested
-state and the corrector's last factors while they are still live; the
-optimizer differentiates the state there (adjoint.StateAdjoint), so the
-factors need not outlive their step.
+state and the corrector's last factors while they are still live;
+optimizer.differentiate_path differentiates the state there
+(adjoint.StateAdjoint), so the factors need not outlive their step.
 
 Counter-force load cases first ramp the constant counter load with the input
 pinned at zero, using the same machinery with the load scale as the
@@ -258,7 +258,7 @@ def predictor(model, control, state, s_target, lu=None, system=None,
 
 
 def corrector(model, control, U, lam, s_target, config,
-              counter_scale=1.0, system=None):
+              counter_scale=1.0):
     """Newton corrections until the residual norm and constraint are met.
 
     Each iteration factorizes the current tangent once and solves the three
@@ -267,8 +267,7 @@ def corrector(model, control, U, lam, s_target, config,
     Returns (U, lam, converged GlobalSystem, lu, iterations, residual history).
     """
     target = control.target(s_target)
-    if system is None:
-        system = model.assemble(U, counter_scale=counter_scale)
+    system = model.assemble(U, counter_scale=counter_scale)
     R = system.residual(lam[0], lam[1])
     rnorm = float(np.linalg.norm(R))
     history = [rnorm]
@@ -381,7 +380,6 @@ def linear_reference_solve(model, control, s=1.0):
     input-point constraint, as a dense-bordered sparse system. Used as the
     small-stroke oracle for the nonlinear path.
     """
-    import scipy.sparse as sp
     from scipy.sparse.linalg import spsolve
 
     system = model.assemble(np.zeros(model.mesh.num_dofs))

@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from . import adjoint, assembly, design_field as df, fixtures as fx
-from . import material as mat, mesh as msh, problems as P, solver as S
+from . import material as mat, mesh as msh, optimizer as O, problems as P
+from . import solver as S
 
 
 def gradient_exactness():
@@ -26,14 +27,14 @@ def gradient_exactness():
 
     Probes 10 seeded densities, theta, all four support coordinates and both
     load coordinates for U_out, F_in, F_p, the volume fraction and a
-    path-error term; the whole check must finish within 60 s.
+    path-error term, differentiated as every optimizer iteration does it
+    (optimizer.differentiate_path); the check must finish within 60 s.
     """
     t0 = time.perf_counter()
     f = fx.load_fixture("mini_gripper_100")
     fields, model = f.build()
     ctrl = f.control()
     cfg = S.SolverConfig(steps=2, tol_residual=1e-11, max_corrector_iters=30)
-    path = S.solve_equilibrium_path(model, ctrl, cfg)
 
     out_node = f.output_springs[0][0] // 2
     quantities = [
@@ -43,8 +44,10 @@ def gradient_exactness():
         P.VolumeFraction(step=2),
         P.OutputOffsetSq(out_node, (0.105, 0.061), 2, 0, name="path_err"),
     ]
-    sens = adjoint.path_sensitivities(model, ctrl, path, fields, f.design,
-                                      quantities)
+    _, sens, failed = O.differentiate_path(model, ctrl, cfg, fields,
+                                           f.design, quantities)
+    if failed:
+        return False, "the fixture's path failed"
 
     def values(design):
         flds, mdl = assembly.build_model(
@@ -110,12 +113,14 @@ def gradient_exactness():
 def material_consistency():
     """Criterion 2: S against the energy and D against an independent S.
 
-    Both oracles are central differences in C of closed-form expressions
-    written here, not of the functions under test.
+    S and D come from material.pk2_and_tangent_batch, which the element
+    kernel runs. Both oracles are central differences in C of closed-form
+    expressions written here, not of the function under test.
     """
     p = mat.MaterialParams(nu=0.49)
-    zero = np.abs(mat.pk2_stress(np.eye(2), p)).max()
-    hooke = np.abs(mat.tangent_moduli(np.eye(2), p) - p.D0).max()
+    (S_I,), (D_I,), _ = mat.pk2_and_tangent_batch(np.eye(2)[None], p)
+    zero = np.abs(S_I).max()
+    hooke = np.abs(D_I - p.D0).max()
 
     def energy_of_C(C):
         J = np.sqrt(np.linalg.det(C))
@@ -150,8 +155,7 @@ def material_consistency():
             dS = (stress_of_C(C + dC) - stress_of_C(C - dC)) / h
             for a, (i, j) in enumerate(pairs):
                 D_fd[a, b] = dS[i, j]
-        Sv = mat.pk2_stress(F, p)
-        Dv = mat.tangent_moduli(F, p)
+        (Sv,), (Dv,), _ = mat.pk2_and_tangent_batch(F[None], p)
         worst_s = max(worst_s, np.linalg.norm(Sv - S_fd)
                       / max(np.linalg.norm(S_fd), 1e-3))
         worst_d = max(worst_d,

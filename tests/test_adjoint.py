@@ -13,6 +13,7 @@ from varibc import mesh as msh
 from varibc import optimizer as O
 from varibc import problems as P
 from varibc import solver as S
+from varibc import verify
 
 
 SOLVE_CFG = S.SolverConfig(steps=2, tol_residual=1e-11,
@@ -86,8 +87,8 @@ def zeta_col(design, kind, idx):
 class TestMultipliers:
     def test_state_free_quantity_has_zero_multipliers(self, gripper_setup):
         f, fields, model, ctrl, path = gripper_setup
-        rec = adj.total_derivative(model, ctrl, path.state_at_step(2),
-                                   fields, f.design, P.VolumeFraction(step=2))
+        rec = adj.StateAdjoint(model, ctrl, path.state_at_step(2), fields,
+                               f.design).sensitivity(P.VolumeFraction(step=2))
         assert np.all(rec.psi_c == 0.0)
         assert np.all(rec.psi_R == 0.0)
         # and the gradient reduces to the explicit partial, exactly
@@ -301,6 +302,15 @@ class TestRefinedAdjoint:
             assert_records_close(a, fresh.sensitivity(q), 1e-11)
 
 
+def test_criterion_1_differentiates_with_the_corrector_factors(monkeypatch):
+    # criterion 1 runs optimizer.differentiate_path, whose adjoints refine with
+    # the corrector's factors; an adjoint of its own would factorize K_T
+    calls = count_adjoint_factorizations(monkeypatch)
+    ok, detail = verify.gradient_exactness()
+    assert ok, detail
+    assert calls == []
+
+
 class TestConstraintPartials:
     def test_density_and_support_columns_vanish(self, gripper_setup):
         f, fields, model, ctrl, path = gripper_setup
@@ -359,8 +369,9 @@ def all_sens(gripper_setup):
     f, fields, model, ctrl, path = gripper_setup
     os.environ["VARIBC_CHECK_ADJOINT"] = "1"
     try:
-        out = adj.path_sensitivities(model, ctrl, path, fields, f.design,
-                                     quantity_set(f))
+        _, out, failed = O.differentiate_path(model, ctrl, SOLVE_CFG, fields,
+                                              f.design, quantity_set(f))
+        assert not failed
     finally:
         del os.environ["VARIBC_CHECK_ADJOINT"]
     return out
@@ -410,13 +421,29 @@ class TestTotalDerivativeVsFd:
                 assert abs(got - v) <= 1e-3 * max(abs(v), 1e-9)
 
 
-def test_path_sensitivities_groups_by_step(gripper_setup=None):
+def test_differentiate_path_groups_by_step(monkeypatch):
     f = fx.load_fixture("mini_gripper_100")
     fields, model = f.build()
     ctrl = f.control()
-    path = S.solve_equilibrium_path(model, ctrl, SOLVE_CFG)
+    adjoints = []
+
+    class Recording(adj.StateAdjoint):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            adjoints.append(self)
+
+    monkeypatch.setattr(O, "StateAdjoint", Recording)
+    calls = count_adjoint_factorizations(monkeypatch)
     qs = [P.FIn(step=1, name="f1"), P.FIn(step=2, name="f2"),
           P.VolumeFraction(step=1)]
-    out = adj.path_sensitivities(model, ctrl, path, fields, f.design, qs)
+    path, out, failed = O.differentiate_path(model, ctrl, SOLVE_CFG, fields,
+                                             f.design, qs)
+    assert not failed
     assert set(out) == {"f1", "f2", "v_f"}
     assert out["f1"].value != out["f2"].value
+    # one adjoint per step, each on the corrector's factors
+    assert len(adjoints) == len(path.requested_states) == 2
+    assert all(a.ctx.state is st
+               for a, st in zip(adjoints, path.requested_states))
+    assert all(a.lu is not None and not a.factorized for a in adjoints)
+    assert calls == []

@@ -172,6 +172,29 @@ class TestCliReplay:
             .read_text().strip().splitlines()
         assert len(rows) == 1 + 7
 
+    def test_replay_at_the_run_steps_reproduces_its_forces(self, tmp_path):
+        # the variable-BC run moves the actuator point away from design0's;
+        # the replay must keep the load normalization the optimizer froze
+        cfg = tmp_path / "var.cfg"
+        cfg.write_text('problem = "gripper"\n[mesh]\nelement_size = 0.006\n'
+                       '[optimizer]\nmax_iterations = 8\n')
+        out = tmp_path / "var"
+        assert cli.main(["run", str(cfg), "-q", "-o", str(out)]) == 0
+        summary = out / "design_summary.json"
+        values = json.loads(summary.read_text())["quantities"]
+        steps = len((out / "load_displacement_case1.csv").read_text()
+                    .strip().splitlines()) - 1
+        assert cli.main(["replay", str(summary), "--steps", str(steps),
+                         "-o", str(tmp_path / "rep")]) == 0
+        rows = (tmp_path / "rep" / "replay_load_displacement_case1.csv") \
+            .read_text().strip().splitlines()[1:]
+        assert len(rows) == steps == 4
+        for row in rows:
+            m, _, fin, fp = row.split(",")[:4]
+            for got, key in ((fin, f"f_in[{m},0]"), (fp, f"f_p[{m},0]")):
+                want = values[key]
+                assert abs(float(got) - want) <= 1e-6 * abs(want), key
+
     def test_summary_with_removed_key_fails_cleanly(self, tiny_cfg,
                                                     tmp_path, capsys):
         # summaries written while the root `threads` key existed embed it

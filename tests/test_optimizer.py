@@ -158,6 +158,16 @@ class TestRunOptimization:
         assert abs(ev.objective - res.history[-1].objective) <= 1e-9 * max(
             abs(ev.objective), 1e-12)
 
+    def test_round_trip_after_the_actuator_moved(self,
+                                                  tiny_variable_problem):
+        # the constraints read F_in, which scales with the reference-load
+        # normalization the run froze at design0
+        prob = tiny_variable_problem
+        res = O.run_optimization(prob, O.OptimizerConfig(max_iterations=3))
+        assert np.any(res.design.load != prob.design0.load)
+        ev = O.evaluate_design(prob, res.design)
+        assert np.abs(ev.g - res.history[-1].g).max() <= 1e-12
+
     def test_deterministic(self, tiny_problem):
         r1 = O.run_optimization(tiny_problem,
                                 O.OptimizerConfig(max_iterations=3))
