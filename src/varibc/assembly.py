@@ -7,14 +7,21 @@ weighted by gamma, and the linear part by (1 - gamma^2). The assembled
 tangent gamma^2 k_nl + (1 - gamma^2) k_l is then the exact derivative of the
 internal force, which Newton convergence and the adjoint both rely on.
 
-One fused kernel evaluates every element at once with batched matrix
-products: it forms the nonlinear element stiffness
-k_nl = E V (BN^T D BN + G S G^T) once and takes both the tangent and the
-d f / d gamma term k_nl U_e from it. The global tangent is scattered straight
-into a CSC pattern that ElementKinematics computes once per mesh, so each
-assembly is one np.bincount into the nonzeros. tests/oracles.py keeps
-single-element forms of the same quantities as the reference the kernel is
-tested against.
+One fused kernel evaluates every element at once, one scalar component at a
+time: each component is an array over the elements, and every per-element
+array keeps the element index last, so each operation runs over contiguous
+memory. The forces and the d f / d gamma term need no element matrix. With
+the first Piola stress P = F S, the linear stress sigma = D0 eps and, for
+node i, the shape gradient g_i, the element force is
+f_e = E V (gamma P + (1 - gamma^2) sigma) g_i, and
+k_nl U_e = E V (F W + H S) g_i, where H is the displacement gradient and W
+the stress tensor of D BN U_e. Only the tangent forms the (6, 6, Ne) element
+matrices, gamma^2 E V (BN^T D BN + G S G^T) + (1 - gamma^2) E kl0, on the
+upper triangle, row by row, mirroring each row into its column. They are
+scattered straight into a CSC pattern that ElementKinematics computes once
+per mesh, so each assembly is one np.bincount into the nonzeros.
+tests/oracles.py keeps single-element forms of the same quantities as the
+reference the kernel is tested against.
 
 Support springs are lumped k_e/3 to each element node on both DOFs; the
 reference load vectors distribute f_e V_e / 3 likewise.
@@ -33,10 +40,17 @@ from . import material as mat
 class ElementKinematics:
     """Per-mesh constant element data: shape gradients, DOF maps, linear parts.
 
+    Every per-element array is stored with the element index last, so that
+    the kernel's arithmetic runs over contiguous rows of elements. grads
+    (Ne, 3, 2), dofs (Ne, 6) and kl0 (Ne, 6, 6) are element-major views of
+    that storage: grads[e] is element e's gradient matrix, and
+    grads.transpose(2, 1, 0), dofs.T and kl0.transpose(1, 2, 0) are
+    contiguous.
+
     Also holds the CSC pattern of the assembled tangent (csc_indices,
     csc_indptr: every DOF pair that shares an element plus the whole
     diagonal, rows sorted within each column), csc_scatter, which maps each
-    entry (element, row, column) of the (Ne, 6, 6) element matrices, in C
+    entry (row, column, element) of the (6, 6, Ne) element matrices, in C
     order, to its position in the CSC data array, and csc_diagonal, the
     position of each diagonal entry (i, i) in that array. tangent_ordering
     is the solver's fill-reducing order of that pattern
@@ -46,28 +60,28 @@ class ElementKinematics:
     def __init__(self, mesh, material_params):
         self.mesh = mesh
         self.material = material_params
-        tri = mesh.triangles
+        tri = mesh.triangles.T                            # (3, Ne)
         n_e = mesh.num_elements
-        x = mesh.nodes[tri, 0]  # (Ne, 3)
+        x = mesh.nodes[tri, 0]
         y = mesh.nodes[tri, 1]
-        den = (2.0 * mesh.areas)[:, None]
-        gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
-                      axis=1) / den
-        gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
-                      axis=1) / den
-        self.grads = np.stack([gx, gy], axis=2)      # (Ne, 3, 2)
+        den = 2.0 * mesh.areas
+        gx = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / den
+        gy = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / den
+        self.grads = np.array([gx, gy]).transpose(2, 1, 0)
 
-        dofs = np.empty((n_e, 6), dtype=np.int64)
-        dofs[:, 0::2] = 2 * tri
-        dofs[:, 1::2] = 2 * tri + 1
-        self.dofs = dofs
+        dofs = np.empty((6, n_e), dtype=np.int64)
+        dofs[0::2] = 2 * tri
+        dofs[1::2] = 2 * tri + 1
+        self.dofs = dofs.T
         n_dof = mesh.num_dofs
-        rows = np.repeat(dofs, 6, axis=1).ravel()
-        cols = np.tile(dofs, (1, 6)).ravel()
+        # keys in element-major order, which np.unique sorts faster, then
+        # the scatter reordered to the (6, 6, Ne) element matrices
+        rows = np.repeat(self.dofs, 6, axis=1).ravel()
+        cols = np.tile(self.dofs, (1, 6)).ravel()
         diag = np.arange(n_dof) * (n_dof + 1)
         keys, positions = np.unique(
             np.concatenate([cols * n_dof + rows, diag]), return_inverse=True)
-        self.csc_scatter = positions[:len(rows)]
+        self.csc_scatter = positions[:len(rows)].reshape(n_e, 36).T.ravel()
         self.csc_diagonal = positions[len(rows):]
         # built through csc_matrix so the index arrays carry scipy's index
         # dtype and are not converted again on every assembly; every
@@ -84,34 +98,27 @@ class ElementKinematics:
 
         # linear strain-displacement matrix (Voigt 11, 22, 12-engineering)
         B = np.zeros((n_e, 3, 6))
-        B[:, 0, 0::2] = gx
-        B[:, 1, 1::2] = gy
-        B[:, 2, 0::2] = gy
-        B[:, 2, 1::2] = gx
+        B[:, 0, 0::2] = gx.T
+        B[:, 1, 1::2] = gy.T
+        B[:, 2, 0::2] = gy.T
+        B[:, 2, 1::2] = gx.T
         self.B = B
         vol = mesh.areas * mesh.thickness
         self.vol = vol
         D0 = material_params.D0
-        # unit-modulus linear element stiffness, scaled by E at assembly
-        self.kl0 = vol[:, None, None] * (B.transpose(0, 2, 1) @ (D0 @ B))
-
-    def nonlinear_B(self, F):
-        """Total-Lagrangian strain-displacement matrix for gradient F.
-
-        Column 2i + a of row (11, 22, 12) holds F_a1 g_i1, F_a2 g_i2 and
-        F_a1 g_i2 + F_a2 g_i1 for node i, displacement component a.
-        """
-        gx = self.grads[:, :, 0, None]                    # (Ne, 3, 1)
-        gy = self.grads[:, :, 1, None]
-        Fx = F[:, None, :, 0]                             # (Ne, 1, 2)
-        Fy = F[:, None, :, 1]
-        return np.stack([Fx * gx, Fy * gy, Fx * gy + Fy * gx],
-                        axis=1).reshape(-1, 3, 6)
+        # unit-modulus linear element stiffness, scaled by E at assembly and
+        # stored (6, 6, Ne) like the kernel's element matrices
+        kl0 = vol[:, None, None] * (B.transpose(0, 2, 1) @ (D0 @ B))
+        self.kl0 = np.ascontiguousarray(kl0.transpose(1, 2, 0)).transpose(
+            2, 0, 1)
 
 
 @dataclass
 class ElementArrays:
-    """Per-element byproducts of one assembly, reused by the adjoint."""
+    """Per-element byproducts of one assembly, reused by the adjoint.
+
+    Each is an element-major view of (6, Ne) storage: f_int.T is contiguous.
+    """
 
     f_int: np.ndarray          # (Ne, 6) element internal forces
     dF_dE: np.ndarray          # (Ne, 6) d f_int / d E_e
@@ -142,39 +149,102 @@ def internal_force_and_tangent(kin, U, E, gamma, want_tangent=True):
     NonPositiveJacobian with the offending element index.
     """
     n_dof = kin.mesh.num_dofs
-    u_e = U[kin.dofs][:, :, None]                           # (Ne, 6, 1)
-    H = u_e.reshape(-1, 3, 2).transpose(0, 2, 1) @ kin.grads
-    F = np.eye(2)[None] + gamma[:, None, None] * H
-    S, D, _ = mat.pk2_and_tangent_batch(F, kin.material)
-    BN = kin.nonlinear_B(F)
-    BNt = BN.transpose(0, 2, 1)
-    Evol = (E * kin.vol)[:, None]
-    sv = np.stack([S[:, 0, 0], S[:, 1, 1], S[:, 0, 1]], axis=1)[:, :, None]
-    f_nl = Evol * (BNt @ sv)[:, :, 0]
-    # k = k_nl / (E V): material plus geometric stiffness at F
-    k = BNt @ (D @ BN)
-    geo = kin.grads @ S @ kin.grads.transpose(0, 2, 1)      # (Ne, 3, 3)
-    k[:, 0::2, 0::2] += geo
-    k[:, 1::2, 1::2] += geo
-    f_l = E[:, None] * (kin.kl0 @ u_e)[:, :, 0]
-    g = gamma[:, None]
-    g2 = g**2
-    f_e = g * f_nl + (1.0 - g2) * f_l
-    F_int = np.bincount(kin.dofs.ravel(), weights=f_e.ravel(),
-                        minlength=n_dof)
+    gx, gy = kin.grads.transpose(2, 1, 0)                   # (3, Ne) each
+    dofs = kin.dofs.T                                       # (6, Ne)
+    u = U[dofs]
+    ux, uy = u[0::2], u[1::2]
+    # displacement gradient H_ab = sum_i u_ia g_ib; F = I + gamma H
+    H11 = np.einsum("in,in->n", ux, gx)
+    H12 = np.einsum("in,in->n", ux, gy)
+    H21 = np.einsum("in,in->n", uy, gx)
+    H22 = np.einsum("in,in->n", uy, gy)
+    F = np.empty((2, 2, len(E)))
+    F[0, 0] = 1.0 + gamma * H11
+    F[0, 1] = gamma * H12
+    F[1, 0] = gamma * H21
+    F[1, 1] = 1.0 + gamma * H22
+    S, D, _ = mat.pk2_and_tangent_batch(F.transpose(2, 0, 1), kin.material)
+    F11, F12, F21, F22 = F[0, 0], F[0, 1], F[1, 0], F[1, 1]
+    S11, S12, S22 = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
+    D00, D01, D02 = D[:, 0, 0], D[:, 0, 1], D[:, 0, 2]
+    D11, D12, D22 = D[:, 1, 1], D[:, 1, 2], D[:, 2, 2]
+    # first Piola stress P = F S of the nonlinear part
+    P11 = F11 * S11 + F12 * S12
+    P12 = F11 * S12 + F12 * S22
+    P21 = F21 * S11 + F22 * S12
+    P22 = F21 * S12 + F22 * S22
+    # linear stress D0 eps of the small strain (H11, H22, H12 + H21)
+    D0 = kin.material.D0
+    s11 = D0[0, 0] * H11 + D0[0, 1] * H22
+    s22 = D0[1, 0] * H11 + D0[1, 1] * H22
+    s12 = D0[2, 2] * (H12 + H21)
+    # k_nl u_e / (E V) = (F W + H S) g_i, with W the tensor of D BN u_e
+    b11 = F11 * H11 + F21 * H21
+    b22 = F12 * H12 + F22 * H22
+    b12 = F11 * H12 + F21 * H22 + F12 * H11 + F22 * H21
+    w11 = D00 * b11 + D01 * b22 + D02 * b12
+    w22 = D01 * b11 + D11 * b22 + D12 * b12
+    w12 = D02 * b11 + D12 * b22 + D22 * b12
+    Q11 = F11 * w11 + F12 * w12 + H11 * S11 + H12 * S12
+    Q12 = F11 * w12 + F12 * w22 + H11 * S12 + H12 * S22
+    Q21 = F21 * w11 + F22 * w12 + H21 * S11 + H22 * S12
+    Q22 = F21 * w12 + F22 * w22 + H21 * S12 + H22 * S22
 
-    dF_dgamma = f_nl + g * Evol * (k @ u_e)[:, :, 0] - 2.0 * g * f_l
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dF_dE = f_e / E[:, None]
-    dF_dE = np.where(np.isfinite(dF_dE), dF_dE, 0.0)
-    arrays = ElementArrays(f_int=f_e, dF_dE=dF_dE, dF_dgamma=dF_dgamma)
+    def nodal(T11, T12, T21, T22, scale):
+        # node i, component a of scale * T g_i, as a (6, Ne) array
+        out = np.empty((6, len(E)))
+        out[0::2] = T11 * gx + T12 * gy
+        out[1::2] = T21 * gx + T22 * gy
+        out *= scale
+        return out
+
+    g = gamma
+    g2 = g * g
+    lin = 1.0 - g2
+    Evol = E * kin.vol
+    # f_e = gamma f_nl + (1 - gamma^2) f_l = E V (gamma P + (1 - gamma^2)
+    # sigma) g_i, and d f_e / d gamma = f_nl + gamma k_nl u_e - 2 gamma f_l
+    dF_dE = nodal(g * P11 + lin * s11, g * P12 + lin * s12,
+                  g * P21 + lin * s12, g * P22 + lin * s22, kin.vol)
+    dF_dgamma = nodal(P11 + g * (Q11 - 2.0 * s11), P12 + g * (Q12 - 2.0 * s12),
+                      P21 + g * (Q21 - 2.0 * s12), P22 + g * (Q22 - 2.0 * s22),
+                      Evol)
+    f_e = dF_dE * E
+    F_int = np.bincount(dofs.ravel(), weights=f_e.ravel(), minlength=n_dof)
+    arrays = ElementArrays(f_int=f_e.T, dF_dE=dF_dE.T, dF_dgamma=dF_dgamma.T)
 
     if not want_tangent:
         return F_int, None, arrays
 
-    # element tangents gamma^2 k_nl + (1 - gamma^2) E kl0, formed in place
-    k *= (g2 * Evol)[:, :, None]
-    k += ((1.0 - g2) * E[:, None])[:, :, None] * kin.kl0
+    # element tangents gamma^2 E V (BN^T D BN + G) + (1 - gamma^2) E kl0,
+    # (6, 6, Ne), formed row by row on the upper triangle and mirrored;
+    # column 2i + a of BN is (F_a1 g_i1, F_a2 g_i2, F_a1 g_i2 + F_a2 g_i1)
+    BN = np.empty((3, 6, len(E)))
+    BN[0, 0::2] = F11 * gx
+    BN[0, 1::2] = F21 * gx
+    BN[1, 0::2] = F12 * gy
+    BN[1, 1::2] = F22 * gy
+    BN[2, 0::2] = F11 * gy + F12 * gx
+    BN[2, 1::2] = F21 * gy + F22 * gx
+    DBN = np.empty_like(BN)
+    DBN[0] = D00 * BN[0] + D01 * BN[1] + D02 * BN[2]
+    DBN[1] = D01 * BN[0] + D11 * BN[1] + D12 * BN[2]
+    DBN[2] = D02 * BN[0] + D12 * BN[1] + D22 * BN[2]
+    # geometric term G_(ia)(jb) = delta_ab g_i^T S g_j
+    Sgx = S11 * gx + S12 * gy
+    Sgy = S12 * gx + S22 * gy
+    kl0 = kin.kl0.transpose(1, 2, 0)
+    nl = g2 * Evol
+    l_E = lin * E
+    k = np.empty((6, 6, len(E)))
+    for r in range(6):
+        i = r // 2
+        row = k[r, r:]
+        np.einsum("pn,pcn->cn", BN[:, r], DBN[:, r:], out=row)
+        row[::2] += gx[i] * Sgx[i:] + gy[i] * Sgy[i:]
+        row *= nl
+        row += l_E * kl0[r, r:]
+        k[r + 1:, r] = row[1:]
     data = np.bincount(kin.csc_scatter, weights=k.ravel(),
                        minlength=len(kin.csc_indices))
     K = sp.csc_matrix((data, kin.csc_indices, kin.csc_indptr),
@@ -288,14 +358,14 @@ def residual_vjp(model, system, lam_x, lam_y, psi):
     kin = model.kin
     mesh = model.mesh
     U = system.U
-    psi_e = psi[kin.dofs]                                   # (Ne, 6)
-    gE = np.einsum("ni,ni->n", psi_e, system.elements.dF_dE)
-    ggam = np.einsum("ni,ni->n", psi_e, system.elements.dF_dgamma)
-    U_e = U[kin.dofs]
-    gks = np.einsum("ni,ni->n", psi_e, U_e) / 3.0
+    psi_e = psi[kin.dofs.T]                                 # (6, Ne)
+    gE = np.einsum("in,in->n", psi_e, system.elements.dF_dE.T)
+    ggam = np.einsum("in,in->n", psi_e, system.elements.dF_dgamma.T)
+    U_e = U[kin.dofs.T]
+    gks = np.einsum("in,in->n", psi_e, U_e) / 3.0
     # load columns: R includes +lam_x F_x + lam_y F_y
-    lam_psi = (lam_x * psi[kin.dofs[:, 0::2]].sum(axis=1)
-               + lam_y * psi[kin.dofs[:, 1::2]].sum(axis=1))
+    lam_psi = (lam_x * psi_e[0::2].sum(axis=0)
+               + lam_y * psi_e[1::2].sum(axis=0))
     gf = lam_psi * mesh.volumes / 3.0
 
     sens_rho_bar = -(gE * fields.dE_drho_bar + ggam * fields.dgamma_drho_bar)

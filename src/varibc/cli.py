@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -199,9 +200,11 @@ def cmd_replay(args):
     outdir = args.output or (os.path.dirname(args.summary) or ".")
     os.makedirs(outdir, exist_ok=True)
     try:
+        # the run's own solver settings, at the requested increments
+        solver_cfg = dataclasses.replace(_solver_config(cfg, problem),
+                                         steps=args.steps)
         paths, fields, control = outputs.replay_design(
-            problem, design, steps=args.steps,
-            stroke_scale=args.stroke_scale)
+            problem, design, solver_cfg, stroke_scale=args.stroke_scale)
     except Exception as err:
         return _fail(f"replay solve failed: {err}")
     outputs.write_case_artifacts(outdir, problem, paths, design,

@@ -80,28 +80,36 @@ def pk2_and_tangent_batch(F, params):
            + (mu0 - lam0 (J^2 - J)) (Cinv_ik Cinv_jl + Cinv_il Cinv_jk),
     the plane-stress Hooke matrix at F = I. NonPositiveJacobian carries the
     offending batch index.
+
+    Everything is computed one component at a time over the batch, and D's
+    six distinct entries are mirrored. S and D are views of component-major
+    storage, so each component, such as D[:, 0, 2], is contiguous.
     """
     F = np.asarray(F, dtype=float)
-    J = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
+    F11, F12, F21, F22 = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
+    J = F11 * F22 - F12 * F21
     if np.any(J <= 0.0):
         bad = int(np.argmax(J <= 0.0))
         raise NonPositiveJacobian(element=bad)
-    C = np.einsum("nki,nkj->nij", F, F)
+    # C^-1 of C = F^T F
     detC = J * J
-    Cinv = np.empty_like(C)
-    Cinv[:, 0, 0] = C[:, 1, 1] / detC
-    Cinv[:, 1, 1] = C[:, 0, 0] / detC
-    Cinv[:, 0, 1] = -C[:, 0, 1] / detC
-    Cinv[:, 1, 0] = -C[:, 1, 0] / detC
+    c11 = (F12 * F12 + F22 * F22) / detC
+    c22 = (F11 * F11 + F21 * F21) / detC
+    c12 = -(F11 * F12 + F21 * F22) / detC
+    Cinv = ((c11, c12), (c12, c22))
     vol = params.lam0 * (J * J - J)
-    S = vol[:, None, None] * Cinv + params.mu0 * (np.eye(2)[None] - Cinv)
+    mu0 = params.mu0
+    S = np.empty((2, 2, len(J)))
+    S[0, 0] = vol * c11 + mu0 * (1.0 - c11)
+    S[1, 1] = vol * c22 + mu0 * (1.0 - c22)
+    S[0, 1] = S[1, 0] = vol * c12 - mu0 * c12
     c1 = params.lam0 * (2.0 * J * J - J)
-    c2 = params.mu0 - vol
+    c2 = mu0 - vol
     pairs = ((0, 0), (1, 1), (0, 1))
-    D = np.empty((len(F), 3, 3))
+    D = np.empty((3, 3, len(J)))
     for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            D[:, a, b] = c1 * Cinv[:, i, j] * Cinv[:, k, l] + c2 * (
-                Cinv[:, i, k] * Cinv[:, j, l] + Cinv[:, i, l] * Cinv[:, j, k]
-            )
-    return S, D, J
+        for b in range(a, 3):
+            k, l = pairs[b]
+            D[a, b] = D[b, a] = c1 * Cinv[i][j] * Cinv[k][l] + c2 * (
+                Cinv[i][k] * Cinv[j][l] + Cinv[i][l] * Cinv[j][k])
+    return S.transpose(2, 0, 1), D.transpose(2, 0, 1), J

@@ -48,6 +48,7 @@ class IterationRecord:
     solver_iterations: int
     path_failed: bool
     oscillating: bool = False
+    mma_fallback: bool = False  # design from mma_update's descent fallback
 
 
 @dataclass
@@ -194,8 +195,9 @@ def mma_update(problem, design, evaluation, state):
 
     state is a dict carrying (iteration, xold1, xold2, low, upp) across
     calls. Falls back to a bound-projected half-move steepest-descent step if
-    the subproblem solver fails. An actuator point that leaves the mesh is
-    clamped back onto it.
+    the subproblem solver fails, and sets state["fallback"] to whether this
+    update did. An actuator point that leaves the mesh is clamped back onto
+    it.
     """
     z = design.to_array()
     free = ~problem.frozen
@@ -216,12 +218,12 @@ def mma_update(problem, design, evaluation, state):
         x_new, _, _, _, low, upp = mma.mmasub(
             it, xn, np.zeros_like(xn), np.ones_like(xn), xold1, xold2,
             evaluation.f0, df0_n, evaluation.g, dg_n, low, upp, move_n)
-        state["fallbacks"] = state.get("fallbacks", 0)
+        state["fallback"] = False
     except mma.SubproblemError:
         step = 0.5 * move_n * np.sign(df0_n)
         x_new = np.clip(xn - step, np.maximum(0.0, xn - move_n),
                         np.minimum(1.0, xn + move_n))
-        state["fallbacks"] = state.get("fallbacks", 0) + 1
+        state["fallback"] = True
     state["xold2"] = xold1
     state["xold1"] = xn
     state["low"] = low
@@ -295,6 +297,7 @@ def run_optimization(problem, config=None, on_iteration=None):
             solver_bisections=evaluation.solver_bisections,
             solver_iterations=evaluation.solver_iterations,
             path_failed=evaluation.failed,
+            mma_fallback=it > 1 and mma_state["fallback"],
         )
         record.oscillating = _flag_oscillation(
             history + [record], config.oscillation_window)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import assembly, problems
 from .mesh import shape_values_at
-from .solver import InputControl, SolverConfig, solve_equilibrium_path
+from .solver import InputControl, solve_equilibrium_path
 
 
 def write_vtk(path, mesh, cell_data):
@@ -53,7 +53,7 @@ def density_cell_data(mesh, fields):
 def history_header(problem):
     cols = ["iteration", "objective", "f0", "mean_drho", "max_drho",
             "solver_bisections", "solver_iterations", "path_failed",
-            "oscillating"]
+            "oscillating", "mma_fallback"]
     n_s = problem.design0.num_supports
     cols += [f"X_s{k + 1}" for k in range(n_s)]
     cols += [f"Y_s{k + 1}" for k in range(n_s)]
@@ -66,7 +66,8 @@ def history_row(record):
     vals = [record.iteration, repr(record.objective), repr(record.f0),
             repr(record.mean_drho), repr(record.max_drho),
             record.solver_bisections, record.solver_iterations,
-            int(record.path_failed), int(record.oscillating)]
+            int(record.path_failed), int(record.oscillating),
+            int(record.mma_fallback)]
     vals += [repr(float(v)) for v in record.bc]
     vals += [repr(float(v)) for v in record.g]
     return vals
@@ -145,15 +146,14 @@ def write_design_summary(path, problem, design, evaluation, stop_reason,
         f.write("\n")
 
 
-def replay_design(problem, design, steps=50, stroke_scale=1.0):
-    """Re-solve a stored design at fine displacement resolution.
+def replay_design(problem, design, solver_cfg, stroke_scale=1.0):
+    """Re-solve a stored design with the solver settings solver_cfg.
 
     Returns (paths, one per load case; fields; control), for post-analysis
     force-displacement curves and output paths. The reference load keeps
-    the run's normalization (ProblemSpec.A_f), so a replay at the run's own
-    step count reproduces the run's forces.
+    the run's normalization (ProblemSpec.A_f), so a replay with the run's
+    own solver settings reproduces the run's forces.
     """
-    cfg = SolverConfig(steps=steps)
     fields, base = assembly.build_model(
         problem.mesh, design, problem.params, problem.material,
         A_f=problem.A_f, output_springs=problem.output_springs)
@@ -165,7 +165,7 @@ def replay_design(problem, design, steps=50, stroke_scale=1.0):
     for case in problem.load_cases:
         Fc = case.force_vector(problem.mesh)
         model = base.with_counter_force(Fc if np.any(Fc) else None)
-        paths.append(solve_equilibrium_path(model, control, cfg))
+        paths.append(solve_equilibrium_path(model, control, solver_cfg))
     return paths, fields, control
 
 

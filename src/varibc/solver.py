@@ -19,6 +19,13 @@ computed once per mesh: the first factorization of each ElementKinematics
 runs MMD, and every later one gathers K_T into that order and factorizes it
 with the natural ordering (TangentOrdering). The fill is the same.
 
+Both settings factorize one column at a time (SuperLU's panel_size = 1; by
+default SuperLU updates a panel of several columns at once). The panel width
+only groups the column updates: the pivots, the permutations and the L+U
+fill are the same, and the factors agree to round-off. On the gripper
+tangents it cuts the median time per factorization by about 10% at
+h = 1.5 mm, where the factors leave the cache.
+
 solve_equilibrium_path calls an optional per-state hook with each requested
 state and the corrector's last factors while they are still live;
 optimizer.differentiate_path differentiates the state there
@@ -151,9 +158,9 @@ def _solve_2x2(M2, rhs):
 
 # SuperLU settings of a tangent's first factorization (see the module
 # docstring); NATURAL_SPLU factorizes a tangent already in that order
-TANGENT_SPLU = {"permc_spec": "MMD_AT_PLUS_A",
+TANGENT_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1,
                 "options": {"SymmetricMode": True}}
-NATURAL_SPLU = {"permc_spec": "NATURAL",
+NATURAL_SPLU = {"permc_spec": "NATURAL", "panel_size": 1,
                 "options": {"SymmetricMode": True}}
 
 

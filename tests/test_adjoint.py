@@ -302,6 +302,34 @@ class TestRefinedAdjoint:
             assert_records_close(a, fresh.sensitivity(q), 1e-11)
 
 
+    def test_records_equal_those_of_row_wise_norms(self, hooked,
+                                                   monkeypatch):
+        # a maximum does not depend on the order it is taken in, so the
+        # column-major norms of the refinement change no bit of its records
+        f, fields, model, ctrl, path, seen = hooked
+
+        def records():
+            out = []
+            for state, lu in seen:
+                sa = adj.StateAdjoint(model, ctrl, state, fields, f.design,
+                                      lu=lu)
+                out.append((sa.refinement_steps,
+                            [sa.sensitivity(q) for q in quantity_set(f)]))
+            return out
+
+        got = records()
+        monkeypatch.setattr(adj, "_column_max_abs",
+                            lambda a: np.abs(a).max(axis=0))
+        want = records()
+        assert len(got) == 4
+        for (steps, recs), (ref_steps, refs) in zip(got, want):
+            assert steps == ref_steps
+            for a, b in zip(recs, refs):
+                assert a.value == b.value
+                for name in ("dgdzeta", "psi_c", "psi_R"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_criterion_1_differentiates_with_the_corrector_factors(monkeypatch):
     # criterion 1 runs optimizer.differentiate_path, whose adjoints refine with
     # the corrector's factors; an adjoint of its own would factorize K_T

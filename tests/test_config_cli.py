@@ -8,6 +8,7 @@ import pytest
 from varibc import cli, config
 from varibc import mesh as M
 from varibc import outputs, verify
+from varibc.solver import SolverConfig
 
 
 class TestParseConfig:
@@ -194,6 +195,30 @@ class TestCliReplay:
             for got, key in ((fin, f"f_in[{m},0]"), (fp, f"f_p[{m},0]")):
                 want = values[key]
                 assert abs(float(got) - want) <= 1e-6 * abs(want), key
+
+    def test_replay_uses_the_run_solver_settings(self, tmp_path,
+                                                 monkeypatch):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text('problem = "gripper"\nfixed_bcs = true\n'
+                       '[mesh]\nelement_size = 0.008\n'
+                       '[optimizer]\nmax_iterations = 1\n'
+                       '[solver]\ntol_residual = 2e-7\n'
+                       'max_corrector_iters = 17\nmax_bisections = 3\n')
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "-q", "-o", str(out)]) == 0
+        seen = []
+        real = outputs.solve_equilibrium_path
+
+        def capturing(model, control, config, **kwargs):
+            seen.append(config)
+            return real(model, control, config, **kwargs)
+
+        monkeypatch.setattr(outputs, "solve_equilibrium_path", capturing)
+        assert cli.main(["replay", str(out / "design_summary.json"),
+                         "--steps", "5", "-o", str(tmp_path / "rep")]) == 0
+        want = SolverConfig(tol_residual=2e-7, max_corrector_iters=17,
+                            max_bisections=3, steps=5)
+        assert seen == [want]
 
     def test_summary_with_removed_key_fails_cleanly(self, tiny_cfg,
                                                     tmp_path, capsys):

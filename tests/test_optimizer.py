@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varibc import mma
+from varibc import mma, outputs
 from varibc import optimizer as O
 from varibc import problems as P
 from varibc.optimizer import IterationRecord
@@ -361,7 +361,7 @@ class TestMmaFallback:
         monkeypatch.setattr(mma, "mmasub", failing)
         state = {}
         new = O.mma_update(prob, prob.design0, evaluation, state)
-        assert state["fallbacks"] == 1
+        assert state["fallback"] is True
         # every free variable moves half its move limit against the
         # gradient, clipped to its bounds; frozen ones stay put
         z = prob.design0.to_array()
@@ -379,7 +379,29 @@ class TestMmaFallback:
         state = {}
         O.mma_update(tiny_variable_problem, tiny_variable_problem.design0,
                      evaluation, state)
-        assert state["fallbacks"] == 0
+        assert state["fallback"] is False
+
+    @pytest.mark.parametrize("fails", [True, False])
+    def test_fallback_is_reported_per_iteration(self, tiny_variable_problem,
+                                                monkeypatch, tmp_path, fails):
+        prob = tiny_variable_problem
+        if fails:
+            def failing(*args, **kwargs):
+                raise mma.SubproblemError("synthetic failure")
+
+            monkeypatch.setattr(mma, "mmasub", failing)
+        history = outputs.HistoryWriter(tmp_path / "history.csv", prob)
+        try:
+            res = O.run_optimization(prob, O.OptimizerConfig(max_iterations=2),
+                                     on_iteration=history)
+        finally:
+            history.close()
+        assert [r.mma_fallback for r in res.history] == [False, fails]
+        header, *rows = (tmp_path / "history.csv").read_text().splitlines()
+        cols = header.split(",")
+        col = cols.index("mma_fallback")
+        assert cols[col - 1] == "oscillating"
+        assert [row.split(",")[col] for row in rows] == ["0", str(int(fails))]
 
 
 @pytest.fixture(scope="module")

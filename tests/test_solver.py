@@ -359,6 +359,34 @@ class TestFactorize:
         assert np.abs(lu.solve(b[:, 0]) - x[:, 0]).max() <= (
             1e-12 * np.abs(x[:, 0]).max())
 
+    def test_column_at_a_time_keeps_pivots_and_fill(self, gripper, tangent):
+        # panel_size = 1 against SuperLU's default panels, on the first
+        # tangent of a mesh and on a later one factorized pre-permuted
+        for settings in (S.TANGENT_SPLU, S.NATURAL_SPLU):
+            assert settings["panel_size"] == 1
+
+        def default_panels(K, **kwargs):
+            kwargs.pop("panel_size")
+            return splu(K, **kwargs)
+
+        f, fields, model = gripper
+        kin = asm.ElementKinematics(f.mesh, model.kin.material)
+        first = S._factorize(tangent, kin=kin)
+        U = np.random.default_rng(7).uniform(-2e-4, 2e-4, f.mesh.num_dofs)
+        later = model.assemble(U).K_T
+        pairs = [
+            (first, S._factorize(tangent, default_panels)),
+            (S._factorize(later, kin=kin).lu,
+             kin.tangent_ordering.factorize(later, default_panels).lu),
+        ]
+        b = np.random.default_rng(8).standard_normal((tangent.shape[0], 3))
+        for lu, ref in pairs:
+            assert np.array_equal(lu.perm_r, ref.perm_r)
+            assert np.array_equal(lu.perm_c, ref.perm_c)
+            assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
+            x = ref.solve(b)
+            assert np.abs(lu.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+
     def test_ordering_runs_once_per_element_kinematics(self, monkeypatch):
         f = fx.load_fixture("mini_gripper_100")
         specs = []
