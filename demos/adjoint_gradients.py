@@ -5,17 +5,18 @@ Exact design gradients from the two-multiplier adjoint
 With movable boundary conditions every mesh DOF is free, so the adjoint
 needs a second multiplier pair for the prescribed-input constraint on top of
 the residual multipliers. This script differentiates the output displacement
-and the actuator force of the miniature gripper with respect to a density, a
-support coordinate, the actuator coordinates, and the actuation angle, and
-compares each against central finite differences through the full nonlinear
-solve.
+and the actuator force of the miniature gripper with respect to five design
+variables, each addressed by its zeta column (its entry of
+DesignVector.to_array()): a density, a support coordinate, both actuator
+coordinates and the actuation angle. Each adjoint gradient is compared
+against a central finite difference of the full nonlinear solve, computed by
+the oracle of `varibc verify`'s criterion 1 (verify.path_values).
 
 Run:  python demos/adjoint_gradients.py
 """
 
-from varibc import adjoint, assembly, fixtures, optimizer, problems
+from varibc import fixtures, optimizer, problems, verify
 from varibc import solver as S
-from varibc.mesh import shape_values_at
 
 f = fixtures.load_fixture("mini_gripper_100")
 fields, model = f.build()
@@ -33,47 +34,22 @@ _, sens, _ = optimizer.differentiate_path(model, control, cfg, fields,
 print("state at full stroke: U_out = %.4e m, F_in = %.2f N"
       % (sens["U_out"].value, sens["F_in"].value))
 
-
-def evaluate(design):
-    flds, mdl = assembly.build_model(
-        f.mesh, design, f.params, f.material, A_f=fields.A_f,
-        output_springs=f.output_springs)
-    c = S.InputControl(sample=shape_values_at(f.mesh, design.load),
-                       theta=design.theta, u_in_norm=f.u_in_norm)
-    p = S.solve_equilibrium_path(mdl, c, cfg)
-    out = {}
-    for q in quantities:
-        ctx = adjoint.StateContext(state=p.state_at_step(q.step), model=mdl,
-                                   control=c, fields=flds, design=design)
-        out[q.name] = q.evaluate(ctx)
-    return out
-
-
 n_rho = len(f.design.rho)
+# (label, zeta column, central-difference step); the columns follow
+# DesignVector.to_array(): [rho, X_s(all), Y_s(all), X_f, Y_f, theta]
 probes = [
-    ("density rho_40", "rho", 40, 1e-4, 40),
-    ("support X_s1", "sup", (0, 0), 1e-6, n_rho + 0),
-    ("actuator X_f", "load", 0, 1e-6, n_rho + 4),
-    ("actuator Y_f", "load", 1, 1e-6, n_rho + 5),
-    ("angle theta", "theta", None, 1e-6, n_rho + 6),
+    ("density rho_40", 40, 1e-4),
+    ("support X_s1", n_rho + 0, 1e-6),
+    ("actuator X_f", n_rho + 4, 1e-6),
+    ("actuator Y_f", n_rho + 5, 1e-6),
+    ("angle theta", n_rho + 6, 1e-6),
 ]
 print(f"{'variable':<14} {'quantity':<6} {'adjoint':>14} {'central FD':>14} "
       f"{'rel err':>9}")
-for label, kind, idx, h, col in probes:
-    dp, dm = f.design.copy(), f.design.copy()
-    if kind == "rho":
-        dp.rho[idx] += h
-        dm.rho[idx] -= h
-    elif kind == "sup":
-        dp.supports[idx] += h
-        dm.supports[idx] -= h
-    elif kind == "load":
-        dp.load[idx] += h
-        dm.load[idx] -= h
-    else:
-        dp.theta += h
-        dm.theta -= h
-    vp, vm = evaluate(dp), evaluate(dm)
+for label, col, h in probes:
+    # criterion 1's oracle: the path re-solved at the shifted design
+    vp, vm = (verify.path_values(f, f.design.shifted(col, s), fields.A_f,
+                                 cfg, quantities) for s in (h, -h))
     for name in ("U_out", "F_in"):
         fd = (vp[name] - vm[name]) / (2 * h)
         ad = sens[name].dgdzeta[col]

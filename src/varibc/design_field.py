@@ -112,6 +112,12 @@ class DesignVector:
         return DesignVector(self.rho.copy(), self.supports.copy(),
                             self.load.copy(), self.theta)
 
+    def shifted(self, col, h):
+        """A new design with entry `col` of to_array() moved by h."""
+        z = self.to_array()
+        z[col] += h
+        return DesignVector.from_array(z, len(self.rho), self.num_supports)
+
 
 def build_filter_matrix(mesh, r_min):
     """Row-normalized linear hat filter over designable element centroids.

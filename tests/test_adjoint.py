@@ -40,50 +40,6 @@ def quantity_set(f):
     ]
 
 
-def solve_quantities(f, design, A_f, quantities, steps=2):
-    fields, model = asm.build_model(
-        f.mesh, design, f.params, f.material, A_f=A_f,
-        output_springs=f.output_springs)
-    ctrl = S.InputControl(
-        sample=msh.shape_values_at(f.mesh, design.load),
-        theta=design.theta, u_in_norm=f.u_in_norm)
-    cfg = S.SolverConfig(steps=steps, tol_residual=1e-11,
-                         max_corrector_iters=30)
-    path = S.solve_equilibrium_path(model, ctrl, cfg)
-    out = {}
-    for q in quantities:
-        st = path.state_at_step(q.step)
-        ctx = adj.StateContext(state=st, model=model, control=ctrl,
-                               fields=fields, design=design)
-        out[q.name] = q.evaluate(ctx)
-    return out
-
-
-def perturb(design, kind, idx, h):
-    d = design.copy()
-    if kind == "rho":
-        d.rho[idx] += h
-    elif kind == "sup":
-        d.supports[idx[0], idx[1]] += h
-    elif kind == "load":
-        d.load[idx] += h
-    else:
-        d.theta += h
-    return d
-
-
-def zeta_col(design, kind, idx):
-    n_rho = len(design.rho)
-    n_s = design.num_supports
-    if kind == "rho":
-        return idx
-    if kind == "sup":
-        return n_rho + idx[1] * n_s + idx[0]
-    if kind == "load":
-        return n_rho + 2 * n_s + idx
-    return n_rho + 2 * n_s + 2
-
-
 class TestMultipliers:
     def test_state_free_quantity_has_zero_multipliers(self, gripper_setup):
         f, fields, model, ctrl, path = gripper_setup
@@ -339,6 +295,41 @@ def test_criterion_1_differentiates_with_the_corrector_factors(monkeypatch):
     assert calls == []
 
 
+def test_criterion_1_names_the_failing_zeta_column(monkeypatch):
+    real = O.differentiate_path
+
+    def skewed_theta(*args, **kwargs):
+        path, sens, failed = real(*args, **kwargs)
+        for rec in sens.values():
+            rec.dgdzeta[-1] *= 1.01
+        return path, sens, failed
+
+    monkeypatch.setattr(O, "differentiate_path", skewed_theta)
+    ok, detail = verify.gradient_exactness()
+    theta_col = fx.load_fixture("mini_gripper_100").design.size - 1
+    assert not ok
+    assert detail.startswith(f"u_out d/dzeta[{theta_col}] rel err")
+
+
+def test_path_values_runs_no_adjoint(monkeypatch, gripper_setup):
+    # the FD oracle re-solves the path and evaluates; it must not reuse the
+    # adjoint it checks
+    f, fields, model, ctrl, path = gripper_setup
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the FD oracle ran an adjoint")
+
+    for module in (O, adj):
+        monkeypatch.setattr(module, "StateAdjoint", forbidden)
+    monkeypatch.setattr(O, "differentiate_path", forbidden)
+    got = verify.path_values(f, f.design, fields.A_f, SOLVE_CFG,
+                             quantity_set(f))
+    for q in quantity_set(f):
+        ctx = adj.StateContext(state=path.state_at_step(q.step), model=model,
+                               control=ctrl, fields=fields, design=f.design)
+        assert got[q.name] == q.evaluate(ctx)
+
+
 class TestConstraintPartials:
     def test_density_and_support_columns_vanish(self, gripper_setup):
         f, fields, model, ctrl, path = gripper_setup
@@ -412,11 +403,9 @@ class TestTotalDerivativeVsFd:
     def sens(self, all_sens):
         return all_sens
 
-    def _fd(self, f, A_f, quantities, kind, idx, h):
-        qp = solve_quantities(f, perturb(f.design, kind, idx, +h), A_f,
-                              quantities)
-        qm = solve_quantities(f, perturb(f.design, kind, idx, -h), A_f,
-                              quantities)
+    def _fd(self, f, A_f, quantities, col, h):
+        qp, qm = (verify.path_values(f, f.design.shifted(col, s), A_f,
+                                     SOLVE_CFG, quantities) for s in (h, -h))
         return {k: (qp[k] - qm[k]) / (2 * h) for k in qp}
 
     def test_density_gradients(self, gripper_setup, sens):
@@ -424,28 +413,31 @@ class TestTotalDerivativeVsFd:
         qs = quantity_set(f)
         rng = np.random.default_rng(11)
         for j in rng.integers(0, len(f.design.rho), 3):
-            fd = self._fd(f, fields.A_f, qs, "rho", int(j), 1e-4)
+            fd = self._fd(f, fields.A_f, qs, int(j), 1e-4)
             for name, v in fd.items():
-                got = sens[name].dgdzeta[zeta_col(f.design, "rho", int(j))]
+                got = sens[name].dgdzeta[int(j)]
                 assert abs(got - v) <= 1e-4 * max(abs(v), 1e-9)
 
     def test_theta_gradients(self, gripper_setup, sens):
         f, fields, model, ctrl, path = gripper_setup
         qs = quantity_set(f)
-        fd = self._fd(f, fields.A_f, qs, "theta", None, 1e-6)
+        col = f.design.size - 1
+        fd = self._fd(f, fields.A_f, qs, col, 1e-6)
         for name, v in fd.items():
-            got = sens[name].dgdzeta[zeta_col(f.design, "theta", None)]
+            got = sens[name].dgdzeta[col]
             assert abs(got - v) <= 1e-4 * max(abs(v), 1e-9)
         assert fd["v_f"] == 0.0
 
     def test_coordinate_gradients(self, gripper_setup, sens):
         f, fields, model, ctrl, path = gripper_setup
         qs = quantity_set(f)
-        for kind, idx in [("sup", (0, 0)), ("sup", (1, 1)), ("load", 0),
-                          ("load", 1)]:
-            fd = self._fd(f, fields.A_f, qs, kind, idx, 1e-6)
+        n_rho = len(f.design.rho)
+        # X_s1, Y_s2, X_f, Y_f in the [rho, X_s(all), Y_s(all), X_f, Y_f,
+        # theta] layout of the two-support fixture
+        for col in (n_rho + 0, n_rho + 3, n_rho + 4, n_rho + 5):
+            fd = self._fd(f, fields.A_f, qs, col, 1e-6)
             for name, v in fd.items():
-                got = sens[name].dgdzeta[zeta_col(f.design, kind, idx)]
+                got = sens[name].dgdzeta[col]
                 assert abs(got - v) <= 1e-3 * max(abs(v), 1e-9)
 
 

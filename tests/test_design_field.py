@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from varibc import design_field as df
+from varibc import fixtures as fx
 from varibc import mesh as M
 
 
@@ -305,34 +306,23 @@ class TestFieldPartials:
     def setup(self, partials_setup):
         return partials_setup
 
-    def _fd_field(self, mesh, p, design, A_f, attr, entry, h):
+    def _fd_field(self, mesh, p, design, A_f, attr, col, h):
         def get(des):
             st = df.evaluate_fields(des, mesh, p, A_f=A_f)
             return getattr(st, attr).copy()
 
-        dp = design.copy()
-        dm = design.copy()
-        kind, idx = entry
-        if kind == "rho":
-            dp.rho[idx] += h
-            dm.rho[idx] -= h
-        elif kind == "sup":
-            k, c = idx
-            dp.supports[k, c] += h
-            dm.supports[k, c] -= h
-        elif kind == "load":
-            dp.load[idx] += h
-            dm.load[idx] -= h
-        return (get(dp) - get(dm)) / (2 * h)
+        return (get(design.shifted(col, h))
+                - get(design.shifted(col, -h))) / (2 * h)
 
     def test_load_field_has_no_density_dependence(self, setup):
         mesh, p, design, state = setup
-        fd = self._fd_field(mesh, p, design, state.A_f, "f_e", ("rho", 3), 1e-5)
+        fd = self._fd_field(mesh, p, design, state.A_f, "f_e", 3, 1e-5)
         assert np.all(fd == 0.0)
 
     def test_support_field_ignores_load_point(self, setup):
         mesh, p, design, state = setup
-        fd = self._fd_field(mesh, p, design, state.A_f, "k_s", ("load", 1), 1e-7)
+        fd = self._fd_field(mesh, p, design, state.A_f, "k_s",
+                            design.size - 2, 1e-7)
         assert np.all(fd == 0.0)
 
     def test_rho_bar_vs_fd_support_coordinates(self, setup):
@@ -340,8 +330,10 @@ class TestFieldPartials:
         dpt = state.rho_bar_partials_points()
         for k in range(2):
             for c in range(2):
+                # zeta column of coordinate c of support k
+                col = len(design.rho) + c * design.num_supports + k
                 fd = self._fd_field(mesh, p, design, state.A_f, "rho_bar",
-                                    ("sup", (k, c)), 1e-6)
+                                    col, 1e-6)
                 got = dpt[:, k, c]
                 # meaningful derivatives are O(1/r) ~ 10; 1e-8 is FD noise
                 assert np.allclose(got, fd, rtol=1e-4, atol=1e-8)
@@ -352,15 +344,16 @@ class TestFieldPartials:
         rng = np.random.default_rng(4)
         for j in rng.integers(0, len(design.rho), 10):
             fd = self._fd_field(mesh, p, design, state.A_f, "rho_bar",
-                                ("rho", int(j)), 1e-6)
+                                int(j), 1e-6)
             assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-9)
 
     def test_ks_vs_fd(self, setup):
         mesh, p, design, state = setup
         for k in range(2):
             for c in range(2):
-                fd = self._fd_field(mesh, p, design, state.A_f, "k_s",
-                                    ("sup", (k, c)), 1e-7)
+                col = len(design.rho) + c * design.num_supports + k
+                fd = self._fd_field(mesh, p, design, state.A_f, "k_s", col,
+                                    1e-7)
                 got = state.dks_dsup[:, k, c]
                 assert np.allclose(got, fd, rtol=1e-5,
                                    atol=1e-6 * np.abs(fd).max())
@@ -369,7 +362,7 @@ class TestFieldPartials:
         mesh, p, design, state = setup
         for c in range(2):
             fd = self._fd_field(mesh, p, design, state.A_f, "f_e",
-                                ("load", c), 1e-7)
+                                design.size - 3 + c, 1e-7)
             got = state.dfe_dload[:, c]
             assert np.allclose(got, fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
 
@@ -377,11 +370,10 @@ class TestFieldPartials:
         mesh, p, design, state = setup
         J = state.rho_bar_jacobian_rho()
         for j in [5, 17]:
-            fdE = self._fd_field(mesh, p, design, state.A_f, "E", ("rho", j), 1e-6)
+            fdE = self._fd_field(mesh, p, design, state.A_f, "E", j, 1e-6)
             gotE = state.dE_drho_bar * np.asarray(J[:, j].todense()).ravel()
             assert np.allclose(gotE, fdE, rtol=1e-4, atol=1e-5 * p.E0 * 1e-6)
-            fdg = self._fd_field(mesh, p, design, state.A_f, "gamma",
-                                 ("rho", j), 1e-6)
+            fdg = self._fd_field(mesh, p, design, state.A_f, "gamma", j, 1e-6)
             gotg = state.dgamma_drho_bar * np.asarray(J[:, j].todense()).ravel()
             assert np.allclose(gotg, fdg, rtol=1e-4, atol=1e-7)
 
@@ -404,3 +396,23 @@ def test_design_vector_validation():
     with pytest.raises(ValueError):
         df.DesignVector(rho=np.array([0.5]), supports=np.array([[np.nan, 0]]),
                         load=np.zeros(2), theta=0.0)
+
+
+# the first density, then X_s1, X_s2, Y_s1, Y_s2, X_f, Y_f and theta of the
+# two-support fixture, counted from the end of to_array()
+@pytest.mark.parametrize("col", [0, -7, -6, -5, -4, -3, -2, -1])
+def test_shifted_moves_exactly_one_zeta_column(col):
+    design = fx.load_fixture("mini_gripper_100").design
+    z = design.to_array()
+    col %= len(z)
+    for h in (1e-4, -1e-4, 1e-6, -1e-6):
+        moved = design.shifted(col, h).to_array()
+        want = z.copy()
+        want[col] += h
+        assert np.array_equal(moved, want)
+        assert np.array_equal(design.to_array(), z)
+    if col < len(design.rho):
+        # the shift is validated like any new design
+        for h in (-1.0, 1.0):
+            with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+                design.shifted(col, h)
