@@ -9,6 +9,19 @@ with the default asymptote settings: initialization at 0.5 of the variable
 range, adaptation factors 0.7 (oscillation) and 1.2 (monotone progress). The
 subproblem is solved by the usual primal-dual Newton interior-point method.
 Move limits are accepted per variable.
+
+Each Newton step of the subproblem solve works in arrays allocated once per
+solve. The products of an iterate (upp - x, x - low and their squares,
+x - alfa, beta - x, p0 + P^T lam, q0 + Q^T lam and the constraint values) are
+evaluated once per trial point of the line search, so the step after it reads
+those of the accepted point instead of recomputing them, and the residual is
+written part by part into one vector. GG = P/(upp - x)^2 - Q/(x - low)^2 and
+GG/diagx are formed in place. The solve copies P and Q to C order once, so
+every (m, n) pass runs along the n variables (optimizer.mma_update's column
+gather hands them over in Fortran order, where those passes run m-element
+inner loops). The matrix products' summation order follows the layout, so
+the iterates differ from those on Fortran-ordered operands in the last bits
+only.
 """
 
 from __future__ import annotations
@@ -97,55 +110,73 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
     zet = 1.0
     s = np.ones(m)
     epsi = 1.0
+    # C order: the (m, n) passes below then run along the n variables
+    P = np.ascontiguousarray(P)
+    Q = np.ascontiguousarray(Q)
+
+    # products at the current iterate (dpsi = d psi / dx), which residuals()
+    # and the Newton step read: evaluated once per trial point, so the line
+    # search's accepted point leaves them for the next step
+    ux1, xl1, ux2, xl2, xa, bx, plam, qlam, dpsi = np.empty((9, n))
+    gvec = np.empty(m)
+    GG = np.empty((m, n))
+    GGd = np.empty((m, n))
+    # the residual, in parts
+    r = np.empty(3 * n + 4 * m + 2)
+    rex, rey, rez, relam, rexsi, reeta, remu, rezet, res = np.split(
+        r, np.cumsum([n, m, 1, m, n, n, m, 1]))
+
+    def products():
+        np.subtract(upp, x, out=ux1)
+        np.subtract(x, low, out=xl1)
+        np.multiply(ux1, ux1, out=ux2)
+        np.multiply(xl1, xl1, out=xl2)
+        np.subtract(x, alfa, out=xa)
+        np.subtract(beta, x, out=bx)
+        np.matmul(P.T, lam, out=plam)
+        np.add(plam, p0, out=plam)
+        np.matmul(Q.T, lam, out=qlam)
+        np.add(qlam, q0, out=qlam)
+        np.add(P @ (1.0 / ux1), Q @ (1.0 / xl1), out=gvec)
+        np.subtract(plam / ux2, qlam / xl2, out=dpsi)
 
     def residuals(epsi_):
-        ux1 = upp - x
-        xl1 = x - low
-        plam = p0 + P.T @ lam
-        qlam = q0 + Q.T @ lam
-        gvec = P @ (1.0 / ux1) + Q @ (1.0 / xl1)
-        rex = plam / ux1**2 - qlam / xl1**2 - xsi + eta
-        rey = c + d * y - mu - lam
-        rez = a0 - zet - a @ lam
-        relam = gvec - a * z - y + s - b
-        rexsi = xsi * (x - alfa) - epsi_
-        reeta = eta * (beta - x) - epsi_
-        remu = mu * y - epsi_
-        rezet = zet * z - epsi_
-        res = lam * s - epsi_
-        parts = [rex, rey, [rez], relam, rexsi, reeta, remu, [rezet], res]
-        r = np.concatenate([np.atleast_1d(p) for p in parts])
-        return r, float(np.linalg.norm(r)), float(np.abs(r).max())
+        np.add(dpsi - xsi, eta, out=rex)
+        np.subtract(c + d * y - mu, lam, out=rey)
+        rez[0] = a0 - zet - a @ lam
+        np.subtract(gvec - a * z - y + s, b, out=relam)
+        np.subtract(xsi * xa, epsi_, out=rexsi)
+        np.subtract(eta * bx, epsi_, out=reeta)
+        np.subtract(mu * y, epsi_, out=remu)
+        rezet[0] = zet * z - epsi_
+        np.subtract(lam * s, epsi_, out=res)
+        # the norm as np.linalg.norm computes it; max |r| without a copy
+        return float(np.sqrt(r.dot(r))), float(max(r.max(), -r.min()))
 
+    products()
     while epsi > EPSIMIN:
-        _, residunorm, residumax = residuals(epsi)
+        residunorm, residumax = residuals(epsi)
         for _ in range(200):
             if residumax <= 0.9 * epsi:
                 break
-            ux1 = upp - x
-            xl1 = x - low
-            ux2 = ux1 * ux1
-            xl2 = xl1 * xl1
-            ux3 = ux1 * ux2
-            xl3 = xl1 * xl2
-            plam = p0 + P.T @ lam
-            qlam = q0 + Q.T @ lam
-            gvec = P @ (1.0 / ux1) + Q @ (1.0 / xl1)
-            GG = P / ux2[None, :] - Q / xl2[None, :]
-            delx = (plam / ux2 - qlam / xl2 - epsi / (x - alfa)
-                    + epsi / (beta - x))
+            np.divide(P, ux2, out=GG)
+            np.divide(Q, xl2, out=GGd)
+            GG -= GGd
+            delx = dpsi - epsi / xa + epsi / bx
             dely = c + d * y - lam - epsi / y
             delz = a0 - a @ lam - epsi / z
             dellam = gvec - a * z - y - b + epsi / lam
-            diagx = 2.0 * (plam / ux3 + qlam / xl3)
-            diagx = diagx + xsi / (x - alfa) + eta / (beta - x)
+            diagx = 2.0 * (plam / (ux1 * ux2) + qlam / (xl1 * xl2))
+            diagx = diagx + xsi / xa + eta / bx
             diagy = d + mu / y
             diaglam = s / lam
             diaglamyi = diaglam + 1.0 / diagy
 
             # m is small here: solve the (m+1) dense system
-            blam = dellam + dely / diagy - GG @ (delx / diagx)
-            Alam = np.diag(diaglamyi) + (GG / diagx[None, :]) @ GG.T
+            delxd = delx / diagx
+            blam = dellam + dely / diagy - GG @ delxd
+            np.divide(GG, diagx, out=GGd)
+            Alam = np.diag(diaglamyi) + GGd @ GG.T
             AA = np.empty((m + 1, m + 1))
             AA[:m, :m] = Alam
             AA[:m, m] = a
@@ -158,20 +189,19 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
                 raise SubproblemError(str(err)) from None
             dlam = solut[:m]
             dz = solut[m]
-            dx = -delx / diagx - (GG.T @ dlam) / diagx
+            dx = -delxd - (GG.T @ dlam) / diagx
             dy = -dely / diagy + dlam / diagy
-            dxsi = -xsi + epsi / (x - alfa) - (xsi * dx) / (x - alfa)
-            deta = -eta + epsi / (beta - x) + (eta * dx) / (beta - x)
+            dxsi = -xsi + epsi / xa - (xsi * dx) / xa
+            deta = -eta + epsi / bx + (eta * dx) / bx
             dmu = -mu + epsi / y - (mu * dy) / y
             dzet = -zet + epsi / z - zet * dz / z
             ds = -s + epsi / lam - (s * dlam) / lam
 
-            xx = np.concatenate([y, [z], lam, xsi, eta, mu, [zet], s])
-            dxx = np.concatenate([dy, [dz], dlam, dxsi, deta, dmu, [dzet],
-                                  ds])
-            stmxx = np.max(-1.01 * dxx / xx)
-            stmalfa = np.max(-1.01 * dx / (x - alfa))
-            stmbeta = np.max(1.01 * dx / (beta - x))
+            stmxx = np.max([np.max(-1.01 * dv / v) for v, dv in (
+                (y, dy), (z, dz), (lam, dlam), (xsi, dxsi), (eta, deta),
+                (mu, dmu), (zet, dzet), (s, ds))])
+            stmalfa = np.max(-1.01 * dx / xa)
+            stmbeta = np.max(1.01 * dx / bx)
             steg = 1.0 / max(stmxx, stmalfa, stmbeta, 1.0)
 
             xold, yold, zold = x, y, z
@@ -190,7 +220,8 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
                 mu = muold + steg * dmu
                 zet = zetold + steg * dzet
                 s = sold + steg * ds
-                _, resinew, residumax = residuals(epsi)
+                products()
+                resinew, residumax = residuals(epsi)
                 steg *= 0.5
             residunorm = resinew
             if not np.isfinite(residunorm):

@@ -5,8 +5,10 @@ The actuator prescribes the displacement at an arbitrary in-plane point
 increments. Each increment is a predictor step followed by Newton
 corrections; both phases share one factorization per assembled tangent and
 solve a 2x2 system for the two load intensity increments so the input-point
-displacement follows the prescribed fraction exactly. Failed steps are
-retried with bisected increments from the last converged state.
+displacement follows the prescribed fraction exactly. The predictor takes
+the reference-load solves of the last corrector iteration, which used the
+same factors, instead of solving them again. Failed steps are retried with
+bisected increments from the last converged state.
 
 Every tangent factorization, here and in the adjoint, is a SuperLU call in
 symmetric mode, which prefers diagonal pivots, with the columns ordered by
@@ -173,7 +175,14 @@ class PermutedLU:
         self.ordering = ordering
 
     def solve(self, b):
-        return self.lu.solve(b[self.ordering.q])[self.ordering.perm_c]
+        # b[q], gathered column by column in Fortran order: SuperLU solves
+        # in that layout and would otherwise transpose a copy of it
+        n = b.shape[0]
+        bq = np.empty(b.shape, order="F")
+        for col, out in zip(b.reshape(n, -1).T,
+                            bq.reshape(n, -1, order="F").T):
+            np.take(col, self.ordering.q, out=out)
+        return self.lu.solve(bq)[self.ordering.perm_c]
 
 
 class TangentOrdering:
@@ -234,33 +243,42 @@ def _factorize(K, factor=None, kin=None):
 
 
 def predictor(model, control, state, s_target, lu=None, system=None,
-              counter_column=None):
+              counter_column=None, ref_solves=None):
     """Predictor step from state = (U, lam) to the input fraction s_target.
 
     One factorization solves for the two reference loads and, when given,
     the counter-load increment column; the 2x2 solve then picks the
     intensity increments that close the input-point defect
-    target(s_target) - u_in(U). Returns the predicted (U, lambda). Without a
-    counter column the predicted input-point displacement equals
-    target(s_target) to machine precision.
+    target(s_target) - u_in(U). ref_solves, when given, are the reference
+    load solves K^-1 [F_ext_x, F_ext_y] with lu, and only the counter column
+    is solved. Returns the predicted (U, lambda). Without a counter column
+    the predicted input-point displacement equals target(s_target) to
+    machine precision.
     """
     U, lam = state
     if system is None:
         system = model.assemble(U)
     if lu is None:
         lu = _factorize(system.K_T, kin=model.kin)
-    rhs_cols = [system.F_ext_x, system.F_ext_y]
-    if counter_column is not None:
-        rhs_cols.append(counter_column)
-    cols = lu.solve(np.column_stack(rhs_cols))
-    M2 = input_point_response(control.sample, cols[:, :2])
+    dU_counter = None
+    if ref_solves is None:
+        rhs_cols = [system.F_ext_x, system.F_ext_y]
+        if counter_column is not None:
+            rhs_cols.append(counter_column)
+        cols = lu.solve(np.column_stack(rhs_cols))
+        ref_solves = cols[:, :2]
+        if counter_column is not None:
+            dU_counter = cols[:, 2]
+    elif counter_column is not None:
+        dU_counter = lu.solve(counter_column)
+    M2 = input_point_response(control.sample, ref_solves)
     defect = control.target(s_target) - control.sample.interpolate(U)
-    if counter_column is not None:
-        defect = defect - control.sample.interpolate(cols[:, 2])
+    if dU_counter is not None:
+        defect = defect - control.sample.interpolate(dU_counter)
     dlam = _solve_2x2(M2, defect)
-    U_new = U + cols[:, :2] @ dlam
-    if counter_column is not None:
-        U_new = U_new + cols[:, 2]
+    U_new = U + ref_solves @ dlam
+    if dU_counter is not None:
+        U_new = U_new + dU_counter
     return U_new, np.asarray(lam, dtype=float) + dlam
 
 
@@ -271,29 +289,33 @@ def corrector(model, control, U, lam, s_target, config,
     Each iteration factorizes the current tangent once and solves the three
     right-hand sides (two reference loads and the residual); the 2x2 solve
     picks the intensity increments that keep the input point on target.
-    Returns (U, lam, converged GlobalSystem, lu, iterations, residual history).
+    Returns (U, lam, converged GlobalSystem, lu, iterations, residual history,
+    reference solves): the last are the last iteration's K^-1 [F_ext_x,
+    F_ext_y] with lu, and None when no iteration was made, in which case lu
+    factorizes the converged tangent.
     """
     target = control.target(s_target)
     system = model.assemble(U, counter_scale=counter_scale)
     R = system.residual(lam[0], lam[1])
     rnorm = float(np.linalg.norm(R))
     history = [rnorm]
-    lu = None
+    lu = ref_solves = None
     ctol = max(1e-12 * abs(control.u_in_norm), 1e-300)
     for it in range(config.max_corrector_iters + 1):
         defect = target - control.sample.interpolate(U)
         if rnorm <= config.tol_residual and np.all(np.abs(defect) <= 100 * ctol):
             if lu is None:
                 lu = _factorize(system.K_T, kin=model.kin)
-            return U, lam, system, lu, it, tuple(history)
+            return U, lam, system, lu, it, tuple(history), ref_solves
         if it == config.max_corrector_iters:
             break
         lu = _factorize(system.K_T, kin=model.kin)
         cols = lu.solve(np.column_stack([system.F_ext_x, system.F_ext_y, R]))
-        M2 = input_point_response(control.sample, cols[:, :2])
+        ref_solves = cols[:, :2]
+        M2 = input_point_response(control.sample, ref_solves)
         dUc_at = control.sample.interpolate(cols[:, 2])
         dlam = _solve_2x2(M2, defect - dUc_at)
-        U = U + cols[:, :2] @ dlam + cols[:, 2]
+        U = U + ref_solves @ dlam + cols[:, 2]
         lam = np.array([lam[0] + dlam[0], lam[1] + dlam[1]])
         system = model.assemble(U, counter_scale=counter_scale)
         R = system.residual(lam[0], lam[1])
@@ -324,7 +346,9 @@ def solve_equilibrium_path(model, control, config, on_state=None):
     path = EquilibriumPath(states=[])
     has_counter = bool(np.any(model.F_counter))
 
-    state = {"U": U, "lam": lam, "system": None, "lu": None,
+    # the last converged state, its corrector's factors and the reference
+    # load solves made with them, which the next predictor reuses
+    state = {"U": U, "lam": lam, "system": None, "lu": None, "ref": None,
              "alpha": 1.0 if not has_counter else 0.0, "s": 0.0}
 
     def attempt(s_new, alpha_new):
@@ -337,12 +361,12 @@ def solve_equilibrium_path(model, control, config, on_state=None):
         counter = d_alpha * model.F_counter if d_alpha != 0.0 else None
         U_pred, lam_pred = predictor(
             model, control, (state["U"], state["lam"]), s_new, lu=lu0,
-            system=sys0, counter_column=counter)
-        U_new, lam_new, system, lu, iters, hist = corrector(
+            system=sys0, counter_column=counter, ref_solves=state["ref"])
+        U_new, lam_new, system, lu, iters, hist, ref = corrector(
             model, control, U_pred, lam_pred, s_new, config,
             counter_scale=alpha_new,
         )
-        state.update(U=U_new, lam=lam_new, system=system, lu=lu,
+        state.update(U=U_new, lam=lam_new, system=system, lu=lu, ref=ref,
                      alpha=alpha_new, s=s_new)
         path.total_corrector_iterations += iters
         return iters, hist

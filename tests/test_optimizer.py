@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,74 @@ class TestMmaSub:
             x - 0.5, x + 0.5, np.full(20, 0.1))
         assert np.all(x_new >= -1e-12) and np.all(x_new <= 1 + 1e-12)
         assert np.all(np.abs(x_new - x) <= 0.1 + 1e-9)
+
+
+def seeded_subproblem(m=13, n=2000, move=0.05):
+    """subsolv's arguments for an MMA subproblem of mmasub's form, with P,
+    Q and b from seeded gradients at x0 and asymptotes at x0 -+ 0.5. The
+    objective gradient is small against the move limit, so some variables
+    settle inside [alfa, beta] and others at a move limit. The last four
+    constraints (fval = -10) stay inactive; the others end up active."""
+    rng = np.random.default_rng(11)
+    x0 = rng.uniform(0.2, 0.8, n)
+    low, upp = x0 - 0.5, x0 + 0.5
+    alfa, beta = x0 - move, x0 + move
+    ux1, xl1 = upp - x0, x0 - low
+    df0 = rng.normal(0.0, 0.05, n)
+    p0 = (np.maximum(df0, 0.0) + 0.1) * ux1**2
+    q0 = (np.maximum(-df0, 0.0) + 0.1) * xl1**2
+    dg = rng.normal(size=(m, n))
+    pq = 0.001 * np.abs(dg) + 1e-5
+    P = (np.maximum(dg, 0.0) + pq) * ux1**2
+    Q = (np.maximum(-dg, 0.0) + pq) * xl1**2
+    fval = np.where(np.arange(m) < m - 4, rng.uniform(-0.5, 0.5, m), -10.0)
+    b = P @ (1.0 / ux1) + Q @ (1.0 / xl1) - fval
+    return dict(m=m, n=n, low=low, upp=upp, alfa=alfa, beta=beta, p0=p0,
+                q0=q0, P=P, Q=Q, a0=1.0, a=np.zeros(m), b=b,
+                c=np.full(m, 1000.0), d=np.ones(m))
+
+
+class TestSubproblemKkt:
+    """subsolv's answer against the KKT conditions of the MMA subproblem,
+    evaluated from P, Q, b and the bounds alone."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        sub = seeded_subproblem()
+        return sub, mma.subsolv(**sub)
+
+    def test_answer_meets_the_kkt_conditions(self, solved):
+        sub, (x, y, z, lam) = solved
+        tol = 5 * mma.EPSIMIN
+        alfa, beta, a = sub["alfa"], sub["beta"], sub["a"]
+        ux, xl = sub["upp"] - x, x - sub["low"]
+        assert np.all(alfa < x) and np.all(x < beta)
+        assert np.all(y >= 0) and z >= 0 and np.all(lam >= 0)
+        # d/dx of the Lagrangian equals xsi - eta: bound multipliers that
+        # are nonnegative and complementary to x - alfa and beta - x
+        dldx = ((sub["p0"] + sub["P"].T @ lam) / ux**2
+                - (sub["q0"] + sub["Q"].T @ lam) / xl**2)
+        assert np.max(np.maximum(dldx, 0.0) * (x - alfa)) <= tol
+        assert np.max(np.maximum(-dldx, 0.0) * (beta - x)) <= tol
+        # primal feasibility and complementary slackness
+        h = (sub["P"] @ (1.0 / ux) + sub["Q"] @ (1.0 / xl) - a * z - y
+             - sub["b"])
+        assert h.max() <= tol
+        assert np.max(lam * -h) <= tol
+        # y and z: the Lagrangian's derivatives are the multipliers of
+        # y >= 0 and z >= 0
+        mu = sub["c"] + sub["d"] * y - lam
+        assert mu.min() >= -tol and np.max(mu * y) <= tol
+        zet = sub["a0"] - a @ lam
+        assert zet >= -tol and zet * z <= tol
+
+    def test_subproblem_exercises_bounds_and_constraints(self, solved):
+        sub, (x, y, z, lam) = solved
+        n = sub["n"]
+        at_alfa = np.sum(x - sub["alfa"] <= 1e-5)
+        at_beta = np.sum(sub["beta"] - x <= 1e-5)
+        assert min(at_alfa, at_beta, n - at_alfa - at_beta) >= n // 20
+        assert np.any(lam > 1e-3) and np.any(lam < 1e-6)
 
 
 def fake_record(mean_drho, gmax):
@@ -373,6 +443,28 @@ class TestMmaFallback:
         assert np.allclose(got[free], want[free], rtol=0.0,
                            atol=1e-12 * np.abs(z).max())
         assert np.any(got[free] != z[free])
+
+    def test_non_finite_gradient_fails_the_real_subproblem(
+            self, tiny_variable_problem, evaluation):
+        prob = tiny_variable_problem
+        free = np.flatnonzero(~prob.frozen)
+        dg = evaluation.dg.copy()
+        dg[0, free[0]] = np.nan
+        bad = dataclasses.replace(evaluation, dg=dg)
+        x = np.full(free.size, 0.5)
+        with pytest.raises(mma.SubproblemError):
+            mma.mmasub(1, x, np.zeros_like(x), np.ones_like(x), x, x, 0.0,
+                       evaluation.df0[free], evaluation.g, dg[:, free],
+                       x - 0.5, x + 0.5, np.full(free.size, 0.1))
+        state = {}
+        new = O.mma_update(prob, prob.design0, bad, state)
+        assert state["fallback"] is True
+        z = prob.design0.to_array()
+        want = np.clip(z - 0.5 * prob.move_limits * np.sign(evaluation.df0),
+                       prob.lower, prob.upper)
+        got = new.to_array()
+        assert np.allclose(got[free], want[free], rtol=0.0,
+                           atol=1e-12 * np.abs(z).max())
 
     def test_real_subproblem_records_no_fallback(self, tiny_variable_problem,
                                                  evaluation):

@@ -119,9 +119,9 @@ class TestPredictorCorrector:
         ctrl = f.control()
         U0 = np.zeros(f.mesh.num_dofs)
         cfg = S.SolverConfig(steps=1)
-        U, lam, system, lu, iters, hist = S.corrector(
+        U, lam, system, lu, iters, hist, ref = S.corrector(
             model, ctrl, U0, np.zeros(2), 0.0, cfg)
-        assert iters == 0
+        assert iters == 0 and ref is None
 
     def test_quadratic_residual_decay(self, gripper):
         f, fields, model = gripper
@@ -275,6 +275,45 @@ class TestPerStateHook:
         assert all(a is b for a, b in zip(seen, path.requested_states))
 
 
+class TestPredictorReuse:
+    def test_predictor_reuses_the_correctors_reference_solves(
+            self, monkeypatch):
+        # the corrector's last iteration solved [F_ext_x, F_ext_y, R] with
+        # the factors the next predictor uses, so every predictor after the
+        # first solves nothing; the states equal those of re-solving ones
+        f = fx.load_fixture("mini_gripper_100")
+        cfg = S.SolverConfig(steps=4)
+        calls = []
+        real_solve = S.PermutedLU.solve
+
+        def counting(self, b):
+            calls.append(b.shape)
+            return real_solve(self, b)
+
+        monkeypatch.setattr(S.PermutedLU, "solve", counting)
+
+        def solve_path():
+            _, model = f.build()  # a new ElementKinematics each time
+            calls.clear()
+            path = S.solve_equilibrium_path(model, f.control(), cfg)
+            return path, len(calls)
+
+        reused, n_reused = solve_path()
+        real_predictor = S.predictor
+
+        def resolving(*args, ref_solves=None, **kwargs):
+            return real_predictor(*args, **kwargs)
+
+        monkeypatch.setattr(S, "predictor", resolving)
+        resolved, n_resolved = solve_path()
+        assert all(st.corrector_iterations > 0 for st in reused.states)
+        assert n_resolved - n_reused == cfg.steps - 1
+        for a, b in zip(reused.states, resolved.states, strict=True):
+            assert a.U.tobytes() == b.U.tobytes()
+            assert (a.lambda_x, a.lambda_y) == (b.lambda_x, b.lambda_y)
+            assert a.residual_history == b.residual_history
+
+
 class TestToyArch:
     @pytest.fixture
     def arch(self, arch_setup):
@@ -358,6 +397,31 @@ class TestFactorize:
         assert np.abs(lu.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
         assert np.abs(lu.solve(b[:, 0]) - x[:, 0]).max() <= (
             1e-12 * np.abs(x[:, 0]).max())
+
+    def test_pre_permuted_solve_hands_superlu_fortran_order(self, gripper,
+                                                             tangent):
+        # b[q] gathered into Fortran order gives, bit for bit, the solution
+        # of the C-ordered gather, and SuperLU receives no C-ordered block
+        f, fields, model = gripper
+        kin = asm.ElementKinematics(f.mesh, model.kin.material)
+        S._factorize(tangent, kin=kin)
+        lu = S._factorize(tangent, kin=kin)
+        q, perm_c = lu.ordering.q, lu.ordering.perm_c
+        superlu = lu.lu
+        seen = []
+
+        class Recording:
+            def solve(self, b):
+                seen.append(b.flags.f_contiguous)
+                return superlu.solve(b)
+
+        lu.lu = Recording()
+        rng = np.random.default_rng(9)
+        for b in (rng.standard_normal((tangent.shape[0], 3)),
+                  rng.standard_normal(tangent.shape[0])):
+            want = superlu.solve(b[q])[perm_c]
+            assert lu.solve(b).tobytes() == want.tobytes()
+        assert seen == [True, True]
 
     def test_column_at_a_time_keeps_pivots_and_fill(self, gripper, tangent):
         # panel_size = 1 against SuperLU's default panels, on the first
