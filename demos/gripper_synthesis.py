@@ -54,9 +54,7 @@ print(f"\nmovable / fixed output ratio: {u_var / u_fixed:.2f}x")
 
 # density snapshots for inspection in ParaView etc.
 for label, (prob, res) in RESULTS.items():
-    from varibc.design_field import evaluate_fields
-
-    flds = evaluate_fields(res.design, prob.mesh, prob.params)
+    flds = prob.fields(res.design)
     name = "demo_gripper_" + label.split()[0] + ".vtk"
     outputs.write_vtk(name, prob.mesh,
                       outputs.density_cell_data(prob.mesh, flds))

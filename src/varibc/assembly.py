@@ -281,11 +281,11 @@ class NonlinearModel:
     """Everything needed to evaluate residuals and tangents at one design.
 
     Bundles the element kinematics with the design-dependent fields (moduli,
-    blend factors, springs, reference loads), the output springs, and the
-    optional constant counter-force vector.
+    blend factors, springs, reference loads), the output springs, and a
+    constant counter-force vector, zero unless with_counter_force sets one.
     """
 
-    def __init__(self, kin, fields, output_springs=(), counter_force=None):
+    def __init__(self, kin, fields, output_springs=()):
         self.kin = kin
         self.mesh = kin.mesh
         self.fields = fields
@@ -299,11 +299,10 @@ class NonlinearModel:
         self.output_springs = tuple(output_springs)
         self.spring_dofs = np.array([d for d, _ in output_springs], dtype=np.int64)
         self.spring_k = np.array([k for _, k in output_springs], dtype=float)
-        if counter_force is None:
-            counter_force = np.zeros(kin.mesh.num_dofs)
-        self.F_counter = np.asarray(counter_force, dtype=float)
+        self.F_counter = np.zeros(kin.mesh.num_dofs)
 
     def with_counter_force(self, counter_force):
+        """A copy of the model carrying counter_force (None: zero)."""
         m = NonlinearModel.__new__(NonlinearModel)
         m.__dict__.update(self.__dict__)
         m.F_counter = (np.zeros(self.mesh.num_dofs) if counter_force is None
@@ -330,20 +329,18 @@ class NonlinearModel:
         )
 
 
-def build_model(mesh, design, params, material_params, A_f=None, W=None,
-                output_springs=(), counter_force=None, kin=None):
+def build_model(mesh, design, params, material_params, A_f=None,
+                output_springs=()):
     """Evaluate the design fields and wrap them in a NonlinearModel.
 
-    Returns (fields, model). Pass A_f/W back in across design iterations to
-    keep the load normalization frozen and skip rebuilding the filter.
+    Returns (fields, model). A problem's models come from ProblemSpec.models;
+    this serves designs without a ProblemSpec, such as the test fixtures.
     """
     from . import design_field as df
 
-    fields = df.evaluate_fields(design, mesh, params, A_f=A_f, W=W)
-    if kin is None:
-        kin = ElementKinematics(mesh, material_params)
-    model = NonlinearModel(kin, fields, output_springs=output_springs,
-                           counter_force=counter_force)
+    fields = df.evaluate_fields(design, mesh, params, A_f=A_f)
+    model = NonlinearModel(ElementKinematics(mesh, material_params), fields,
+                           output_springs=output_springs)
     return fields, model
 
 

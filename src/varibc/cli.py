@@ -66,7 +66,6 @@ def _solver_config(cfg, problem):
 
 def cmd_run(args):
     from . import config, optimizer, outputs
-    from .design_field import evaluate_fields
 
     try:
         cfg = config.parse_config(args.config)
@@ -106,8 +105,7 @@ def cmd_run(args):
             f"max g {record.g.max():.3g}, mean |drho| {record.mean_drho:.2e}"
             + (" [path failed]" if record.path_failed else ""))
         if dump_every and record.iteration % dump_every == 0:
-            flds = evaluate_fields(design, problem.mesh, problem.params,
-                                   A_f=problem.A_f)
+            flds = problem.fields(design)
             outputs.write_vtk(
                 os.path.join(outdir, f"density_{record.iteration:03d}.vtk"),
                 problem.mesh, outputs.density_cell_data(problem.mesh, flds))
@@ -128,8 +126,7 @@ def cmd_run(args):
     say(f"finished: {result.stop_reason} after {len(result.history)} "
         f"iterations in {time.perf_counter() - t0:.1f} s")
 
-    fields = evaluate_fields(result.design, problem.mesh, problem.params,
-                             A_f=problem.A_f)
+    fields = problem.fields(result.design)
     outputs.write_vtk(os.path.join(outdir, "density_final.vtk"),
                       problem.mesh,
                       outputs.density_cell_data(problem.mesh, fields))

@@ -37,7 +37,6 @@ class Fixture:
     steps: int
     output_springs: tuple = ()
     output_selector: tuple = ()      # (dof, weight) pairs for U_out
-    counter_force: np.ndarray | None = None
     expected: dict = field(default_factory=dict)
     recompute: callable = None
 
@@ -51,7 +50,6 @@ class Fixture:
         return assembly.build_model(
             self.mesh, self.design, self.params, self.material, A_f=A_f,
             output_springs=self.output_springs,
-            counter_force=self.counter_force,
         )
 
 

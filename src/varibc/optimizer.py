@@ -15,13 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, mma
-from .adjoint import StateAdjoint
+from .adjoint import SensitivityRecord, SingularReducedSystem, \
+    StateAdjoint, StateContext
 from .design_field import DesignVector, build_filter_matrix
-from .mesh import clamp_to_mesh, locate_point, shape_values_at, PointOutsideDomain
-from .solver import EquilibriumState, InputControl, PathFailed, \
+from .mesh import clamp_to_mesh, locate_point, PointOutsideDomain
+from .material import NonPositiveJacobian
+from .solver import EquilibriumState, PathFailed, SingularTangent, \
     SolverConfig, solve_equilibrium_path
 
 FAILURE_PENALTY = 10.0
+# what can stop a state's differentiation: the 2x2 multiplier system, the
+# fallback factorization of K_T, or the re-assembly of a state without one
+ADJOINT_FAILURES = (SingularReducedSystem, SingularTangent,
+                    NonPositiveJacobian)
 
 
 @dataclass
@@ -93,19 +99,34 @@ def differentiate_path(model, control, solver_cfg, fields, design,
     reaches it, with the corrector's factors (solve_equilibrium_path's
     on_state hook), so one StateAdjoint serves every quantity of a step.
     Steps that a failed path never reached are differentiated at its last
-    converged state (_state_for_step), with K_T factorized afresh. Returns
-    (path, {name: SensitivityRecord}, failed).
+    converged state (_state_for_step), with K_T factorized afresh. A state
+    whose differentiation raises one of ADJOINT_FAILURES fails the path as
+    well: its step's quantities keep their value at that state and get a
+    zero gradient. Returns (path, {name: SensitivityRecord}, failed).
     """
     by_step = {}
     for q in quantities:
         by_step.setdefault(q.step, []).append(q)
     records = {}
     reached = []
+    failed = False
 
     def differentiate(state, lu, qs):
-        adjointer = StateAdjoint(model, control, state, fields, design, lu=lu)
-        for q in qs:
-            records[q.name] = adjointer.sensitivity(q)
+        nonlocal failed
+        try:
+            adjointer = StateAdjoint(model, control, state, fields, design,
+                                     lu=lu)
+            for q in qs:
+                records[q.name] = adjointer.sensitivity(q)
+        except ADJOINT_FAILURES:
+            failed = True
+            ctx = StateContext(state=state, model=model, control=control,
+                               fields=fields, design=design)
+            for q in qs:
+                records[q.name] = SensitivityRecord(
+                    name=q.name, value=float(q.evaluate(ctx)),
+                    dgdzeta=np.zeros(design.size), psi_c=np.zeros(2),
+                    psi_R=np.zeros(model.mesh.num_dofs))
 
     def on_state(state, lu):
         reached.append(state)
@@ -113,7 +134,6 @@ def differentiate_path(model, control, solver_cfg, fields, design,
         if qs:
             differentiate(state, lu, qs)
 
-    failed = False
     try:
         path = solve_equilibrium_path(model, control, solver_cfg,
                                       on_state=on_state)
@@ -130,20 +150,14 @@ def differentiate_path(model, control, solver_cfg, fields, design,
 def evaluate_design(problem, design, A_f=None, W=None, kin=None,
                     solver_cfg=None):
     """Solve all load cases at one design and differentiate the quantities,
-    one differentiate_path call per load case. A_f defaults to the run's
-    frozen normalization, problem.A_f."""
-    if A_f is None:
-        A_f = problem.A_f
+    one differentiate_path call per model of problem.models. The reference
+    load is normalized by problem.A_f; an A_f passed in must equal it."""
+    if A_f is not None and A_f != problem.A_f:
+        raise ValueError(f"A_f {A_f!r} is not the problem's frozen "
+                         f"normalization {problem.A_f!r}")
     if solver_cfg is None:
         solver_cfg = SolverConfig(steps=problem.steps)
-    if kin is None:
-        kin = assembly.ElementKinematics(problem.mesh, problem.material)
-    fields, base = assembly.build_model(
-        problem.mesh, design, problem.params, problem.material, A_f=A_f, W=W,
-        output_springs=problem.output_springs, kin=kin)
-    control = InputControl(
-        sample=shape_values_at(problem.mesh, design.load),
-        theta=design.theta, u_in_norm=problem.u_in_norm)
+    fields, models, control = problem.models(design, kin=kin, W=W)
 
     by_case = {}
     for q in problem.quantities():
@@ -153,9 +167,7 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
     records = {}
     bisections = iterations = 0
     failed = False
-    for i, case in enumerate(problem.load_cases):
-        Fc = case.force_vector(problem.mesh)
-        model = base.with_counter_force(Fc if np.any(Fc) else None)
+    for i, model in enumerate(models):
         path, case_records, case_failed = differentiate_path(
             model, control, solver_cfg, fields, design, by_case.get(i, []))
         records.update(case_records)
@@ -269,7 +281,6 @@ def run_optimization(problem, config=None, on_iteration=None):
     kin = assembly.ElementKinematics(problem.mesh, problem.material)
     W = build_filter_matrix(problem.mesh, problem.params.r_min)
     design = problem.design0.copy()
-    A_f = problem.A_f
 
     history = []
     mma_state = {}
@@ -286,7 +297,7 @@ def run_optimization(problem, config=None, on_iteration=None):
             drho = np.abs(design.rho - prev_rho)
         else:
             drho = np.zeros_like(design.rho)
-        evaluation = evaluate_design(problem, design, A_f=A_f, W=W, kin=kin,
+        evaluation = evaluate_design(problem, design, W=W, kin=kin,
                                      solver_cfg=solver_cfg)
         record = IterationRecord(
             iteration=it, objective=evaluation.objective, f0=evaluation.f0,

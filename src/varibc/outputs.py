@@ -12,9 +12,8 @@ import os
 
 import numpy as np
 
-from . import assembly, problems
-from .mesh import shape_values_at
-from .solver import InputControl, solve_equilibrium_path
+from . import problems
+from .solver import solve_equilibrium_path
 
 
 def write_vtk(path, mesh, cell_data):
@@ -150,22 +149,13 @@ def replay_design(problem, design, solver_cfg, stroke_scale=1.0):
     """Re-solve a stored design with the solver settings solver_cfg.
 
     Returns (paths, one per load case; fields; control), for post-analysis
-    force-displacement curves and output paths. The reference load keeps
-    the run's normalization (ProblemSpec.A_f), so a replay with the run's
-    own solver settings reproduces the run's forces.
+    force-displacement curves and output paths. The models come from
+    problem.models, as in the run, so a replay with the run's own solver
+    settings reproduces the run's forces.
     """
-    fields, base = assembly.build_model(
-        problem.mesh, design, problem.params, problem.material,
-        A_f=problem.A_f, output_springs=problem.output_springs)
-    control = InputControl(
-        sample=shape_values_at(problem.mesh, design.load),
-        theta=design.theta,
-        u_in_norm=problem.u_in_norm * stroke_scale)
-    paths = []
-    for case in problem.load_cases:
-        Fc = case.force_vector(problem.mesh)
-        model = base.with_counter_force(Fc if np.any(Fc) else None)
-        paths.append(solve_equilibrium_path(model, control, solver_cfg))
+    fields, models, control = problem.models(design,
+                                             stroke_scale=stroke_scale)
+    paths = [solve_equilibrium_path(m, control, solver_cfg) for m in models]
     return paths, fields, control
 
 

@@ -2,7 +2,8 @@
 
 Quantities implement the QuantitySpec interface so the adjoint engine can
 differentiate them; problem specs bundle the domain, non-design layout,
-output attachments, load cases, constraint schedule, bounds, and move limits.
+output attachments, load cases, constraint schedule, bounds, and move limits,
+and build the fields and models that are solved at a design.
 
 `FAMILIES` tables the four studied families: defaults, a geometry builder
 and a layout function that places what differs between problems on the
@@ -20,11 +21,11 @@ from functools import partial
 
 import numpy as np
 
-from . import mesh as msh
+from . import assembly, design_field, mesh as msh
 from .adjoint import QuantitySpec
-from .design_field import DesignVector, ProjectionParams, \
-    load_magnitude_field
+from .design_field import DesignVector, ProjectionParams
 from .material import MaterialParams
+from .solver import InputControl
 
 
 class UOut(QuantitySpec):
@@ -240,8 +241,30 @@ class ProblemSpec:
     @property
     def A_f(self):
         """Reference-load normalization frozen at design0's actuator point;
-        the optimizer, the density dumps and replays all use it."""
-        return load_magnitude_field(self.design0, self.mesh, self.params)[1]
+        fields() applies it at every design."""
+        return design_field.load_magnitude_field(
+            self.design0, self.mesh, self.params)[1]
+
+    def fields(self, design, W=None):
+        """Design fields at design, with the frozen A_f: the fields the
+        optimizer solves, dumps and replays. W is the filter matrix."""
+        return design_field.evaluate_fields(design, self.mesh, self.params,
+                                            A_f=self.A_f, W=W)
+
+    def models(self, design, kin=None, W=None, stroke_scale=1.0):
+        """(fields, one NonlinearModel per load case, InputControl) at
+        design. The control's stroke is u_in_norm * stroke_scale; kin and
+        W, when given, are reused across designs."""
+        fields = self.fields(design, W)
+        if kin is None:
+            kin = assembly.ElementKinematics(self.mesh, self.material)
+        base = assembly.NonlinearModel(kin, fields, self.output_springs)
+        models = [base.with_counter_force(case.force_vector(self.mesh))
+                  for case in self.load_cases]
+        control = InputControl(
+            sample=msh.shape_values_at(self.mesh, design.load),
+            theta=design.theta, u_in_norm=self.u_in_norm * stroke_scale)
+        return fields, models, control
 
     def quantities(self):
         qs = [q for _, q in self.objective_terms]

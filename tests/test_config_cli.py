@@ -155,6 +155,39 @@ class TestCliRun:
             assert float(fin) == values[f"f_in[{m},0]"]
             assert float(fp) == values[f"f_p[{m},0]"]
 
+    def test_dump_every_writes_the_solved_density(self, tiny_cfg, tmp_path):
+        cfg = tmp_path / "dump.cfg"
+        cfg.write_text((tmp_path / "tiny.cfg").read_text()
+                       + "[output]\ndump_every = 2\n")
+        assert cli.main(["run", str(cfg), "-q"]) == 0
+        out = tmp_path / "out"
+        assert not (out / "density_001.vtk").exists()
+        assert (out / "density_002.vtk").read_bytes() == \
+            (out / "density_final.vtk").read_bytes()
+
+    def test_adjoint_failure_fails_the_iteration_not_the_run(
+            self, tiny_cfg, tmp_path, monkeypatch):
+        from varibc import adjoint as A
+
+        calls = []
+        real = A.StateAdjoint.solve_multipliers
+
+        def failing(self, dfdU, dfdlam):
+            calls.append(1)
+            if len(calls) == 1:
+                raise A.SingularReducedSystem("injected")
+            return real(self, dfdU, dfdlam)
+
+        monkeypatch.setattr(A.StateAdjoint, "solve_multipliers", failing)
+        assert cli.main(["run", tiny_cfg, "-q"]) == 0
+        out = tmp_path / "out"
+        assert (out / "density_final.vtk").exists()
+        doc = json.loads((out / "design_summary.json").read_text())
+        assert doc["stop_reason"] == "max_iterations"
+        header, *rows = (out / "history.csv").read_text().splitlines()
+        col = header.split(",").index("path_failed")
+        assert [row.split(",")[col] for row in rows] == ["1", "0"]
+
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("problem = gripper\n")

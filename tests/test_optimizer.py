@@ -409,6 +409,74 @@ class TestPathFailureHandling:
         assert len(res.history) == 4
 
 
+class TestAdjointFailureHandling:
+    """A state whose differentiation fails fails the evaluation, not the
+    run."""
+
+    @pytest.mark.parametrize("error", O.ADJOINT_FAILURES)
+    def test_failed_step_keeps_values_and_gets_zero_gradient(
+            self, tiny_problem, monkeypatch, error):
+        from varibc import adjoint as A
+
+        prob = tiny_problem
+        healthy = O.evaluate_design(prob, prob.design0)
+        real = A.StateAdjoint.sensitivity
+
+        def failing(self, q):
+            if q.step == 2:
+                raise error("injected")
+            return real(self, q)
+
+        monkeypatch.setattr(A.StateAdjoint, "sensitivity", failing)
+        ev = O.evaluate_design(prob, prob.design0)
+        assert ev.failed
+        assert ev.values == healthy.values
+        assert np.array_equal(ev.g, healthy.g + O.FAILURE_PENALTY)
+        assert np.array_equal(ev.df0, healthy.df0)
+        steps = [c.quantity.step for c in prob.constraints]
+        assert 2 in steps
+        for j, step in enumerate(steps):
+            if step == 2:
+                assert not np.any(ev.dg[j])
+            else:
+                assert np.array_equal(ev.dg[j], healthy.dg[j])
+
+    @pytest.mark.parametrize("max_failures", [10, 0])
+    def test_run_goes_on_past_a_singular_reduced_system(
+            self, tiny_variable_problem, monkeypatch, max_failures):
+        from varibc import adjoint as A
+
+        armed = []
+        real = A.StateAdjoint.solve_multipliers
+
+        def failing(self, dfdU, dfdlam):
+            if armed == [True]:
+                armed.append("fired")
+                raise A.SingularReducedSystem("injected")
+            return real(self, dfdU, dfdlam)
+
+        def arm_after_first(record, design, evaluation):
+            if record.iteration == 1:
+                armed.append(True)
+
+        monkeypatch.setattr(A.StateAdjoint, "solve_multipliers", failing)
+        res = O.run_optimization(
+            tiny_variable_problem,
+            O.OptimizerConfig(max_iterations=4,
+                              max_consecutive_failures=max_failures),
+            on_iteration=arm_after_first)
+        assert armed == [True, "fired"]
+        failed = [r.path_failed for r in res.history]
+        if max_failures:
+            assert res.stop_reason == "max_iterations"
+            assert failed == [False, True, False, False]
+        else:
+            # the failed iteration counts toward max_consecutive_failures
+            assert res.stop_reason == "repeated_solver_failure"
+            assert failed == [False, True]
+        assert np.all(res.history[1].g >= O.FAILURE_PENALTY - 1.5)
+
+
 class TestMmaFallback:
     @pytest.fixture
     def evaluation(self, tiny_variable_problem):
@@ -527,6 +595,19 @@ class TestMultiLoadCaseEvaluation:
             [free.requested_states[-1].lambda_x,
              free.requested_states[-1].lambda_y])
 
+    def test_replay_gives_the_evaluated_states(self, line_gen):
+        # both build their models with problem.models, counter cases too
+        prob, ev = line_gen
+        paths, _, _ = outputs.replay_design(prob, prob.design0,
+                                            SolverConfig(steps=prob.steps))
+        assert len(paths) == len(ev.paths) == 3
+        for rep, run in zip(paths, ev.paths):
+            assert len(rep.requested_states) == prob.steps
+            assert len(run.requested_states) == prob.steps
+            for a, b in zip(rep.requested_states, run.requested_states):
+                assert np.array_equal(a.U, b.U)
+                assert (a.lambda_x, a.lambda_y) == (b.lambda_x, b.lambda_y)
+
     def test_objective_and_constraint_gradients_vs_fd(self, line_gen):
         prob, ev = line_gen
         A_f = prob.A_f
@@ -546,6 +627,12 @@ class TestMultiLoadCaseEvaluation:
             fd_g = (evp.g - evm.g) / (2 * h)
             big = np.abs(fd_g) > 1e-6
             assert np.allclose(ev0.dg[big, col], fd_g[big], rtol=5 * tol)
+
+
+def test_evaluation_refuses_another_normalization(tiny_problem):
+    with pytest.raises(ValueError, match="frozen normalization"):
+        O.evaluate_design(tiny_problem, tiny_problem.design0,
+                          A_f=2.0 * tiny_problem.A_f)
 
 
 def test_wing_evaluation_with_frozen_skin_support():

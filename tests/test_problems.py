@@ -337,3 +337,25 @@ class TestConstraintScaling:
         g = np.array([1.0, -2.0])
         assert np.allclose(up.dg(g), g / 30.0)
         assert np.allclose(lo.dg(g), -g / 2.0)
+
+
+class TestModels:
+    """ProblemSpec.models: the models every solve of a design uses."""
+
+    def test_frozen_normalization_counter_forces_and_stroke(self):
+        prob = P.make_problem("line_generator", element_size=6e-3)
+        moved = prob.design0.copy()
+        moved.load = moved.load + np.array([5e-3, 2e-3])
+        fields, models, control = prob.models(moved, stroke_scale=0.5)
+        # the load moved, but its normalization stays design0's
+        assert fields.A_f == prob.A_f
+        total = np.sum(fields.f_e * prob.mesh.volumes)
+        assert abs(total - 1.0) > 1e-6
+        assert np.array_equal(prob.fields(moved).f_e, fields.f_e)
+        assert len(models) == len(prob.load_cases) == 3
+        for model, case in zip(models, prob.load_cases):
+            assert np.array_equal(model.F_counter,
+                                  case.force_vector(prob.mesh))
+            assert model.fields is fields
+        assert control.u_in_norm == 0.5 * prob.u_in_norm
+        assert control.theta == moved.theta
