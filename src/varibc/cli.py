@@ -103,7 +103,7 @@ def cmd_run(args):
         history(record, design, evaluation)
         say(f"iter {record.iteration}: objective {record.objective:.6g}, "
             f"max g {record.g.max():.3g}, mean |drho| {record.mean_drho:.2e}"
-            + (" [path failed]" if record.path_failed else ""))
+            + (f" [{evaluation.failure}]" if evaluation.failed else ""))
         if dump_every and record.iteration % dump_every == 0:
             flds = problem.fields(design)
             outputs.write_vtk(

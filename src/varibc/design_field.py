@@ -320,8 +320,6 @@ class FieldState:
     """
 
     design: DesignVector
-    rho_tilde: np.ndarray        # filtered densities, full length (0 on fixed)
-    rho_hat: np.ndarray          # movable-region projection
     rho_bar: np.ndarray          # physical densities
     E: np.ndarray
     gamma: np.ndarray
@@ -379,9 +377,8 @@ def evaluate_fields(design, mesh, params, A_f=None, W=None):
     f_e, A_f, dfe = load_magnitude_field(design, mesh, params, A_f=A_f,
                                          with_gradients=True)
     return FieldState(
-        design=design, rho_tilde=rho_tilde_full, rho_hat=rho_hat,
-        rho_bar=rho_bar, E=E, gamma=gam, k_s=k_s, f_e=f_e, A_f=A_f,
-        designable=des, W=W,
+        design=design, rho_bar=rho_bar, E=E, gamma=gam, k_s=k_s, f_e=f_e,
+        A_f=A_f, designable=des, W=W,
         dE_drho_bar=dE, dgamma_drho_bar=dgam, drho_bar_drho_tilde=d_dt,
         drho_bar_drho_hat=d_dh, drho_hat_dpts=dhat_dpts, dks_dsup=dks,
         dfe_dload=dfe,

@@ -18,14 +18,6 @@ from .design_field import DesignVector, ProjectionParams
 from .material import MaterialParams
 from .solver import InputControl
 
-FIXTURE_NAMES = (
-    "one_triangle_spring",
-    "two_triangle_linear",
-    "toy_arch",
-    "mini_gripper_100",
-)
-
-
 @dataclass
 class Fixture:
     name: str
@@ -194,6 +186,7 @@ _BUILDERS = {
     "toy_arch": _toy_arch,
     "mini_gripper_100": _mini_gripper_100,
 }
+FIXTURE_NAMES = tuple(_BUILDERS)
 
 
 def load_fixture(name):

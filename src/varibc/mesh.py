@@ -16,8 +16,6 @@ DESIGNABLE = 0
 SOLID_NONDESIGN = 1
 VOID_NONDESIGN = 2
 
-_TAG_NAMES = {DESIGNABLE: "designable", SOLID_NONDESIGN: "solid", VOID_NONDESIGN: "void"}
-
 
 class MeshError(Exception):
     """Invalid geometry or a failed mesh construction."""
@@ -322,7 +320,7 @@ def _hex_grid(bbox, h):
     return np.vstack(rows)
 
 
-def generate_mesh(geometry, thickness=1.0, max_refine_rounds=40):
+def generate_mesh(geometry, thickness=1.0):
     """Triangulate a DomainGeometry into a conforming MeshModel.
 
     Boundary polygons are resampled at the target element size, interior
@@ -362,7 +360,7 @@ def generate_mesh(geometry, thickness=1.0, max_refine_rounds=40):
     pts = np.vstack([bpts, grid]) if len(grid) else bpts
     segs = list(constraints)
 
-    for _ in range(max_refine_rounds):
+    for _ in range(40):  # rounds of Steiner midpoints, at most
         tri = Delaunay(pts)
         edges = set()
         for s in tri.simplices:
@@ -543,12 +541,9 @@ def _read_vtk(path, thickness=1.0):
     return MeshModel(coords[:, :2], body[:, 1:], tags, thickness)
 
 
-def rectangle_geometry(width, height, h, nondesign_regions=(), origin=(0.0, 0.0)):
-    """Axis-aligned rectangle domain helper."""
-    x0, y0 = origin
-    outline = np.array(
-        [[x0, y0], [x0 + width, y0], [x0 + width, y0 + height], [x0, y0 + height]]
-    )
+def rectangle_geometry(width, height, h, nondesign_regions=()):
+    """Axis-aligned rectangle domain helper, with a corner at the origin."""
+    outline = np.array([[0.0, 0.0], [width, 0.0], [width, height], [0.0, height]])
     return DomainGeometry(
         outline=outline, target_h=h, nondesign_regions=list(nondesign_regions)
     )

@@ -18,12 +18,14 @@ from . import assembly, mma
 from .adjoint import SensitivityRecord, SingularReducedSystem, \
     StateAdjoint, StateContext
 from .design_field import DesignVector, build_filter_matrix
-from .mesh import clamp_to_mesh, locate_point, PointOutsideDomain
+from .mesh import clamp_to_mesh
 from .material import NonPositiveJacobian
 from .solver import EquilibriumState, PathFailed, SingularTangent, \
     SolverConfig, solve_equilibrium_path
 
 FAILURE_PENALTY = 10.0
+# iterations over which _flag_oscillation counts objective reversals
+OSCILLATION_WINDOW = 10
 # what can stop a state's differentiation: the 2x2 multiplier system, the
 # fallback factorization of K_T, or the re-assembly of a state without one
 ADJOINT_FAILURES = (SingularReducedSystem, SingularTangent,
@@ -36,7 +38,6 @@ class OptimizerConfig:
     feas_tol: float = 1e-3
     density_change_tol: float = 1e-4
     max_consecutive_failures: int = 10
-    oscillation_window: int = 10
     solver: SolverConfig | None = None
 
 
@@ -68,7 +69,11 @@ class Evaluation:
     paths: list
     solver_bisections: int
     solver_iterations: int
-    failed: bool
+    failure: str = ""           # the first failure's text, "" if none
+
+    @property
+    def failed(self):
+        return bool(self.failure)
 
 
 @dataclass
@@ -102,24 +107,27 @@ def differentiate_path(model, control, solver_cfg, fields, design,
     converged state (_state_for_step), with K_T factorized afresh. A state
     whose differentiation raises one of ADJOINT_FAILURES fails the path as
     well: its step's quantities keep their value at that state and get a
-    zero gradient. Returns (path, {name: SensitivityRecord}, failed).
+    zero gradient. Returns (path, {name: SensitivityRecord}, failure): the
+    text of the first failure, PathFailed's message or the adjoint error's
+    class, step and message, and "" if there was none.
     """
     by_step = {}
     for q in quantities:
         by_step.setdefault(q.step, []).append(q)
     records = {}
     reached = []
-    failed = False
+    failure = ""
 
     def differentiate(state, lu, qs):
-        nonlocal failed
+        nonlocal failure
         try:
             adjointer = StateAdjoint(model, control, state, fields, design,
                                      lu=lu)
             for q in qs:
                 records[q.name] = adjointer.sensitivity(q)
-        except ADJOINT_FAILURES:
-            failed = True
+        except ADJOINT_FAILURES as err:
+            failure = failure or \
+                f"{type(err).__name__} at step {qs[0].step}: {err}"
             ctx = StateContext(state=state, model=model, control=control,
                                fields=fields, design=design)
             for q in qs:
@@ -139,12 +147,12 @@ def differentiate_path(model, control, solver_cfg, fields, design,
                                       on_state=on_state)
     except PathFailed as err:
         path = err.partial
-        failed = True
+        failure = failure or str(err)
     for m in sorted(by_step):
         if m > len(reached):
             state = _state_for_step(path, m, model.mesh.num_dofs)
             differentiate(state, None, by_step[m])
-    return path, records, failed
+    return path, records, failure
 
 
 def evaluate_design(problem, design, A_f=None, W=None, kin=None,
@@ -166,12 +174,13 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
     paths = []
     records = {}
     bisections = iterations = 0
-    failed = False
+    failure = ""
     for i, model in enumerate(models):
-        path, case_records, case_failed = differentiate_path(
+        path, case_records, case_failure = differentiate_path(
             model, control, solver_cfg, fields, design, by_case.get(i, []))
         records.update(case_records)
-        failed = failed or case_failed
+        if case_failure and not failure:
+            failure = f"load case {i + 1}: {case_failure}"
         paths.append(path)
         bisections += path.total_bisections
         iterations += path.total_corrector_iterations
@@ -192,14 +201,14 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
         rec = records[con.quantity.name]
         g[j] = con.g(rec.value)
         dg[j] = con.dg(rec.dgdzeta)
-    if failed:
+    if failure:
         g = g + FAILURE_PENALTY
 
     values = {name: rec.value for name, rec in records.items()}
     return Evaluation(objective=obj_val, f0=f0, df0=df0, g=g, dg=dg,
                       values=values, paths=paths,
                       solver_bisections=bisections,
-                      solver_iterations=iterations, failed=failed)
+                      solver_iterations=iterations, failure=failure)
 
 
 def mma_update(problem, design, evaluation, state):
@@ -246,10 +255,7 @@ def mma_update(problem, design, evaluation, state):
     n_rho = len(design.rho)
     n_s = design.num_supports
     new = DesignVector.from_array(z_new, n_rho, n_s)
-    try:
-        locate_point(problem.mesh, new.load)
-    except PointOutsideDomain:
-        new.load = clamp_to_mesh(problem.mesh, new.load)
+    new.load = clamp_to_mesh(problem.mesh, new.load)
     return new
 
 
@@ -265,10 +271,10 @@ def convergence_check(history, feas_tol=1e-3, density_change_tol=1e-4):
     return "stop" if (feasible and settled) else "continue"
 
 
-def _flag_oscillation(history, window):
-    if len(history) < window:
+def _flag_oscillation(history):
+    if len(history) < OSCILLATION_WINDOW:
         return False
-    objs = np.array([r.objective for r in history[-window:]])
+    objs = np.array([r.objective for r in history[-OSCILLATION_WINDOW:]])
     diffs = np.diff(objs)
     flips = np.sum(diffs[1:] * diffs[:-1] < 0)
     return flips >= 0.7 * (len(diffs) - 1)
@@ -310,8 +316,7 @@ def run_optimization(problem, config=None, on_iteration=None):
             path_failed=evaluation.failed,
             mma_fallback=it > 1 and mma_state["fallback"],
         )
-        record.oscillating = _flag_oscillation(
-            history + [record], config.oscillation_window)
+        record.oscillating = _flag_oscillation(history + [record])
         history.append(record)
         if on_iteration is not None:
             on_iteration(record, design, evaluation)

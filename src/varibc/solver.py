@@ -3,11 +3,11 @@
 The actuator prescribes the displacement at an arbitrary in-plane point
 (interpolated by the element shape functions), at an angle theta, in M
 increments. Each increment is a predictor step followed by Newton
-corrections; both phases share one factorization per assembled tangent and
-solve a 2x2 system for the two load intensity increments so the input-point
-displacement follows the prescribed fraction exactly. The predictor takes
-the reference-load solves of the last corrector iteration, which used the
-same factors, instead of solving them again. Failed steps are retried with
+corrections, and both are one newton_update: a bordered solve with one
+factorization of the tangent, in which a 2x2 system picks the two load
+intensity increments so the input-point displacement follows the prescribed
+fraction exactly. The predictor reuses the factors and the reference-load
+solves of the last corrector iteration. Failed steps are retried with
 bisected increments from the last converged state.
 
 Every tangent factorization, here and in the adjoint, is a SuperLU call in
@@ -242,81 +242,63 @@ def _factorize(K, factor=None, kin=None):
     return lu
 
 
-def predictor(model, control, state, s_target, lu=None, system=None,
-              counter_column=None, ref_solves=None):
-    """Predictor step from state = (U, lam) to the input fraction s_target.
+def newton_update(model, control, lu, U, lam, target, rhs=None, ref=None):
+    """One bordered Newton update of (U, lam) with the tangent factors lu.
 
-    One factorization solves for the two reference loads and, when given,
-    the counter-load increment column; the 2x2 solve then picks the
-    intensity increments that close the input-point defect
-    target(s_target) - u_in(U). ref_solves, when given, are the reference
-    load solves K^-1 [F_ext_x, F_ext_y] with lu, and only the counter column
-    is solved. Returns the predicted (U, lambda). Without a counter column
-    the predicted input-point displacement equals target(s_target) to
-    machine precision.
+    One lu.solve makes the reference load solves K^-1 [F_ext_x, F_ext_y]
+    (unless ref already holds them) together with K^-1 rhs. The 2x2 solve
+    then picks the intensity increments dlam that put the input point of
+    U + ref dlam + K^-1 rhs on target. The predictor passes the counter-load
+    increment as rhs, or nothing; the corrector passes the residual. Returns
+    the updated (U, lam) and ref.
     """
-    U, lam = state
-    if system is None:
-        system = model.assemble(U)
-    if lu is None:
-        lu = _factorize(system.K_T, kin=model.kin)
-    dU_counter = None
-    if ref_solves is None:
-        rhs_cols = [system.F_ext_x, system.F_ext_y]
-        if counter_column is not None:
-            rhs_cols.append(counter_column)
-        cols = lu.solve(np.column_stack(rhs_cols))
-        ref_solves = cols[:, :2]
-        if counter_column is not None:
-            dU_counter = cols[:, 2]
-    elif counter_column is not None:
-        dU_counter = lu.solve(counter_column)
-    M2 = input_point_response(control.sample, ref_solves)
-    defect = control.target(s_target) - control.sample.interpolate(U)
-    if dU_counter is not None:
-        defect = defect - control.sample.interpolate(dU_counter)
-    dlam = _solve_2x2(M2, defect)
-    U_new = U + ref_solves @ dlam
-    if dU_counter is not None:
-        U_new = U_new + dU_counter
-    return U_new, np.asarray(lam, dtype=float) + dlam
+    cols = [] if ref is not None else [model.F_ext_x, model.F_ext_y]
+    if rhs is not None:
+        cols.append(rhs)
+    dU = None
+    if cols:
+        solved = lu.solve(np.column_stack(cols))
+        if ref is None:
+            ref = solved[:, :2]
+        if rhs is not None:
+            dU = solved[:, -1]
+    defect = target - control.sample.interpolate(U)
+    if dU is not None:
+        defect = defect - control.sample.interpolate(dU)
+    dlam = _solve_2x2(input_point_response(control.sample, ref), defect)
+    U = U + ref @ dlam
+    if dU is not None:
+        U = U + dU
+    return U, lam + dlam, ref
 
 
 def corrector(model, control, U, lam, s_target, config,
               counter_scale=1.0):
     """Newton corrections until the residual norm and constraint are met.
 
-    Each iteration factorizes the current tangent once and solves the three
-    right-hand sides (two reference loads and the residual); the 2x2 solve
-    picks the intensity increments that keep the input point on target.
-    Returns (U, lam, converged GlobalSystem, lu, iterations, residual history,
-    reference solves): the last are the last iteration's K^-1 [F_ext_x,
-    F_ext_y] with lu, and None when no iteration was made, in which case lu
-    factorizes the converged tangent.
+    Each iteration factorizes the current tangent once and makes one
+    newton_update with the residual. Returns (U, lam, converged GlobalSystem,
+    lu, iterations, residual history, reference solves): the last are the
+    last iteration's K^-1 [F_ext_x, F_ext_y] with lu, and None when no
+    iteration was made, in which case lu factorizes the converged tangent.
     """
     target = control.target(s_target)
     system = model.assemble(U, counter_scale=counter_scale)
     R = system.residual(lam[0], lam[1])
     rnorm = float(np.linalg.norm(R))
     history = [rnorm]
-    lu = ref_solves = None
+    lu = ref = None
     ctol = max(1e-12 * abs(control.u_in_norm), 1e-300)
     for it in range(config.max_corrector_iters + 1):
         defect = target - control.sample.interpolate(U)
         if rnorm <= config.tol_residual and np.all(np.abs(defect) <= 100 * ctol):
             if lu is None:
                 lu = _factorize(system.K_T, kin=model.kin)
-            return U, lam, system, lu, it, tuple(history), ref_solves
+            return U, lam, system, lu, it, tuple(history), ref
         if it == config.max_corrector_iters:
             break
         lu = _factorize(system.K_T, kin=model.kin)
-        cols = lu.solve(np.column_stack([system.F_ext_x, system.F_ext_y, R]))
-        ref_solves = cols[:, :2]
-        M2 = input_point_response(control.sample, ref_solves)
-        dUc_at = control.sample.interpolate(cols[:, 2])
-        dlam = _solve_2x2(M2, defect - dUc_at)
-        U = U + ref_solves @ dlam + cols[:, 2]
-        lam = np.array([lam[0] + dlam[0], lam[1] + dlam[1]])
+        U, lam, ref = newton_update(model, control, lu, U, lam, target, rhs=R)
         system = model.assemble(U, counter_scale=counter_scale)
         R = system.residual(lam[0], lam[1])
         rnorm = float(np.linalg.norm(R))
@@ -340,66 +322,57 @@ def solve_equilibrium_path(model, control, config, on_state=None):
     next step goes on to use. A nonzero counter force on the model is ramped
     first with the input held at zero.
     """
-    n = model.mesh.num_dofs
-    U = np.zeros(n)
-    lam = np.zeros(2)
     path = EquilibriumPath(states=[])
     has_counter = bool(np.any(model.F_counter))
-
-    # the last converged state, its corrector's factors and the reference
-    # load solves made with them, which the next predictor reuses
-    state = {"U": U, "lam": lam, "system": None, "lu": None, "ref": None,
-             "alpha": 1.0 if not has_counter else 0.0, "s": 0.0}
-
-    def attempt(s_new, alpha_new):
-        sys0 = state["system"]
-        lu0 = state["lu"]
-        if sys0 is None:
-            sys0 = model.assemble(state["U"], counter_scale=state["alpha"])
-            lu0 = _factorize(sys0.K_T, kin=model.kin)
-        d_alpha = alpha_new - state["alpha"]
+    start = EquilibriumState(
+        U=np.zeros(model.mesh.num_dofs), lambda_x=0.0, lambda_y=0.0,
+        input_fraction=0.0, residual_norm=0.0, corrector_iterations=0,
+        counter_scale=0.0 if has_counter else 1.0)
+    # the last corrector's factors and the reference load solves made with
+    # them, which the next predictor reuses
+    lu = ref = None
+    # increments to make, the next one last, as (s, alpha, bisection depth,
+    # requested); a failed one is retried after its bisected first half
+    todo = [(m / config.steps, 1.0, 0, True)
+            for m in range(config.steps, 0, -1)]
+    if has_counter:
+        todo.append((0.0, 1.0, 0, False))
+    while todo:
+        s_new, alpha_new, depth, requested = todo.pop()
+        last = path.states[-1] if path.states else start
+        d_alpha = alpha_new - last.counter_scale
         counter = d_alpha * model.F_counter if d_alpha != 0.0 else None
-        U_pred, lam_pred = predictor(
-            model, control, (state["U"], state["lam"]), s_new, lu=lu0,
-            system=sys0, counter_column=counter, ref_solves=state["ref"])
-        U_new, lam_new, system, lu, iters, hist, ref = corrector(
-            model, control, U_pred, lam_pred, s_new, config,
-            counter_scale=alpha_new,
-        )
-        state.update(U=U_new, lam=lam_new, system=system, lu=lu, ref=ref,
-                     alpha=alpha_new, s=s_new)
-        path.total_corrector_iterations += iters
-        return iters, hist
-
-    def advance(s_new, alpha_new, depth, requested):
         try:
-            iters, hist = attempt(s_new, alpha_new)
+            if not path.states:
+                lu = _factorize(model.assemble(last.U).K_T, kin=model.kin)
+            lam = np.array([last.lambda_x, last.lambda_y])
+            U, lam, _ = newton_update(model, control, lu, last.U, lam,
+                                      control.target(s_new), rhs=counter,
+                                      ref=ref)
+            U, lam, system, lu, iters, hist, ref = corrector(
+                model, control, U, lam, s_new, config,
+                counter_scale=alpha_new)
         except (CorrectorFailed, SingularTangent, Singular2x2,
                 NonPositiveJacobian) as err:
             if depth >= config.max_bisections:
-                raise PathFailed(state["s"], str(err), partial=path) from err
+                raise PathFailed(last.input_fraction, str(err),
+                                 partial=path) from err
             path.total_bisections += 1
-            s_mid = 0.5 * (state["s"] + s_new)
-            a_mid = 0.5 * (state["alpha"] + alpha_new)
-            advance(s_mid, a_mid, depth + 1, requested=False)
-            advance(s_new, alpha_new, depth + 1, requested=requested)
-            return
+            todo.append((s_new, alpha_new, depth + 1, requested))
+            todo.append((0.5 * (last.input_fraction + s_new),
+                         0.5 * (last.counter_scale + alpha_new), depth + 1,
+                         False))
+            continue
+        path.total_corrector_iterations += iters
         st = EquilibriumState(
-            U=state["U"].copy(), lambda_x=float(state["lam"][0]),
-            lambda_y=float(state["lam"][1]), input_fraction=s_new,
-            residual_norm=hist[-1], corrector_iterations=iters,
-            requested=requested, counter_scale=alpha_new,
-            residual_history=hist,
-            system=state["system"] if requested else None,
-        )
+            U=U.copy(), lambda_x=float(lam[0]), lambda_y=float(lam[1]),
+            input_fraction=s_new, residual_norm=hist[-1],
+            corrector_iterations=iters, requested=requested,
+            counter_scale=alpha_new, residual_history=hist,
+            system=system if requested else None)
         path.states.append(st)
         if requested and on_state is not None:
-            on_state(st, state["lu"])
-
-    if has_counter:
-        advance(0.0, 1.0, 0, requested=False)
-    for m in range(1, config.steps + 1):
-        advance(m / config.steps, 1.0, 0, requested=True)
+            on_state(st, lu)
     return path
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from varibc import fixtures as fx
-from varibc import optimizer as O
 from varibc import problems as P
 from varibc import solver as S
 from varibc import verify as V
@@ -60,39 +59,28 @@ def test_06_force_decomposition_identity():
 @pytest.fixture(scope="module")
 def gripper_runs():
     t0 = time.perf_counter()
-    out = {}
-    for mode, fixed in (("fixed", True), ("variable", False)):
-        prob = P.make_problem("gripper", fixed_bcs=fixed, element_size=3e-3)
-        res = O.run_optimization(prob, O.OptimizerConfig(max_iterations=120))
-        out[mode] = (prob, res)
+    out = {mode: V.desk_scale_gripper(fixed)
+           for mode, fixed in (("fixed", True), ("variable", False))}
     out["elapsed"] = time.perf_counter() - t0
     return out
 
 
 def test_07_desk_scale_gripper(gripper_runs):
-    prob_f, res_f = gripper_runs["fixed"]
-    prob_v, res_v = gripper_runs["variable"]
+    prob_f, res_f, (u_f, _, feasible_f) = gripper_runs["fixed"]
+    _, _, (u_v, moved, feasible_v) = gripper_runs["variable"]
     assert gripper_runs["elapsed"] <= 3600.0
     assert 1800 <= prob_f.mesh.num_elements <= 3200  # ~2,500 elements
 
-    final_f = res_f.history[-1]
     assert res_f.stop_reason in ("converged", "max_iterations")
-    assert final_f.objective > 0.0
-    assert np.all(final_f.g <= 1e-3)
-    assert final_f.values["v_f"] <= 0.3 + 1e-3
+    assert u_f > 0.0
+    assert feasible_f
+    assert res_f.history[-1].values["v_f"] <= 0.3 + 1e-3
 
-    final_v = res_v.history[-1]
-    assert np.all(final_v.g <= 1e-3)
-    assert final_v.objective >= final_f.objective
-
-    bc0 = prob_v.design0.to_array()[len(prob_v.design0.rho):-1]
-    bc1 = res_v.design.to_array()[len(res_v.design.rho):-1]
-    moved = np.abs(bc1 - bc0)
-    assert moved.max() > 5e-3
-    _ok(7, (f"fixed U_out {final_f.objective * 100:.3f} cm, variable "
-            f"{final_v.objective * 100:.3f} cm "
-            f"({final_v.objective / final_f.objective:.2f}x), max BC move "
-            f"{moved.max() * 1000:.1f} mm, "
+    assert feasible_v
+    assert u_v >= u_f
+    assert moved > 5e-3
+    _ok(7, (f"fixed U_out {u_f * 100:.3f} cm, variable {u_v * 100:.3f} cm "
+            f"({u_v / u_f:.2f}x), max BC move {moved * 1000:.1f} mm, "
             f"{gripper_runs['elapsed']:.0f} s total"))
 
 

@@ -187,6 +187,11 @@ class TestCliRun:
         header, *rows = (out / "history.csv").read_text().splitlines()
         col = header.split(",").index("path_failed")
         assert [row.split(",")[col] for row in rows] == ["1", "0"]
+        iters = [line for line in (out / "run.log").read_text().splitlines()
+                 if "] iter " in line]
+        assert iters[0].endswith(
+            "[load case 1: SingularReducedSystem at step 1: injected]")
+        assert not iters[1].endswith("]")
 
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -325,6 +325,8 @@ class TestPathFailureHandling:
         ev = O.evaluate_design(prob, prob.design0, solver_cfg=cfg)
 
         assert ev.failed
+        assert ev.failure == ("load case 1: path failed at input fraction "
+                              "0.625: failure beyond 70% of the stroke")
         path = ev.paths[0]
         substate = path.states[-1]
         assert len(path.requested_states) == 2
@@ -399,7 +401,8 @@ class TestPathFailureHandling:
                 objective=0.0, f0=0.0, df0=np.zeros(n),
                 g=np.full(m, O.FAILURE_PENALTY),
                 dg=np.zeros((m, n)), values={}, paths=[],
-                solver_bisections=0, solver_iterations=0, failed=True)
+                solver_bisections=0, solver_iterations=0,
+                failure="load case 1: synthetic failure")
 
         monkeypatch.setattr(O, "evaluate_design", fake_eval)
         cfg = O.OptimizerConfig(max_iterations=30,
@@ -429,7 +432,8 @@ class TestAdjointFailureHandling:
 
         monkeypatch.setattr(A.StateAdjoint, "sensitivity", failing)
         ev = O.evaluate_design(prob, prob.design0)
-        assert ev.failed
+        assert ev.failed and not healthy.failure
+        assert ev.failure == f"load case 1: {error.__name__} at step 2: injected"
         assert ev.values == healthy.values
         assert np.array_equal(ev.g, healthy.g + O.FAILURE_PENALTY)
         assert np.array_equal(ev.df0, healthy.df0)
@@ -486,8 +490,7 @@ class TestMmaFallback:
         return O.Evaluation(
             objective=0.0, f0=0.0, df0=rng.normal(size=n),
             g=np.full(m, -0.5), dg=0.1 * rng.normal(size=(m, n)),
-            values={}, paths=[], solver_bisections=0, solver_iterations=0,
-            failed=False)
+            values={}, paths=[], solver_bisections=0, solver_iterations=0)
 
     def test_subproblem_failure_takes_half_move_descent_step(
             self, tiny_variable_problem, evaluation, monkeypatch):
@@ -650,7 +653,7 @@ def test_oscillation_flag():
         r.iteration = i
         r.objective = (-1.0) ** i
         hist.append(r)
-    assert O._flag_oscillation(hist, 10)
+    assert O._flag_oscillation(hist)
     for i, r in enumerate(hist):
         r.objective = float(i)
-    assert not O._flag_oscillation(hist, 10)
+    assert not O._flag_oscillation(hist)

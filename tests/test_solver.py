@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -83,21 +85,27 @@ class TestInputPointResponse:
             assert np.allclose(M2[:, j], [ux, uy], atol=1e-12)
 
 
+def zero_state_factors(model):
+    U0 = np.zeros(model.mesh.num_dofs)
+    return U0, S._factorize(model.assemble(U0).K_T)
+
+
 class TestPredictorCorrector:
     def test_zero_step_keeps_state(self, one_triangle):
         f, fields, model = one_triangle
         ctrl = f.control()
-        U0 = np.zeros(f.mesh.num_dofs)
-        U, lam = S.predictor(model, ctrl, (U0, (0.0, 0.0)), 0.0)
+        U0, lu = zero_state_factors(model)
+        U, lam, _ = S.newton_update(model, ctrl, lu, U0, np.zeros(2),
+                                    ctrl.target(0.0))
         assert np.all(U == 0.0) and np.all(lam == 0.0)
 
     def test_predictor_hits_prescribed_increment(self, one_triangle):
         f, fields, model = one_triangle
         ctrl = f.control()
-        U0 = np.zeros(f.mesh.num_dofs)
+        U0, lu = zero_state_factors(model)
         du = 1e-7
-        U, lam = S.predictor(model, ctrl, (U0, (0.0, 0.0)),
-                             du / ctrl.u_in_norm)
+        U, lam, _ = S.newton_update(model, ctrl, lu, U0, np.zeros(2),
+                                    ctrl.target(du / ctrl.u_in_norm))
         got = ctrl.sample.interpolate(U)
         want = du * ctrl.direction()
         assert np.linalg.norm(got - want) <= 1e-12 * du
@@ -275,6 +283,42 @@ class TestPerStateHook:
         assert all(a is b for a, b in zip(seen, path.requested_states))
 
 
+def reused_and_resolved(monkeypatch, model_of, control, cfg):
+    """Paths of model_of() as solved, and with every newton_update
+    re-solving the reference loads, each with the column counts of the
+    PermutedLU solves it made."""
+    calls = []
+    real_solve = S.PermutedLU.solve
+
+    def counting(self, b):
+        calls.append(b.shape[1] if b.ndim == 2 else 1)
+        return real_solve(self, b)
+
+    monkeypatch.setattr(S.PermutedLU, "solve", counting)
+
+    def solve_path():
+        calls.clear()
+        # a new ElementKinematics each time
+        path = S.solve_equilibrium_path(model_of(), control, cfg)
+        return path, list(calls)
+
+    reused = solve_path()
+    real_update = S.newton_update
+
+    def resolving(*args, ref=None, **kwargs):
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(S, "newton_update", resolving)
+    return reused, solve_path()
+
+
+def assert_same_states(p1, p2):
+    for a, b in zip(p1.states, p2.states, strict=True):
+        assert a.U.tobytes() == b.U.tobytes()
+        assert (a.lambda_x, a.lambda_y) == (b.lambda_x, b.lambda_y)
+        assert a.residual_history == b.residual_history
+
+
 class TestPredictorReuse:
     def test_predictor_reuses_the_correctors_reference_solves(
             self, monkeypatch):
@@ -283,35 +327,53 @@ class TestPredictorReuse:
         # first solves nothing; the states equal those of re-solving ones
         f = fx.load_fixture("mini_gripper_100")
         cfg = S.SolverConfig(steps=4)
-        calls = []
-        real_solve = S.PermutedLU.solve
-
-        def counting(self, b):
-            calls.append(b.shape)
-            return real_solve(self, b)
-
-        monkeypatch.setattr(S.PermutedLU, "solve", counting)
-
-        def solve_path():
-            _, model = f.build()  # a new ElementKinematics each time
-            calls.clear()
-            path = S.solve_equilibrium_path(model, f.control(), cfg)
-            return path, len(calls)
-
-        reused, n_reused = solve_path()
-        real_predictor = S.predictor
-
-        def resolving(*args, ref_solves=None, **kwargs):
-            return real_predictor(*args, **kwargs)
-
-        monkeypatch.setattr(S, "predictor", resolving)
-        resolved, n_resolved = solve_path()
+        (reused, cols_reused), (resolved, cols_resolved) = \
+            reused_and_resolved(monkeypatch, lambda: f.build()[1],
+                                f.control(), cfg)
         assert all(st.corrector_iterations > 0 for st in reused.states)
-        assert n_resolved - n_reused == cfg.steps - 1
-        for a, b in zip(reused.states, resolved.states, strict=True):
-            assert a.U.tobytes() == b.U.tobytes()
-            assert (a.lambda_x, a.lambda_y) == (b.lambda_x, b.lambda_y)
-            assert a.residual_history == b.residual_history
+        assert len(cols_resolved) - len(cols_reused) == cfg.steps - 1
+        assert_same_states(reused, resolved)
+
+    def test_counter_ramp_reuses_the_reference_solves(self, monkeypatch):
+        # a counter force at the output node that the ramp reaches in two
+        # halves: the second half's predictor solves the counter column
+        # alone, with the reference solves of the first half's corrector
+        f = fx.load_fixture("mini_gripper_100")
+        F_counter = np.zeros(f.mesh.num_dofs)
+        F_counter[f.output_selector[0][0]] = 100.0
+        ctrl = f.control()
+        cfg = S.SolverConfig(steps=2)
+        (reused, cols_reused), (resolved, cols_resolved) = \
+            reused_and_resolved(
+                monkeypatch,
+                lambda: f.build()[1].with_counter_force(F_counter), ctrl, cfg)
+        assert [st.counter_scale for st in reused.states[:2]] == [0.5, 1.0]
+        assert 1 in cols_reused and 1 not in cols_resolved
+        assert_same_states(reused, resolved)
+        ramp = reused.states[1]
+        assert ramp.input_fraction == 0.0 and not ramp.requested
+        assert np.all(np.abs(ctrl.sample.interpolate(ramp.U))
+                      <= 1e-10 * ctrl.u_in_norm)
+        assert ramp.residual_norm <= cfg.tol_residual
+
+
+class TestMemory:
+    def test_a_solved_path_leaves_no_reference_cycle(self):
+        # factors and systems a path no longer needs are freed at once, not
+        # at the next cyclic collection, which let peak memory vary by run
+        f = fx.load_fixture("mini_gripper_100")
+        _, model = f.build()
+        cfg = S.SolverConfig(steps=1, max_corrector_iters=2, max_bisections=2)
+        gc.collect()
+        gc.disable()
+        try:
+            path = S.solve_equilibrium_path(model, f.control(), cfg,
+                                            on_state=lambda state, lu: None)
+            assert path.total_bisections >= 1
+            del path
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestToyArch:
