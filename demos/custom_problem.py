@@ -17,23 +17,27 @@ CFG = """
 problem = "custom"
 fixed_bcs = false
 
+[mesh]
+element_size = 0.004
+
 [parameters]
 r = 0.006
 r_min = 0.008
+u_in = 0.003
+k_out = 200.0
+
+[solver]
+steps = 3
 
 [custom]
 outline = [0.0, 0.0, 0.1, 0.0, 0.1, 0.04, 0.04, 0.04, 0.04, 0.1, 0.0, 0.1]
-element_size = 0.004
 supports = [0.008, 0.03, 0.03, 0.008]
 load = [0.008, 0.008]
 theta_deg = 45.0
-u_in = 0.003
-steps = 3
 objective = "max_u_out"
 output_point = [0.1, 0.02]
 output_axis = "x"
 output_sign = 1.0
-output_k = 200.0
 vf_bound = 0.35
 f_in_bound = 25.0
 f_p_bound = 6.0

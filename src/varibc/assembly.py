@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import material as mat
+from . import material as mat, mesh as msh
 
 
 class ElementKinematics:
@@ -62,11 +62,7 @@ class ElementKinematics:
         self.material = material_params
         tri = mesh.triangles.T                            # (3, Ne)
         n_e = mesh.num_elements
-        x = mesh.nodes[tri, 0]
-        y = mesh.nodes[tri, 1]
-        den = 2.0 * mesh.areas
-        gx = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / den
-        gy = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / den
+        gx, gy = msh.shape_gradients(mesh)
         self.grads = np.array([gx, gy]).transpose(2, 1, 0)
 
         dofs = np.empty((6, n_e), dtype=np.int64)

@@ -22,35 +22,29 @@ def _fail(message, code=1):
     return code
 
 
-def build_problem_from_config(cfg, mesh=None):
-    """Materialize a ProblemSpec from a parsed RunConfig."""
+def build_problem_from_config(cfg):
+    """Materialize a ProblemSpec from a parsed RunConfig. A setting left
+    at 0 (k_out: below 0) takes the problem's own value."""
     from . import mesh as msh, problems
 
-    fam = cfg.get("", "problem")
-    fixed = cfg.get("", "fixed_bcs")
-    mcfg = cfg.values["mesh"]
-    thickness = mcfg["thickness"] if mcfg["thickness"] > 0 else None
-    if mesh is None and mcfg["source"] == "import":
-        mesh = msh.read_mesh(mcfg["path"], thickness=thickness or 0.01)
-    par = cfg.values["parameters"]
+    def given(value):
+        return value if value > 0 else None
+
+    mcfg, par = cfg.values["mesh"], cfg.values["parameters"]
+    thickness = given(mcfg["thickness"]) or problems.THICKNESS
+    mesh = (msh.read_mesh(mcfg["path"], thickness=thickness)
+            if mcfg["source"] == "import" else None)
     po = {k: par[k] for k in ("E0", "nu", "E_s", "nu_s", "p_simp", "rho0",
                               "b", "P", "Q")}
-    for key in ("beta", "r", "r_min", "t_s"):
-        if par[key] > 0:
-            po[key] = par[key]
-    kwargs = dict(mesh=mesh, thickness=thickness, params_override=po)
-    if mcfg["element_size"] > 0:
-        kwargs["element_size"] = mcfg["element_size"]
-    if par["u_in"] > 0:
-        kwargs["u_in"] = par["u_in"]
-    if par["k_out"] >= 0:
-        kwargs["k_out"] = par["k_out"]
-    if cfg.get("solver", "steps") > 0:
-        kwargs["max_steps"] = cfg.get("solver", "steps")
-    if fam == "custom":
-        return problems.make_custom_problem(cfg.values["custom"],
-                                            fixed_bcs=fixed, **kwargs)
-    return problems.make_problem(fam, fixed_bcs=fixed, **kwargs)
+    po.update((k, given(par[k])) for k in ("beta", "r", "r_min", "t_s"))
+    kwargs = dict(
+        fixed_bcs=cfg.get("", "fixed_bcs"), mesh=mesh, thickness=thickness,
+        element_size=given(mcfg["element_size"]), u_in=given(par["u_in"]),
+        k_out=par["k_out"] if par["k_out"] >= 0 else None,
+        max_steps=given(cfg.get("solver", "steps")), params_override=po)
+    if cfg.get("", "problem") == "custom":
+        return problems.make_custom_problem(cfg.values["custom"], **kwargs)
+    return problems.make_problem(cfg.get("", "problem"), **kwargs)
 
 
 def _solver_config(cfg, problem):
@@ -179,15 +173,12 @@ def cmd_replay(args):
         cfg = config.parse_config(doc["resolved_config"])
     except (OSError, config.ConfigError) as err:
         return _fail(str(err))
-    mesh = None
     mesh_file = os.path.join(os.path.dirname(args.summary) or ".",
                              "mesh.mesh")
     if os.path.exists(mesh_file):
-        from . import mesh as msh
-        thickness = cfg.get("mesh", "thickness") or 0.01
-        mesh = msh.read_mesh(mesh_file, thickness=thickness)
+        cfg.values["mesh"].update(source="import", path=mesh_file)
     try:
-        problem = build_problem_from_config(cfg, mesh=mesh)
+        problem = build_problem_from_config(cfg)
     except Exception as err:
         return _fail(f"problem reconstruction failed: {err}")
     d = doc["design"]

@@ -1,18 +1,21 @@
-"""Run configuration: a small sectioned key = value format.
+"""Run configuration, in TOML.
 
-Grammar (documented in the README): `#` starts a comment; `[section]` lines
-open a section; entries are `key = value` with values being numbers
-(including scientific notation), booleans true/false, double-quoted strings,
-or flat lists `[v1, v2, ...]` of numbers. Unknown keys are rejected with
-their line number and the nearest valid key; parse errors carry line and
-column. The resolved configuration (all defaults materialized) re-parses to
-an identical RunConfig.
+The text is parsed with tomllib (the grammar is documented in the README)
+and then walked against _SCHEMA: root keys, then one table per section.
+Unknown sections and keys are rejected with their line number and the
+nearest valid key, and TOML syntax errors carry line and column. Integers
+are accepted for floats and integral floats for integers; list entries must
+be numbers and become floats. The resolved configuration (all defaults
+materialized) re-parses to an identical RunConfig.
 """
 
 from __future__ import annotations
 
 import difflib
-import io
+import json
+import os
+import re
+import tomllib
 from dataclasses import dataclass, field
 
 from .problems import FAMILIES
@@ -20,15 +23,14 @@ from .problems import FAMILIES
 
 class ConfigError(Exception):
     def __init__(self, message, line=None, col=None):
-        self.line = line
-        self.col = col
         where = ""
         if line is not None:
             where = f" (line {line}" + (f", col {col}" if col else "") + ")"
         super().__init__(message + where)
 
 
-# key -> (type, default); None default means "absent unless given"
+# section -> key -> (type, default); the root keys are section "". A
+# default of 0 (for k_out, a negative one) takes the problem's own value.
 _SCHEMA = {
     "": {
         "problem": (str, "gripper"),
@@ -74,18 +76,13 @@ _SCHEMA = {
     },
     "custom": {
         "outline": (list, []),
-        "element_size": (float, 0.0),
-        "thickness": (float, 0.01),
         "supports": (list, []),
         "load": (list, []),
         "theta_deg": (float, 0.0),
-        "u_in": (float, 0.005),
-        "steps": (int, 4),
         "objective": (str, "max_u_out"),
         "output_point": (list, []),
         "output_axis": (str, "y"),
         "output_sign": (float, 1.0),
-        "output_k": (float, 0.0),
         "vf_bound": (float, 0.3),
         "f_in_bound": (float, 30.0),
         "f_p_bound": (float, 7.5),
@@ -104,9 +101,6 @@ _SCHEMA = {
 class RunConfig:
     values: dict = field(default_factory=dict)
 
-    def __getitem__(self, key):
-        return self.values[key]
-
     def get(self, section, key):
         return self.values[section][key]
 
@@ -117,44 +111,46 @@ def _defaults():
             for sec, keys in _SCHEMA.items()}
 
 
-def _parse_value(text, line_no, col):
-    text = text.strip()
-    if not text:
-        raise ConfigError("missing value", line_no, col)
-    if text.startswith('"'):
-        if not text.endswith('"') or len(text) < 2:
-            raise ConfigError("unterminated string", line_no, col)
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError("unterminated list", line_no, col)
-        body = text[1:-1].strip()
-        if not body:
-            return []
-        out = []
-        for part in body.split(","):
-            try:
-                out.append(float(part))
-            except ValueError:
-                raise ConfigError(f"bad list entry {part.strip()!r}",
-                                  line_no, col) from None
-        return out
-    try:
-        if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
-            return float(text)
-        return int(text)
-    except ValueError:
-        raise ConfigError(
-            f"cannot parse value {text!r} (quote strings)", line_no,
-            col) from None
+def _line_of(text, section, key=None):
+    """Line of key in its own [section] (element_size is in two), or of
+    the section header when key is None; None if not found."""
+    current = ""
+    pattern = rf"\s*{re.escape(key)}\s*=" if key else r"\s*\["
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        head = re.match(r"\s*\[\s*([\w-]+)\s*\]", raw)
+        current = head[1] if head else current
+        if current == section and re.match(pattern, raw):
+            return line_no
+    return None
+
+
+def _checked(section, key, value, line):
+    """value coerced to the schema type of [section] key."""
+    schema = _SCHEMA[section]
+    if key not in schema:
+        near = difflib.get_close_matches(key, list(schema), n=1)
+        hint = f"; did you mean {near[0]!r}?" if near else ""
+        where = f"[{section}] " if section else ""
+        raise ConfigError(f"unknown key {where}{key!r}{hint}", line, 1)
+    want, _ = schema[key]
+    if isinstance(value, list):
+        for entry in value:
+            if type(entry) not in (int, float):
+                raise ConfigError(f"bad list entry {entry!r}", line)
+        value = [float(entry) for entry in value]
+    if want is float and type(value) is int:
+        value = float(value)
+    if want is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if not isinstance(value, want) or (want is not bool
+                                       and isinstance(value, bool)):
+        raise ConfigError(f"key {key!r} expects {want.__name__}, got "
+                          f"{type(value).__name__}", line)
+    return value
 
 
 def parse_config(source):
     """Parse a config file path, text, or file object into a RunConfig."""
-    import os
-
     if hasattr(source, "read"):
         text = source.read()
     elif os.path.exists(str(source)):
@@ -165,48 +161,27 @@ def parse_config(source):
     else:
         raise ConfigError(f"config file not found: {source}")
 
+    try:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        message, _, where = str(err).rpartition(" (at ")
+        at = re.fullmatch(r"line (\d+), column (\d+)\)", where)
+        line, col = ((int(at[1]), int(at[2])) if at  # else end of document
+                     else (text.count("\n") + 1, None))
+        raise ConfigError(message, line, col) from None
+
     values = _defaults()
-    section = ""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                raise ConfigError("unterminated section header", line_no,
-                                  len(line))
-            section = stripped[1:-1].strip()
-            if section not in _SCHEMA or section == "":
-                known = ", ".join(s for s in _SCHEMA if s)
-                raise ConfigError(
-                    f"unknown section [{section}]; known sections: {known}",
-                    line_no, 1)
-            continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", line_no, 1)
-        key, _, val = line.partition("=")
-        col = line.index("=") + 2
-        key = key.strip()
-        schema = _SCHEMA[section]
-        if key not in schema:
-            pool = list(schema)
-            near = difflib.get_close_matches(key, pool, n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
-            where = f"[{section}] " if section else ""
-            raise ConfigError(f"unknown key {where}{key!r}{hint}", line_no, 1)
-        parsed = _parse_value(val, line_no, col)
-        want, _ = schema[key]
-        if want is float and isinstance(parsed, int):
-            parsed = float(parsed)
-        if want is int and isinstance(parsed, float) and parsed.is_integer():
-            parsed = int(parsed)
-        if not isinstance(parsed, want) or (want is not bool
-                                            and isinstance(parsed, bool)):
+    for name, value in doc.items():
+        if not isinstance(value, dict):
+            name, value = "", {name: value}
+        elif not name or name not in _SCHEMA:
+            known = ", ".join(s for s in _SCHEMA if s)
             raise ConfigError(
-                f"key {key!r} expects {want.__name__}, got "
-                f"{type(parsed).__name__}", line_no, col)
-        values[section][key] = parsed
+                f"unknown section [{name}]; known sections: {known}",
+                _line_of(text, name), 1)
+        for key, entry in value.items():
+            values[name][key] = _checked(name, key, entry,
+                                         _line_of(text, name, key))
 
     problem = values[""]["problem"]
     known = [*FAMILIES, "custom"]
@@ -234,7 +209,8 @@ def _format_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
-        return f'"{v}"'
+        # JSON's escapes are TOML's; TOML also wants DEL escaped
+        return json.dumps(v, ensure_ascii=False).replace("\x7f", "\\u007f")
     if isinstance(v, list):
         return "[" + ", ".join(repr(float(x)) for x in v) + "]"
     if isinstance(v, float):
@@ -242,16 +218,12 @@ def _format_value(v):
     return str(v)
 
 
-def dump_config(cfg, file=None):
-    """Write the resolved configuration; re-parsing reproduces cfg."""
-    own = file is None
-    out = io.StringIO() if own else file
-    for key, val in cfg.values[""].items():
-        out.write(f"{key} = {_format_value(val)}\n")
-    for section in (s for s in _SCHEMA if s):
-        out.write(f"\n[{section}]\n")
-        for key, val in cfg.values[section].items():
-            out.write(f"{key} = {_format_value(val)}\n")
-    if own:
-        return out.getvalue()
-    return None
+def dump_config(cfg):
+    """The resolved configuration as text; re-parsing it reproduces cfg."""
+    lines = []
+    for section, entries in cfg.values.items():
+        if section:
+            lines += ["", f"[{section}]"]
+        lines += [f"{key} = {_format_value(val)}"
+                  for key, val in entries.items()]
+    return "\n".join(lines) + "\n"

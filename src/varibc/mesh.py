@@ -255,12 +255,13 @@ class ShapeSample:
         )
 
 
-def shape_gradients(mesh, element):
-    """Constant shape-function gradients (grad_x, grad_y) of one element."""
-    i, j, k = mesh.triangles[element]
-    x = mesh.nodes[[i, j, k], 0]
-    y = mesh.nodes[[i, j, k], 1]
-    den = 2.0 * mesh.areas[element]
+def shape_gradients(mesh, elements=slice(None)):
+    """Constant shape-function gradients (grad_x, grad_y) of the linear
+    triangles: (3,) arrays for one element index, (3, Ne) for several."""
+    tri = mesh.triangles[elements].T
+    x = mesh.nodes[tri, 0]
+    y = mesh.nodes[tri, 1]
+    den = 2.0 * mesh.areas[elements]
     gx = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / den
     gy = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / den
     return gx, gy

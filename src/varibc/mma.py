@@ -5,10 +5,11 @@ Standard MMA (Svanberg 1987; September-2007 reference algorithm) for
     minimize f0(x) + a0 z + sum(c_i y_i + 0.5 d_i y_i^2)
     s.t.     f_i(x) - a_i z - y_i <= 0,   xmin <= x <= xmax,  y >= 0, z >= 0
 
-with the default asymptote settings: initialization at 0.5 of the variable
-range, adaptation factors 0.7 (oscillation) and 1.2 (monotone progress). The
-subproblem is solved by the usual primal-dual Newton interior-point method.
-Move limits are accepted per variable.
+with a0 = 1, a_i = 0, c_i = 1000, d_i = 1 and the default asymptote
+settings: initialization at 0.5 of the variable range, adaptation factors
+0.7 (oscillation) and 1.2 (monotone progress). The subproblem is solved by
+the usual primal-dual Newton interior-point method. Move limits are accepted
+per variable.
 
 Each Newton step of the subproblem solve works in arrays allocated once per
 solve. The products of an iterate (upp - x, x - low and their squares,
@@ -41,19 +42,16 @@ class SubproblemError(RuntimeError):
 
 
 def mmasub(iter_count, x, xmin, xmax, xold1, xold2, f0val, df0dx, fval, dfdx,
-           low, upp, move, a0=1.0, a=None, c=None, d=None):
+           low, upp, move):
     """One MMA iteration.
 
     dfdx has shape (m, n); move is a per-variable cap on |x_new - x| in the
-    same units as x. Returns (x_new, y, z, lam, low, upp).
+    same units as x. Returns (x_new, low, upp).
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     m = len(fval)
     move = np.broadcast_to(np.asarray(move, dtype=float), (n,))
-    a = np.zeros(m) if a is None else np.asarray(a, float)
-    c = np.full(m, 1000.0) if c is None else np.asarray(c, float)
-    d = np.ones(m) if d is None else np.asarray(d, float)
 
     xrange = np.maximum(xmax - xmin, 1e-5)
     if iter_count <= 2:
@@ -93,9 +91,9 @@ def mmasub(iter_count, x, xmin, xmax, xold1, xold2, f0val, df0dx, fval, dfdx,
     Q = (dfm + pq) * xl2[None, :]
     b = P @ (1.0 / ux1) + Q @ (1.0 / xl1) - fval
 
-    x_new, y, z, lam = subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q,
-                               a0, a, b, c, d)
-    return x_new, y, z, lam, low, upp
+    x_new, _, _, _ = subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, 1.0,
+                             np.zeros(m), b, np.full(m, 1000.0), np.ones(m))
+    return x_new, low, upp
 
 
 def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):

@@ -236,7 +236,7 @@ def mma_update(problem, design, evaluation, state):
     low = state.get("low", xn - 0.5)
     upp = state.get("upp", xn + 0.5)
     try:
-        x_new, _, _, _, low, upp = mma.mmasub(
+        x_new, low, upp = mma.mmasub(
             it, xn, np.zeros_like(xn), np.ones_like(xn), xold1, xold2,
             evaluation.f0, df0_n, evaluation.g, dg_n, low, upp, move_n)
         state["fallback"] = False

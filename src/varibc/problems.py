@@ -545,6 +545,8 @@ class Family:
     layout: Callable            # (mesh, params, M, u_in, k_out, fixed_bcs)
 
 
+THICKNESS = 0.01   # m, out-of-plane thickness unless one is given
+
 FAMILIES = {  # element_size, r, r_min, beta, u_in, k_out, steps, geometry
     "gripper": Family(1.5e-3, 2.5e-3, 3e-3, 500.0, 5e-3, 300.0, 4,
                       gripper_geometry, _gripper),
@@ -564,7 +566,7 @@ def _build(name, family, fixed_bcs, mesh=None, element_size=None,
            params_override=None):
     """Fill the arguments left as None from the family, then lay the
     problem out on its mesh and assemble it."""
-    thickness = 0.01 if thickness is None else thickness
+    thickness = THICKNESS if thickness is None else thickness
     if mesh is None:
         h = family.element_size if element_size is None else element_size
         mesh = msh.generate_mesh(family.geometry(h), thickness=thickness)
@@ -612,39 +614,32 @@ def _assemble(name, mesh, params, u_in, M, fixed_bcs, *, vf, supports, load,
         lower=lower, upper=upper, move_limits=move, **spec)
 
 
-def make_custom_problem(spec, fixed_bcs=False, mesh=None, element_size=None,
-                        thickness=None, max_steps=None, u_in=None,
-                        k_out=None, params_override=None):
+def make_custom_problem(spec, fixed_bcs=False, **kwargs):
     """Build a user-defined problem from a custom config block.
 
     spec is a plain dict with the [custom] keys: outline (flat coordinate
-    list), supports, load, theta_deg, u_in, steps, objective
-    (max_u_out | min_f_in_final | path_error), output_point, output_axis,
-    output_sign, output_k, vf_bound, f_in_bound, f_p_bound,
-    precision_points, counter_forces, rho_init, move_rho, move_xy,
-    move_theta_deg, bc_margin.
+    list), supports, load, theta_deg, objective (max_u_out |
+    min_f_in_final | path_error), output_point, output_axis, output_sign,
+    vf_bound, f_in_bound, f_p_bound, precision_points, counter_forces,
+    rho_init, move_rho, move_xy, move_theta_deg, bc_margin. kwargs are
+    make_problem's; the defaults are an element size of 2% of the
+    outline's extent, u_in 5 mm, no output spring (k_out 0) and 4 steps.
     """
-    thickness = spec.get("thickness", 0.01) if thickness is None else thickness
-    if mesh is None:
-        outline = np.asarray(spec["outline"], float).reshape(-1, 2)
-        h = element_size or spec.get("element_size") or 0.02 * max(
-            outline.max(axis=0) - outline.min(axis=0))
-        geo = msh.DomainGeometry(outline=outline, target_h=h)
-        mesh = msh.generate_mesh(geo, thickness=thickness)
-    family = Family(element_size=None, r=2.5e-3, r_min=3e-3, beta=500.0,
-                    u_in=spec["u_in"], k_out=spec.get("output_k", 0.0),
-                    steps=int(spec["steps"]), geometry=None,
+    outline = np.asarray(spec.get("outline", []), float).reshape(-1, 2)
+    h = (0.02 * max(outline.max(axis=0) - outline.min(axis=0))
+         if len(outline) else None)
+    family = Family(element_size=h, r=2.5e-3, r_min=3e-3, beta=500.0,
+                    u_in=5e-3, k_out=0.0, steps=4,
+                    geometry=partial(msh.DomainGeometry, outline),
                     layout=partial(_custom, spec))
-    return _build("custom", family, fixed_bcs, mesh=mesh,
-                  max_steps=max_steps, u_in=u_in, k_out=k_out,
-                  thickness=thickness, params_override=params_override)
+    return _build("custom", family, fixed_bcs, **kwargs)
 
 
 def make_problem(family, fixed_bcs=False, **kwargs):
     """Build one of the four studied problem families by name.
 
     kwargs are mesh, element_size, max_steps, u_in, k_out, thickness and
-    params_override; each one left out takes the family's default.
+    params_override; each one left out or None takes the family's default.
     """
     if family not in FAMILIES:
         raise KeyError(

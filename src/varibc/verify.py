@@ -175,10 +175,8 @@ def solver_contract():
 
     arch = fx.load_fixture("toy_arch")
     afields, amodel = arch.build()
-    actrl = S.InputControl(
-        sample=msh.shape_values_at(arch.mesh, arch.design.load),
-        theta=arch.design.theta,
-        u_in_norm=arch.expected["bisect_stroke"])
+    actrl = dataclasses.replace(arch.control(),
+                                u_in_norm=arch.expected["bisect_stroke"])
     try:
         S.solve_equilibrium_path(amodel, actrl,
                                  S.SolverConfig(steps=1, max_bisections=0))
@@ -198,9 +196,7 @@ def linear_limit():
     f = fx.load_fixture("mini_gripper_100")
     fields, model = f.build()
     domain = 0.1
-    ctrl = S.InputControl(
-        sample=msh.shape_values_at(f.mesh, f.design.load),
-        theta=f.design.theta, u_in_norm=1e-6 * domain)
+    ctrl = dataclasses.replace(f.control(), u_in_norm=1e-6 * domain)
     path = S.solve_equilibrium_path(
         model, ctrl, S.SolverConfig(steps=1, tol_residual=1e-11,
                                     max_corrector_iters=25))

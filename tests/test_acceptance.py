@@ -109,17 +109,18 @@ def test_08_bistability_replay(tmp_path):
         'problem = "custom"\n'
         '[mesh]\nsource = "import"\npath = "%s"\nthickness = 0.01\n'
         '[parameters]\nnu = 0.3\nr = 0.12\nr_min = 0.05\nbeta = 500\n'
+        'u_in = %r\n'
+        '[solver]\nsteps = 8\n'
         '[custom]\n'
         'supports = [%r, %r, %r, %r]\n'
         'load = [%r, %r]\n'
-        'theta_deg = -90.0\nu_in = %r\nsteps = 8\n'
+        'theta_deg = -90.0\n'
         'objective = "min_f_in_final"\n'
         'output_point = [%r, %r]\noutput_axis = "y"\noutput_sign = -1.0\n'
-    ) % (tmp_path / "mesh.mesh",
+    ) % (tmp_path / "mesh.mesh", float(f.u_in_norm),
          float(sup[0, 0]), float(sup[0, 1]), float(sup[1, 0]),
          float(sup[1, 1]), float(f.design.load[0]), float(f.design.load[1]),
-         float(f.u_in_norm), float(f.design.load[0]),
-         float(f.design.load[1]))
+         float(f.design.load[0]), float(f.design.load[1]))
     resolved = config.dump_config(config.parse_config(cfg_text))
     summary = {
         "problem": "custom",

@@ -39,6 +39,34 @@ class TestParseConfig:
         with pytest.raises(config.ConfigError) as ei:
             config.parse_config('problem = "gripper"\nsteps 4\n')
         assert "line 2" in str(ei.value)
+        with pytest.raises(config.ConfigError) as ei:  # a duplicate key
+            config.parse_config('problem = "gripper"\n[solver]\nsteps = 4\n'
+                                'steps = 5\n')
+        assert "line 4" in str(ei.value)
+
+    def test_toml_multiline_list_and_hash_in_string(self):
+        cfg = config.parse_config(
+            'problem = "custom"\noutput_dir = "out#1"  # a comment\n'
+            '[custom]\noutline = [\n  0.0, 0.0,  # first corner\n'
+            '  0.1, 0,\n  0.1, 0.1,\n]\n'
+            'supports = [0.0, 0.0]\nload = [0.0, 0.05]\n')
+        assert cfg.get("", "output_dir") == "out#1"
+        outline = cfg.get("custom", "outline")
+        assert outline == [0.0, 0.0, 0.1, 0.0, 0.1, 0.1]
+        assert all(type(v) is float for v in outline)
+        assert config.parse_config(config.dump_config(cfg)) == cfg
+
+    def test_removed_custom_keys_are_unknown(self):
+        # [mesh] element_size and thickness, [parameters] u_in and k_out
+        # and [solver] steps are the only spellings of these settings
+        for key in ("element_size", "thickness", "u_in", "steps",
+                    "output_k"):
+            with pytest.raises(config.ConfigError) as ei:
+                config.parse_config(
+                    'problem = "gripper"\n[mesh]\nelement_size = 0.003\n'
+                    f'thickness = 0.02\n[custom]\n{key} = 1\n')
+            assert f"unknown key [custom] {key!r}" in str(ei.value)
+            assert "line 6" in str(ei.value)
 
     def test_unknown_problem_suggests(self):
         with pytest.raises(config.ConfigError) as ei:
@@ -50,6 +78,12 @@ class TestParseConfig:
             config.parse_config('problem = gripper')  # unquoted string
         with pytest.raises(config.ConfigError):
             config.parse_config('problem = "gripper"\n[solver]\nsteps = "two"')
+        with pytest.raises(config.ConfigError, match="bad list entry 'a'"):
+            config.parse_config('problem = "gripper"\n[custom]\n'
+                                'load = [0.0, "a"]')
+        with pytest.raises(config.ConfigError, match="expects float"):
+            config.parse_config('problem = "gripper"\n[parameters]\n'
+                                'beta = true')
 
     def test_unknown_section(self):
         with pytest.raises(config.ConfigError) as ei:
@@ -213,26 +247,45 @@ class TestCliReplay:
 
     def test_replay_at_the_run_steps_reproduces_its_forces(self, tmp_path):
         # the variable-BC run moves the actuator point away from design0's;
-        # the replay must keep the load normalization the optimizer froze
-        cfg = tmp_path / "var.cfg"
-        cfg.write_text('problem = "gripper"\n[mesh]\nelement_size = 0.006\n'
-                       '[optimizer]\nmax_iterations = 8\n')
-        out = tmp_path / "var"
-        assert cli.main(["run", str(cfg), "-q", "-o", str(out)]) == 0
-        summary = out / "design_summary.json"
-        values = json.loads(summary.read_text())["quantities"]
-        steps = len((out / "load_displacement_case1.csv").read_text()
-                    .strip().splitlines()) - 1
-        assert cli.main(["replay", str(summary), "--steps", str(steps),
-                         "-o", str(tmp_path / "rep")]) == 0
-        rows = (tmp_path / "rep" / "replay_load_displacement_case1.csv") \
-            .read_text().strip().splitlines()[1:]
-        assert len(rows) == steps == 4
-        for row in rows:
-            m, _, fin, fp = row.split(",")[:4]
-            for got, key in ((fin, f"f_in[{m},0]"), (fp, f"f_p[{m},0]")):
-                want = values[key]
-                assert abs(float(got) - want) <= 1e-6 * abs(want), key
+        # the replay must keep the load normalization the optimizer froze.
+        # The custom plate's thickness must reach the replayed mesh and t_s.
+        gripper = ('problem = "gripper"\n[mesh]\nelement_size = 0.006\n'
+                   '[optimizer]\nmax_iterations = 8\n')
+        plate = ('problem = "custom"\nfixed_bcs = true\n'
+                 '[mesh]\nelement_size = 0.012\nthickness = 0.02\n'
+                 '[parameters]\nr = 0.012\nr_min = 0.015\nu_in = 0.002\n'
+                 'k_out = 100.0\n[solver]\nsteps = 2\n'
+                 '[custom]\n'
+                 'outline = [0.0, 0.0, 0.1, 0.0, 0.1, 0.1, 0.0, 0.1]\n'
+                 'supports = [0.015, 0.015, 0.015, 0.085]\n'
+                 'load = [0.015, 0.05]\n'
+                 'output_point = [0.1, 0.05]\noutput_axis = "x"\n'
+                 'vf_bound = 0.4\n[optimizer]\nmax_iterations = 1\n')
+        for name, text, run_steps in (("var", gripper, 4),
+                                      ("plate", plate, 2)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / name
+            assert cli.main(["run", str(cfg), "-q", "-o", str(out)]) == 0
+            summary = out / "design_summary.json"
+            values = json.loads(summary.read_text())["quantities"]
+            run_rows = (out / "load_displacement_case1.csv").read_text() \
+                .strip().splitlines()[1:]
+            steps = len(run_rows)
+            rep = tmp_path / f"{name}_rep"
+            assert cli.main(["replay", str(summary), "--steps", str(steps),
+                             "-o", str(rep)]) == 0
+            rows = (rep / "replay_load_displacement_case1.csv") \
+                .read_text().strip().splitlines()[1:]
+            assert len(rows) == steps == run_steps
+            for row, run_row in zip(rows, run_rows):
+                m, _, fin, fp = row.split(",")[:4]
+                run_fin, run_fp = run_row.split(",")[2:4]
+                # the plate constrains, and so reports, its last step only
+                for got, key, csv in ((fin, f"f_in[{m},0]", run_fin),
+                                      (fp, f"f_p[{m},0]", run_fp)):
+                    want = values.get(key, float(csv))
+                    assert abs(float(got) - want) <= 1e-6 * abs(want), key
 
     def test_replay_uses_the_run_solver_settings(self, tmp_path,
                                                  monkeypatch):
@@ -313,16 +366,17 @@ class TestCustomProblem:
         p.write_text(
             'problem = "custom"\nfixed_bcs = true\n'
             f'output_dir = "{tmp_path}/cout"\n'
-            '[parameters]\nr = 0.012\nr_min = 0.015\n'
+            '[mesh]\nelement_size = 0.012\n'
+            '[parameters]\nr = 0.012\nr_min = 0.015\nu_in = 0.002\n'
+            'k_out = 100.0\n'
+            '[solver]\nsteps = 2\n'
             '[custom]\n'
             'outline = [0.0, 0.0, 0.1, 0.0, 0.1, 0.1, 0.0, 0.1]\n'
-            'element_size = 0.012\n'
             'supports = [0.015, 0.015, 0.015, 0.085]\n'
             'load = [0.015, 0.05]\n'
-            'u_in = 0.002\nsteps = 2\n'
             'objective = "max_u_out"\n'
             'output_point = [0.1, 0.05]\noutput_axis = "x"\n'
-            'output_k = 100.0\nvf_bound = 0.4\n'
+            'vf_bound = 0.4\n'
             '[optimizer]\nmax_iterations = 2\n'
         )
         assert cli.main(["run", str(p), "-q"]) == 0

@@ -27,7 +27,7 @@ class TestMmaSub:
         low = np.array([-0.5])
         upp = np.array([0.5])
         for it in range(1, 31):
-            x_new, _, _, _, low, upp = scalar_quadratic_step(
+            x_new, low, upp = scalar_quadratic_step(
                 x, xold1, xold2, low, upp, it)
             xold2, xold1, x = xold1, x, x_new
         assert abs(x[0] - 2.0) < 1e-3
@@ -41,7 +41,7 @@ class TestMmaSub:
         upp = np.array([0.5])
         errs = []
         for it in range(1, 31):
-            x_new, _, _, _, low, upp = scalar_quadratic_step(
+            x_new, low, upp = scalar_quadratic_step(
                 x, xold1, xold2, low, upp, it)
             xold2, xold1, x = xold1, x, x_new
             errs.append(abs(x[0] - 2.0))

@@ -245,21 +245,21 @@ class TestMakeProblem:
             P.make_problem("perpetuum_mobile")
 
 
-def custom_spec(**extra):
-    """A [custom] block on a 10 x 5 cm plate, output at mid right edge."""
+def custom_problem(**extra):
+    """A [custom] problem on a 10 x 5 cm plate, output at mid right edge."""
     spec = dict(outline=[0.0, 0.0, 0.1, 0.0, 0.1, 0.05, 0.0, 0.05],
-                element_size=0.01, supports=[0.0, 0.0, 0.0, 0.05],
-                load=[0.0, 0.025], theta_deg=0.0, u_in=2e-3, steps=3,
-                output_point=[0.1, 0.025])
+                supports=[0.0, 0.0, 0.0, 0.05], load=[0.0, 0.025],
+                theta_deg=0.0, output_point=[0.1, 0.025])
     spec.update(extra)
-    return spec
+    return P.make_custom_problem(spec, element_size=0.01, u_in=2e-3,
+                                 max_steps=3)
 
 
 class TestCustomProblem:
     def test_min_f_in_final_objective(self):
         for f_p_bound, scale in ((7.5, 7.5), (-0.4, 1.0)):
-            p = P.make_custom_problem(custom_spec(
-                objective="min_f_in_final", f_p_bound=f_p_bound))
+            p = custom_problem(objective="min_f_in_final",
+                               f_p_bound=f_p_bound)
             [(w, q)] = p.objective_terms
             assert w == 1.0 and isinstance(q, P.FIn)
             assert (q.step, q.load_case) == (3, 0)
@@ -267,8 +267,8 @@ class TestCustomProblem:
             assert p.objective_scale == scale
 
     def test_path_error_single_point(self):
-        p = P.make_custom_problem(custom_spec(
-            objective="path_error", precision_points=[0.1, 0.02]))
+        p = custom_problem(objective="path_error",
+                           precision_points=[0.1, 0.02])
         assert [c.name for c in p.load_cases] == ["nominal"]
         [(w, q)] = p.objective_terms
         assert w == 1.0 and isinstance(q, P.OutputOffsetSq)
@@ -280,9 +280,9 @@ class TestCustomProblem:
 
     def test_path_error_every_step_with_counter_forces(self):
         prec = [[0.1, 0.020], [0.1, 0.021], [0.1, 0.022]]
-        p = P.make_custom_problem(custom_spec(
+        p = custom_problem(
             objective="path_error", precision_points=sum(prec, []),
-            counter_forces=[1.0, 0.0, 0.0, -2.0]))
+            counter_forces=[1.0, 0.0, 0.0, -2.0])
         out = p.output_node
         assert [(c.name, c.counter_node, tuple(c.counter_vector))
                 for c in p.load_cases] == [
@@ -305,24 +305,22 @@ class TestCustomProblem:
 
     def test_invalid_specs_raise(self):
         with pytest.raises(ValueError, match="precision points"):
-            P.make_custom_problem(custom_spec(
-                objective="path_error", precision_points=[0.1, 0.02] * 2))
+            custom_problem(objective="path_error",
+                           precision_points=[0.1, 0.02] * 2)
         with pytest.raises(ValueError, match="output_point"):
-            P.make_custom_problem(custom_spec(
-                output_point=[], counter_forces=[1.0, 0.0]))
+            custom_problem(output_point=[], counter_forces=[1.0, 0.0])
         with pytest.raises(ValueError, match="unknown objective"):
-            P.make_custom_problem(custom_spec(objective="max_fun"))
+            custom_problem(objective="max_fun")
 
     def test_max_u_out_needs_an_output_point(self):
         with pytest.raises(ValueError, match="output_point"):
-            P.make_custom_problem(custom_spec(objective="max_u_out",
-                                              output_point=[]))
+            custom_problem(objective="max_u_out", output_point=[])
 
     def test_path_error_needs_an_output_point(self):
         with pytest.raises(ValueError, match="output_point"):
-            P.make_custom_problem(custom_spec(
+            custom_problem(
                 objective="path_error", precision_points=[0.1, 0.02],
-                output_point=[]))
+                output_point=[])
 
 
 class TestConstraintScaling:
