@@ -35,14 +35,14 @@ print("state at full stroke: U_out = %.4e m, F_in = %.2f N"
       % (sens["U_out"].value, sens["F_in"].value))
 
 n_rho = len(f.design.rho)
-# (label, zeta column, central-difference step); the columns follow
-# DesignVector.to_array(): [rho, X_s(all), Y_s(all), X_f, Y_f, theta]
+column = {name: n_rho + k for k, name in enumerate(f.design.bc_names())}
+# (label, zeta column, central-difference step)
 probes = [
     ("density rho_40", 40, 1e-4),
-    ("support X_s1", n_rho + 0, 1e-6),
-    ("actuator X_f", n_rho + 4, 1e-6),
-    ("actuator Y_f", n_rho + 5, 1e-6),
-    ("angle theta", n_rho + 6, 1e-6),
+    ("support X_s1", column["X_s1"], 1e-6),
+    ("actuator X_f", column["X_f"], 1e-6),
+    ("actuator Y_f", column["Y_f"], 1e-6),
+    ("angle theta", column["theta"], 1e-6),
 ]
 print(f"{'variable':<14} {'quantity':<6} {'adjoint':>14} {'central FD':>14} "
       f"{'rel err':>9}")

@@ -39,13 +39,11 @@ for label, fixed in (("fixed BCs", True), ("movable BCs", False)):
           f"V_f = {final.values['v_f']:.3f}, feasible: "
           f"{bool(np.all(final.g <= 1e-3))}")
     if not fixed:
-        n_rho = len(prob.design0.rho)
-        bc0 = prob.design0.to_array()[n_rho:-1]
-        bc1 = res.design.to_array()[n_rho:-1]
-        names = ["X_s1", "X_s2", "Y_s1", "Y_s2", "X_f", "Y_f"]
+        moved = prob.design0.join(
+            [], res.design.bc_points() - prob.design0.bc_points(), 0.0)
+        names = prob.design0.bc_names()[:-1]   # all but theta
         print("  boundary-condition moves (mm):",
-              {n: round(float(1e3 * (b - a)), 1)
-               for n, a, b in zip(names, bc0, bc1)})
+              {n: round(float(1e3 * m), 1) for n, m in zip(names, moved)})
         print(f"  actuator angle: {np.degrees(res.design.theta):.1f} deg")
 
 u_fixed = RESULTS["fixed BCs"][1].history[-1].objective

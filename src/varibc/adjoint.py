@@ -121,15 +121,12 @@ def constraint_partials(ctx):
     """
     design = ctx.design
     ctrl = ctx.control
-    out = np.zeros((2, design.size))
-    H = ctrl.sample.gradient(ctx.U)
-    col = len(design.rho) + 2 * design.num_supports
-    out[:, col] = H[:, 0]
-    out[:, col + 1] = H[:, 1]
-    s = ctx.state.input_fraction
-    out[0, -1] = s * ctrl.u_in_norm * np.sin(ctrl.theta)
-    out[1, -1] = -s * ctrl.u_in_norm * np.cos(ctrl.theta)
-    return out
+    pts = np.zeros((2, design.num_supports + 1, 2))   # one per row
+    pts[:, -1] = ctrl.sample.gradient(ctx.U)
+    theta = (ctx.state.input_fraction * ctrl.u_in_norm
+             * np.array([np.sin(ctrl.theta), -np.cos(ctrl.theta)]))
+    rho = np.zeros(len(design.rho))
+    return np.array([design.join(rho, p, t) for p, t in zip(pts, theta)])
 
 
 def _column_max_abs(a):

@@ -343,9 +343,8 @@ def build_model(mesh, design, params, material_params, A_f=None,
 def residual_vjp(model, system, lam_x, lam_y, psi):
     """psi^T dR/dzeta assembled through the field chain rules.
 
-    Returns a flat design-gradient contribution in the
-    [rho, X_s, Y_s, X_f, Y_f, theta] layout. The theta column of dR/dzeta is
-    identically zero.
+    Returns a flat design-gradient contribution in the zeta layout of
+    DesignVector.join. The theta column of dR/dzeta is identically zero.
     """
     fields = model.fields
     kin = model.kin
@@ -370,8 +369,4 @@ def residual_vjp(model, system, lam_x, lam_y, psi):
     d_pts[:-1] += np.einsum("n,nkc->kc", -gks, fields.dks_dsup)
     d_pts[-1] += np.einsum("n,nc->c", gf, fields.dfe_dload)
 
-    n_s = fields.design.num_supports
-    out = np.concatenate([
-        d_rho, d_pts[:n_s, 0], d_pts[:n_s, 1], d_pts[n_s], [0.0]
-    ])
-    return out
+    return fields.design.join(d_rho, d_pts, 0.0)

@@ -105,8 +105,9 @@ def cmd_run(args):
                 problem.mesh, outputs.density_cell_data(problem.mesh, flds))
 
     opt_cfg = optimizer.OptimizerConfig(
-        max_iterations=(args.max_iterations
-                        or cfg.get("optimizer", "max_iterations")),
+        max_iterations=(cfg.get("optimizer", "max_iterations")
+                        if args.max_iterations is None
+                        else args.max_iterations),
         feas_tol=cfg.get("optimizer", "feas_tol"),
         density_change_tol=cfg.get("optimizer", "density_change_tol"),
         solver=_solver_config(cfg, problem),

@@ -18,7 +18,7 @@ import re
 import tomllib
 from dataclasses import dataclass, field
 
-from .problems import FAMILIES
+from .problems import CUSTOM_DEFAULTS, FAMILIES
 
 
 class ConfigError(Exception):
@@ -74,26 +74,7 @@ _SCHEMA = {
     "output": {
         "dump_every": (int, 0),
     },
-    "custom": {
-        "outline": (list, []),
-        "supports": (list, []),
-        "load": (list, []),
-        "theta_deg": (float, 0.0),
-        "objective": (str, "max_u_out"),
-        "output_point": (list, []),
-        "output_axis": (str, "y"),
-        "output_sign": (float, 1.0),
-        "vf_bound": (float, 0.3),
-        "f_in_bound": (float, 30.0),
-        "f_p_bound": (float, 7.5),
-        "precision_points": (list, []),
-        "counter_forces": (list, []),
-        "rho_init": (float, 0.0),
-        "move_rho": (float, 0.2),
-        "move_xy": (float, 2.5e-3),
-        "move_theta_deg": (float, 5.0),
-        "bc_margin": (float, 0.0),
-    },
+    "custom": {k: (type(v), v) for k, v in CUSTOM_DEFAULTS.items()},
 }
 
 

@@ -1,7 +1,9 @@
 """Maps the raw design vector to per-element physical fields.
 
-The design vector concatenates element densities with the boundary-condition
-coordinates and the actuator angle. This module produces the filtered /
+The design vector zeta concatenates element densities with the
+boundary-condition coordinates and the actuator angle. Its layout is defined
+once, by DesignVector.join; every gradient, bound, move limit and column name
+in zeta order is built through it. This module produces the filtered /
 projected / physical densities, element moduli, energy-interpolation factors,
 support spring constants, and load magnitudes, together with the analytic
 partial derivatives of every field with respect to every design variable.
@@ -61,7 +63,7 @@ class ProjectionParams:
 class DesignVector:
     """Densities on designable elements plus BC coordinates and angle.
 
-    The flat layout is [rho, X_s(all), Y_s(all), X_f, Y_f, theta].
+    The flat layout zeta is join's: rho, the BC coordinates, then theta.
     """
 
     rho: np.ndarray
@@ -91,22 +93,29 @@ class DesignVector:
         """Support points followed by the load point, shape (ns+1, 2)."""
         return np.vstack([self.supports, self.load[None]])
 
-    def to_array(self):
+    @staticmethod
+    def join(rho, points, theta):
+        """Parts in zeta order [rho, X_s(all), Y_s(all), X_f, Y_f, theta];
+        points is (ns+1, 2), laid out like bc_points()."""
+        points = np.asarray(points)
         return np.concatenate(
-            [self.rho, self.supports[:, 0], self.supports[:, 1], self.load,
-             [self.theta]]
-        )
+            [rho, points[:-1, 0], points[:-1, 1], points[-1], [theta]])
+
+    def bc_names(self):
+        """Names of the zeta entries after the densities."""
+        k = range(1, self.num_supports + 1)
+        names = [(f"X_s{i}", f"Y_s{i}") for i in k] + [("X_f", "Y_f")]
+        return self.join([], names, "theta").tolist()
+
+    def to_array(self):
+        return self.join(self.rho, self.bc_points(), self.theta)
 
     @classmethod
     def from_array(cls, z, n_rho, n_sup):
-        z = np.asarray(z, dtype=float)
-        rho = z[:n_rho]
-        xs = z[n_rho:n_rho + n_sup]
-        ys = z[n_rho + n_sup:n_rho + 2 * n_sup]
-        load = z[n_rho + 2 * n_sup:n_rho + 2 * n_sup + 2]
-        theta = float(z[-1])
+        rho, xs, ys, load, theta = np.split(
+            np.asarray(z, dtype=float), np.cumsum([n_rho, n_sup, n_sup, 2]))
         return cls(rho=rho, supports=np.column_stack([xs, ys]), load=load,
-                   theta=theta)
+                   theta=float(theta[0]))
 
     def copy(self):
         return DesignVector(self.rho.copy(), self.supports.copy(),

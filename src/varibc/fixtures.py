@@ -2,8 +2,7 @@
 
 Fixtures are embedded as source data (inline node tables or packaged mesh
 files) so that changes to the mesh generator cannot silently move test
-baselines. Each fixture can rebuild itself from its defining recipe through
-``recompute`` for self-validation.
+baselines.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ class Fixture:
     output_springs: tuple = ()
     output_selector: tuple = ()      # (dof, weight) pairs for U_out
     expected: dict = field(default_factory=dict)
-    recompute: callable = None
 
     def control(self):
         sample = msh.shape_values_at(self.mesh, self.design.load)
@@ -59,7 +57,6 @@ def _one_triangle_spring():
         name="one_triangle_spring", mesh=mesh, design=design, params=params,
         material=MaterialParams(nu=0.3), u_in_norm=1e-7, steps=1,
         expected={"support_k": params.G_s / params.t_s * 0.5},
-        recompute=_one_triangle_spring,
     )
 
 
@@ -76,7 +73,6 @@ def _two_triangle_linear():
     return Fixture(
         name="two_triangle_linear", mesh=mesh, design=design, params=params,
         material=MaterialParams(nu=0.3), u_in_norm=1e-6, steps=1,
-        recompute=_two_triangle_linear,
     )
 
 
@@ -132,8 +128,7 @@ def _toy_arch():
     return Fixture(
         name="toy_arch", mesh=mesh, design=design, params=params,
         material=MaterialParams(nu=0.3), u_in_norm=_ARCH_STROKE, steps=8,
-        expected={"final_f_in_negative": True, "bisect_stroke": 1.0},
-        recompute=_toy_arch,
+        expected={"bisect_stroke": 1.0},
     )
 
 
@@ -174,7 +169,6 @@ def _mini_gripper_100():
         material=MaterialParams(nu=0.49), u_in_norm=0.005, steps=2,
         output_springs=((2 * out_hi + 1, k_out), (2 * out_lo + 1, k_out)),
         output_selector=((2 * out_lo + 1, 1.0), (2 * out_hi + 1, -1.0)),
-        recompute=_mini_gripper_100,
     )
     fx.expected["mesh_recipe"] = _mini_gripper_mesh_from_recipe
     return fx

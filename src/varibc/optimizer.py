@@ -50,7 +50,7 @@ class IterationRecord:
     values: dict                # quantity name -> value
     max_drho: float
     mean_drho: float
-    bc: np.ndarray              # [X_s..., Y_s..., X_f, Y_f, theta]
+    bc: np.ndarray              # named by DesignVector.bc_names()
     solver_bisections: int
     solver_iterations: int
     path_failed: bool
@@ -252,9 +252,7 @@ def mma_update(problem, design, evaluation, state):
 
     z_new = z.copy()
     z_new[free] = lb + x_new * rng
-    n_rho = len(design.rho)
-    n_s = design.num_supports
-    new = DesignVector.from_array(z_new, n_rho, n_s)
+    new = DesignVector.from_array(z_new, len(design.rho), design.num_supports)
     new.load = clamp_to_mesh(problem.mesh, new.load)
     return new
 
@@ -310,7 +308,7 @@ def run_optimization(problem, config=None, on_iteration=None):
             g=evaluation.g.copy(), values=dict(evaluation.values),
             max_drho=float(drho.max(initial=0.0)),
             mean_drho=float(drho.mean()) if len(drho) else 0.0,
-            bc=design.to_array()[len(design.rho):],
+            bc=design.join([], design.bc_points(), design.theta),
             solver_bisections=evaluation.solver_bisections,
             solver_iterations=evaluation.solver_iterations,
             path_failed=evaluation.failed,

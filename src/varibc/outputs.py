@@ -53,10 +53,7 @@ def history_header(problem):
     cols = ["iteration", "objective", "f0", "mean_drho", "max_drho",
             "solver_bisections", "solver_iterations", "path_failed",
             "oscillating", "mma_fallback"]
-    n_s = problem.design0.num_supports
-    cols += [f"X_s{k + 1}" for k in range(n_s)]
-    cols += [f"Y_s{k + 1}" for k in range(n_s)]
-    cols += ["X_f", "Y_f", "theta"]
+    cols += problem.design0.bc_names()
     cols += [f"g{j}" for j in range(len(problem.constraints))]
     return cols
 

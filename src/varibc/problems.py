@@ -105,15 +105,9 @@ class VolumeFraction(QuantitySpec):
         mesh = ctx.mesh
         fields = ctx.fields
         w = mesh.volumes / np.sum(mesh.volumes)
-        out = np.zeros(ctx.n_zeta)
-        n_rho = len(ctx.design.rho)
-        out[:n_rho] = fields.rho_bar_jacobian_rho().T @ w
         pts = np.einsum("n,nkc->kc", w, fields.rho_bar_partials_points())
-        n_s = ctx.design.num_supports
-        out[n_rho:n_rho + n_s] = pts[:n_s, 0]
-        out[n_rho + n_s:n_rho + 2 * n_s] = pts[:n_s, 1]
-        out[n_rho + 2 * n_s:n_rho + 2 * n_s + 2] = pts[n_s]
-        return out
+        return DesignVector.join(fields.rho_bar_jacobian_rho().T @ w, pts,
+                                 0.0)
 
 
 class OutputOffsetSq(QuantitySpec):
@@ -471,32 +465,43 @@ def _morphing_wing(mesh, params, M, u_in, k_out, fixed_bcs):
         load=np.array([0.03, -0.008]), theta=0.0,
         sup_box=_node_box(mesh, 0.05), load_box=_node_box(mesh),
         moves=(0.2, 1e-3, np.deg2rad(5.0)),
-        frozen_bcs=(2, 5),   # the skin-attachment support stays fixed
+        frozen_supports=(2,),   # the skin-attachment support stays fixed
         objective_terms=terms, objective_sense="min", objective_scale=scale,
         constraints=_force_caps(len(cases), [(M, 20.0, 5.0)]),
         load_cases=cases, output_node=out,
     )
 
 
+# every [custom] config key, in config order, with its default; a
+# rho_init of 0 starts from vf_bound
+CUSTOM_DEFAULTS = {
+    "outline": [], "supports": [], "load": [], "theta_deg": 0.0,
+    "objective": "max_u_out", "output_point": [], "output_axis": "y",
+    "output_sign": 1.0, "vf_bound": 0.3, "f_in_bound": 30.0,
+    "f_p_bound": 7.5, "precision_points": [], "counter_forces": [],
+    "rho_init": 0.0, "move_rho": 0.2, "move_xy": 2.5e-3,
+    "move_theta_deg": 5.0, "bc_margin": 0.0,
+}
+
+
 def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
     """Layout of a [custom] config block; see make_custom_problem."""
-    axis = {"x": 0, "y": 1}[spec.get("output_axis", "y")]
+    axis = {"x": 0, "y": 1}[spec["output_axis"]]
     out, selector, springs = None, (), ()
-    if spec.get("output_point"):
+    if spec["output_point"]:
         out = msh.nearest_node(mesh, spec["output_point"])
-        selector = ((2 * out + axis, float(spec.get("output_sign", 1.0))),)
+        selector = ((2 * out + axis, float(spec["output_sign"])),)
         if k_out:
             springs = ((2 * out + axis, float(k_out)),)
-    counters = np.asarray(spec.get("counter_forces", []),
-                          float).reshape(-1, 2)
+    counters = np.asarray(spec["counter_forces"], float).reshape(-1, 2)
     if len(counters) and out is None:
         raise ValueError("counter forces need an output_point")
     cases = [LoadCase("nominal")] + [
         LoadCase(f"counter{j}", out, (fx, fy))
         for j, (fx, fy) in enumerate(counters, start=1)]
-    f_in_bound = float(spec.get("f_in_bound", 30.0))
-    f_p_bound = float(spec.get("f_p_bound", 7.5))
-    objective = spec.get("objective", "max_u_out")
+    f_in_bound = float(spec["f_in_bound"])
+    f_p_bound = float(spec["f_p_bound"])
+    objective = spec["objective"]
     if out is None and objective in ("max_u_out", "path_error"):
         raise ValueError(f"objective {objective!r} needs an output_point")
     if objective == "max_u_out":
@@ -512,17 +517,16 @@ def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
         sense = "min"
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    vf = float(spec.get("vf_bound", 0.3))
+    vf = float(spec["vf_bound"])
     return dict(
-        vf=vf, rho0=float(spec.get("rho_init") or vf),
+        vf=vf, rho0=float(spec["rho_init"] or vf),
         supports=np.asarray(spec["supports"], float).reshape(-1, 2),
         load=np.asarray(spec["load"], float).reshape(2),
         theta=np.deg2rad(float(spec["theta_deg"])),
-        sup_box=_node_box(mesh, float(spec.get("bc_margin", 0.0))),
+        sup_box=_node_box(mesh, float(spec["bc_margin"])),
         load_box=_node_box(mesh),
-        moves=(float(spec.get("move_rho", 0.2)),
-               float(spec.get("move_xy", 2.5e-3)),
-               np.deg2rad(float(spec.get("move_theta_deg", 5.0)))),
+        moves=(float(spec["move_rho"]), float(spec["move_xy"]),
+               np.deg2rad(float(spec["move_theta_deg"]))),
         objective_terms=terms, objective_sense=sense, objective_scale=scale,
         constraints=_force_caps(len(cases), [(M, f_in_bound, f_p_bound)]),
         load_cases=cases, output_springs=springs, output_selector=selector,
@@ -584,26 +588,26 @@ def _build(name, family, fixed_bcs, mesh=None, element_size=None,
 
 def _assemble(name, mesh, params, u_in, M, fixed_bcs, *, vf, supports, load,
               theta, sup_box, load_box, moves, constraints, rho0=None,
-              frozen_bcs=(), **spec):
+              frozen_supports=(), **spec):
     """Initial design, zeta bounds, move limits and BC freeze of a layout.
 
     All supports share sup_box; moves is (rho, coordinate, theta). The volume
     bound vf is the first constraint and, unless rho0 is given, the initial
-    density. frozen_bcs lists BC offsets frozen even with variable BCs.
+    density. frozen_supports lists supports frozen even with variable BCs.
     """
-    n_rho, n_sup = len(mesh.designable), len(supports)
+    n_rho = len(mesh.designable)
     design0 = DesignVector(rho=np.full(n_rho, vf if rho0 is None else rho0),
                            supports=supports, load=load, theta=theta)
-    (sx, sy), (lx, ly) = sup_box, load_box
-    lower = np.concatenate([np.zeros(n_rho), np.full(n_sup, sx[0]),
-                            np.full(n_sup, sy[0]), [lx[0], ly[0], -np.pi]])
-    upper = np.concatenate([np.ones(n_rho), np.full(n_sup, sx[1]),
-                            np.full(n_sup, sy[1]), [lx[1], ly[1], np.pi]])
-    move = np.concatenate([np.full(n_rho, moves[0]),
-                           np.full(2 * n_sup + 2, moves[1]), [moves[2]]])
+    # per BC point: (x, y) by (lower, upper)
+    box = np.array([sup_box] * design0.num_supports + [load_box])
+    lower = design0.join(np.zeros(n_rho), box[..., 0], -np.pi)
+    upper = design0.join(np.ones(n_rho), box[..., 1], np.pi)
+    move = design0.join(np.full(n_rho, moves[0]),
+                        np.full(box.shape[:2], moves[1]), moves[2])
+    frozen_pts = np.full(box.shape[:2], bool(fixed_bcs))
+    frozen_pts[list(frozen_supports)] = True
+    frozen = design0.join(np.zeros(n_rho, bool), frozen_pts, bool(fixed_bcs))
     z = design0.to_array()
-    frozen = (np.arange(n_rho, len(z)) if fixed_bcs
-              else n_rho + np.asarray(frozen_bcs, dtype=int))
     lower[frozen] = upper[frozen] = z[frozen]
     return ProblemSpec(
         name=name, mesh=mesh, params=params,
@@ -617,15 +621,14 @@ def _assemble(name, mesh, params, u_in, M, fixed_bcs, *, vf, supports, load,
 def make_custom_problem(spec, fixed_bcs=False, **kwargs):
     """Build a user-defined problem from a custom config block.
 
-    spec is a plain dict with the [custom] keys: outline (flat coordinate
-    list), supports, load, theta_deg, objective (max_u_out |
-    min_f_in_final | path_error), output_point, output_axis, output_sign,
-    vf_bound, f_in_bound, f_p_bound, precision_points, counter_forces,
-    rho_init, move_rho, move_xy, move_theta_deg, bc_margin. kwargs are
-    make_problem's; the defaults are an element size of 2% of the
-    outline's extent, u_in 5 mm, no output spring (k_out 0) and 4 steps.
+    spec is a plain dict of [custom] keys; CUSTOM_DEFAULTS fills the ones
+    it leaves out. Point lists are flat coordinates; objective is max_u_out,
+    min_f_in_final or path_error. kwargs are make_problem's; the defaults
+    are an element size of 2% of the outline's extent, u_in 5 mm, no output
+    spring (k_out 0) and 4 steps.
     """
-    outline = np.asarray(spec.get("outline", []), float).reshape(-1, 2)
+    spec = {**CUSTOM_DEFAULTS, **spec}
+    outline = np.asarray(spec["outline"], float).reshape(-1, 2)
     h = (0.02 * max(outline.max(axis=0) - outline.min(axis=0))
          if len(outline) else None)
     family = Family(element_size=h, r=2.5e-3, r_min=3e-3, beta=500.0,

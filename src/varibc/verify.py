@@ -251,8 +251,7 @@ def desk_scale_gripper(fixed_bcs, rho_scale=None):
     if rho_scale is not None:
         prob.design0.rho = prob.design0.rho * rho_scale
     res = O.run_optimization(prob, O.OptimizerConfig(max_iterations=120))
-    n_rho = len(prob.design0.rho)
-    moved = res.design.to_array()[n_rho:-1] - prob.design0.to_array()[n_rho:-1]
+    moved = res.design.bc_points() - prob.design0.bc_points()
     final = res.history[-1]
     return prob, res, (final.objective, np.abs(moved).max(),
                        bool(np.all(final.g <= 1e-3)))

@@ -140,6 +140,15 @@ class TestCliRun:
         assert all(len(r.split(",")) == ncols for r in rows)
         assert len(rows) == 3  # header + 2 iterations
 
+    def test_max_iterations_zero_overrides_the_config(self, tiny_cfg,
+                                                      tmp_path):
+        assert cli.main(["run", tiny_cfg, "-q", "--max-iterations", "0"]) == 0
+        out = tmp_path / "out"
+        doc = json.loads((out / "design_summary.json").read_text())
+        assert doc["stop_reason"] == "zero_budget"
+        rows = (out / "history.csv").read_text().splitlines()
+        assert len(rows) == 1 and rows[0].startswith("iteration,objective")
+
     def test_load_displacement_rows_match_steps(self, tiny_cfg, tmp_path):
         cli.main(["run", tiny_cfg, "-q"])
         rows = (tmp_path / "out" / "load_displacement_case1.csv") \

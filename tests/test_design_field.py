@@ -416,3 +416,36 @@ def test_shifted_moves_exactly_one_zeta_column(col):
         for h in (-1.0, 1.0):
             with pytest.raises(ValueError, match=r"within \[0, 1\]"):
                 design.shifted(col, h)
+
+
+def _named_entry(design, name):
+    """The design entry that a bc_names() name stands for."""
+    if name == "theta":
+        return design.theta
+    row = -1 if name[2:] == "f" else int(name[3:]) - 1
+    return design.bc_points()[row, "XY".index(name[0])]
+
+
+@pytest.mark.parametrize("n_sup", [1, 2, 3])
+def test_join_lays_out_zeta_and_bc_names_name_it(n_sup):
+    rng = np.random.default_rng(n_sup)
+    d = df.DesignVector(rho=rng.uniform(size=4),
+                        supports=rng.normal(size=(n_sup, 2)),
+                        load=rng.normal(size=2), theta=0.3)
+    z = d.to_array()
+    # [rho, X_s(all), Y_s(all), X_f, Y_f, theta]
+    assert np.array_equal(z, np.concatenate(
+        [d.rho, d.supports[:, 0], d.supports[:, 1], d.load, [d.theta]]))
+    assert np.array_equal(df.DesignVector.join(d.rho, d.bc_points(), d.theta),
+                          z)
+    back = df.DesignVector.from_array(z, 4, n_sup)
+    assert np.array_equal(back.to_array(), z)
+    assert back.supports.shape == (n_sup, 2)
+    names = d.bc_names()
+    assert len(names) == len(z) - 4 == len(set(names))
+    for k, name in enumerate(names):
+        moved = d.shifted(4 + k, 1e-3)
+        for other in names:
+            delta = _named_entry(moved, other) - _named_entry(d, other)
+            assert delta == pytest.approx(1e-3 if other == name else 0.0,
+                                          abs=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from varibc import mesh as M
+from varibc import outputs
 from varibc import problems as P
 
 
@@ -234,11 +235,21 @@ class TestMakeProblem:
         assert np.allclose(targets.pop(),
                            [out_xy[0] + 2.5e-3, out_xy[1] - 5e-3])
 
-    def test_wing_skin_support_frozen_in_variable_run(self):
-        w = P.make_problem("morphing_wing", element_size=2e-3)
+    @pytest.fixture(scope="class")
+    def wing(self):
+        return P.make_problem("morphing_wing", element_size=2e-3)
+
+    def test_wing_skin_support_frozen_in_variable_run(self, wing):
+        w = wing
         n_rho = len(w.design0.rho)
         frozen_bc = np.flatnonzero(w.frozen[n_rho:])
         assert list(frozen_bc) == [2, 5]  # X and Y of the third support
+
+    def test_wing_history_header_names_three_supports(self, wing, tmp_path):
+        outputs.HistoryWriter(tmp_path / "history.csv", wing).close()
+        header = (tmp_path / "history.csv").read_text().splitlines()[0]
+        assert (",mma_fallback,X_s1,X_s2,X_s3,Y_s1,Y_s2,Y_s3,X_f,Y_f,theta,g0,"
+                in header)
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):
@@ -302,6 +313,30 @@ class TestCustomProblem:
         assert forces == [(k, i, 3, d) for i in range(3)
                           for k, d in (("FIn", "upper"), ("FP", "upper"),
                                        ("FP", "lower"))]
+
+    @pytest.mark.parametrize("key,value", [
+        ("bc_margin", 0.01), ("rho_init", 0.45), ("move_rho", 0.1),
+        ("move_xy", 1e-3), ("move_theta_deg", 2.0)])
+    def test_bound_and_move_keys_reach_the_problem(self, key, value):
+        def entries(p):
+            """What each key sets: support bounds, densities, moves."""
+            n_rho = len(p.design0.rho)
+            sup = n_rho + np.flatnonzero(
+                ["_s" in name for name in p.design0.bc_names()])
+            assert len(sup) == 4
+            return {"bc_margin": np.array([p.lower[sup], p.upper[sup]]),
+                    "rho_init": p.design0.rho,
+                    "move_rho": p.move_limits[:n_rho],
+                    "move_xy": p.move_limits[n_rho:-1],
+                    "move_theta_deg": p.move_limits[-1]}
+
+        base = entries(custom_problem())
+        want = {"bc_margin": base["bc_margin"] + [[-value], [value]],
+                "rho_init": value, "move_rho": value, "move_xy": value,
+                "move_theta_deg": np.deg2rad(value)}[key]
+        got = entries(custom_problem(**{key: value}))[key]
+        assert np.array_equal(*np.broadcast_arrays(got, want))
+        assert not np.array_equal(*np.broadcast_arrays(base[key], want))
 
     def test_invalid_specs_raise(self):
         with pytest.raises(ValueError, match="precision points"):
