@@ -49,12 +49,15 @@ class ElementKinematics:
 
     Also holds the CSC pattern of the assembled tangent (csc_indices,
     csc_indptr: every DOF pair that shares an element plus the whole
-    diagonal, rows sorted within each column), csc_scatter, which maps each
-    entry (row, column, element) of the (6, 6, Ne) element matrices, in C
-    order, to its position in the CSC data array, and csc_diagonal, the
-    position of each diagonal entry (i, i) in that array. tangent_ordering
-    is the solver's fill-reducing order of that pattern
-    (solver.TangentOrdering), set by the first factorization of a tangent.
+    diagonal, rows sorted within each column). It is built from the node
+    pairs that share an element, each expanded into its 2x2 block of DOFs;
+    a node that no element references has its two diagonal entries only.
+    csc_scatter maps each entry (row, column, element) of the (6, 6, Ne)
+    element matrices, in C order, to its position in the CSC data array,
+    and csc_diagonal is the position of each diagonal entry (i, i) in that
+    array. tangent_ordering is the solver's fill-reducing order of that
+    pattern (solver.TangentOrdering), set by the first factorization of a
+    tangent.
     """
 
     def __init__(self, mesh, material_params):
@@ -70,22 +73,38 @@ class ElementKinematics:
         dofs[1::2] = 2 * tri + 1
         self.dofs = dofs.T
         n_dof = mesh.num_dofs
-        # keys in element-major order, which np.unique sorts faster, then
-        # the scatter reordered to the (6, 6, Ne) element matrices
-        rows = np.repeat(self.dofs, 6, axis=1).ravel()
-        cols = np.tile(self.dofs, (1, 6)).ravel()
-        diag = np.arange(n_dof) * (n_dof + 1)
-        keys, positions = np.unique(
-            np.concatenate([cols * n_dof + rows, diag]), return_inverse=True)
-        self.csc_scatter = positions[:len(rows)].reshape(n_e, 36).T.ravel()
-        self.csc_diagonal = positions[len(rows):]
+        # node pairs (I, J) = (tri[e, i], tri[e, j]) as keys J n + I, in
+        # element-major order, which np.unique sorts faster
+        n_nodes = mesh.num_nodes
+        t = mesh.triangles
+        keys, inverse = np.unique(
+            (t[:, None, :] * n_nodes + t[:, :, None]).ravel(),
+            return_inverse=True)
+        col, row = np.divmod(keys, n_nodes)
+        count = np.bincount(col, minlength=n_nodes)
+        rank = np.arange(len(keys)) - (np.cumsum(count) - count)[col]
+        # DOF columns 2J and 2J + 1 hold rows 2I and 2I + 1 of each I in node
+        # column J, so entry (2I + a, 2J + b) sits a + 2 b count(J) past
+        # 2 rank(I) into column 2J; block[pair, a, b] is that position. A
+        # node that no element references keeps the diagonal its columns
+        # start with.
+        indptr = np.zeros(n_dof + 1, dtype=np.int64)
+        np.cumsum(np.repeat(np.maximum(2 * count, 1), 2), out=indptr[1:])
+        ab = np.arange(2)
+        block = ((indptr[2 * col] + 2 * rank)[:, None, None] + ab[:, None]
+                 + 2 * count[col][:, None, None] * ab)
+        column = np.arange(n_dof).repeat(np.diff(indptr))
+        indices = column.copy()
+        indices[block] = 2 * row[:, None, None] + ab[:, None]
+        self.csc_diagonal = np.flatnonzero(indices == column)
+        # entry (2i + a, 2j + b, e) of the (6, 6, Ne) element matrices
+        self.csc_scatter = block[inverse].reshape(n_e, 3, 3, 2, 2).transpose(
+            1, 3, 2, 4, 0).ravel()
         # built through csc_matrix so the index arrays carry scipy's index
         # dtype and are not converted again on every assembly; every
         # assembled K shares them, so they are read-only
-        pattern = sp.csc_matrix(
-            (np.zeros(len(keys)), keys % n_dof,
-             np.searchsorted(keys, np.arange(n_dof + 1) * n_dof)),
-            shape=(n_dof, n_dof))
+        pattern = sp.csc_matrix((np.zeros(len(indices)), indices, indptr),
+                                shape=(n_dof, n_dof))
         self.csc_indices = pattern.indices
         self.csc_indptr = pattern.indptr
         self.csc_indices.setflags(write=False)

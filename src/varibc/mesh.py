@@ -7,6 +7,7 @@ non-design) assigned by a centroid-in-polygon test.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +133,11 @@ class MeshModel:
             raise MeshError("triangles must be (m, 3)")
         if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(nodes):
             raise MeshError("triangle node index out of range")
-        key = np.sort(triangles, axis=1)
-        if len(np.unique(key, axis=0)) != len(triangles):
+        # one int64 key per sorted triangle; from 2**21 nodes on it wraps,
+        # so distinct triangles could collide, but equal ones never differ
+        a, b, c = np.sort(triangles, axis=1).T
+        key = np.sort((a * len(nodes) + b) * len(nodes) + c)
+        if np.any(key[1:] == key[:-1]):
             raise MeshError("duplicate triangles")
         p0 = nodes[triangles[:, 0]]
         p1 = nodes[triangles[:, 1]]
@@ -327,7 +331,9 @@ def generate_mesh(geometry, thickness=1.0):
     Boundary polygons are resampled at the target element size, interior
     points come from a hexagonal grid, and Steiner midpoints are inserted
     until every boundary segment appears as a Delaunay edge, so the kept
-    triangles tile the polygon exactly (area-conservation contract).
+    triangles tile the polygon exactly (area-conservation contract). Each
+    recovery round triangulates once, and the triangulation of the last
+    round, which finds every segment, is the mesh.
     """
     h = geometry.target_h
     chains = [geometry.outline] + [np.asarray(p, float) for p in geometry.holes]
@@ -359,33 +365,30 @@ def generate_mesh(geometry, thickness=1.0):
         grid = grid[keep]
 
     pts = np.vstack([bpts, grid]) if len(grid) else bpts
-    segs = list(constraints)
+    segs = np.array(constraints, dtype=np.int64)
 
     for _ in range(40):  # rounds of Steiner midpoints, at most
         tri = Delaunay(pts)
-        edges = set()
-        for s in tri.simplices:
-            for a, b in ((s[0], s[1]), (s[1], s[2]), (s[2], s[0])):
-                edges.add((min(a, b), max(a, b)))
-        missing = [sg for sg in segs if (min(sg), max(sg)) not in edges]
-        if not missing:
+        # an edge or segment (a, b), a < b, as the key a n + b
+        n = len(pts)
+        edges = np.sort(tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                        axis=1).astype(np.int64)
+        ends = np.sort(segs, axis=1)
+        missing = ~np.isin(ends[:, 0] * n + ends[:, 1],
+                           edges[:, 0] * n + edges[:, 1])
+        if not missing.any():
             break
-        new_pts = []
-        new_segs = []
-        miss_set = {(min(a, b), max(a, b)) for a, b in missing}
-        for a, b in segs:
-            if (min(a, b), max(a, b)) in miss_set:
-                mid_idx = len(pts) + len(new_pts)
-                new_pts.append(0.5 * (pts[a] + pts[b]))
-                new_segs.extend([(a, mid_idx), (mid_idx, b)])
-            else:
-                new_segs.append((a, b))
-        pts = np.vstack([pts, np.array(new_pts)])
-        segs = new_segs
+        # each missing segment (a, b) becomes (a, mid) and (mid, b), in place
+        a, b = segs[missing].T
+        mid = n + np.arange(len(a))
+        pts = np.vstack([pts, 0.5 * (pts[a] + pts[b])])
+        split = np.flatnonzero(np.repeat(missing, 1 + missing))
+        segs = np.repeat(segs, 1 + missing, axis=0)
+        segs[split[0::2], 1] = mid
+        segs[split[1::2], 0] = mid
     else:
         raise MeshError("boundary recovery did not converge; h too large for a feature")
 
-    tri = Delaunay(pts)
     cent = pts[tri.simplices].mean(axis=1)
     inside = geometry.contains(cent)
     simplices = tri.simplices[inside]
@@ -481,13 +484,11 @@ def write_mesh(mesh, path_or_file):
 
 
 def _tokens(path_or_file):
+    """Every whitespace-separated token, with '#' comments stripped."""
     own = isinstance(path_or_file, (str, bytes))
     f = open(path_or_file, "r", encoding="utf-8") if own else path_or_file
     try:
-        for line in f:
-            line = line.split("#", 1)[0]
-            for tok in line.split():
-                yield tok
+        return re.sub(r"#[^\n]*", "", f.read()).split()
     finally:
         if own:
             f.close()
@@ -500,23 +501,18 @@ def read_mesh(path_or_file, thickness=1.0):
             head = f.read(64)
         if head.lstrip().startswith("# vtk DataFile"):
             return _read_vtk(path_or_file, thickness)
-    it = _tokens(path_or_file)
-    try:
-        kw1 = next(it)
-        n = int(next(it))
-        kw2 = next(it)
-        m = int(next(it))
-        if kw1 != "nodes" or kw2 != "triangles":
-            raise MeshError("bad mesh header (expected 'nodes <n> triangles <m>')")
-        nodes = np.array([[float(next(it)), float(next(it))] for _ in range(n)])
-        tris = np.empty((m, 3), dtype=np.int64)
-        tags = np.empty(m, dtype=np.int64)
-        for e in range(m):
-            tris[e] = (int(next(it)), int(next(it)), int(next(it)))
-            tags[e] = int(next(it))
-    except StopIteration:
-        raise MeshError("truncated mesh file") from None
-    return MeshModel(nodes, tris, tags, thickness)
+    toks = _tokens(path_or_file)
+    if len(toks) < 4:
+        raise MeshError("truncated mesh file")
+    kw1, n, kw2, m = toks[0], int(toks[1]), toks[2], int(toks[3])
+    if kw1 != "nodes" or kw2 != "triangles":
+        raise MeshError("bad mesh header (expected 'nodes <n> triangles <m>')")
+    if len(toks) < 4 + 2 * n + 4 * m:
+        raise MeshError("truncated mesh file")
+    nodes = np.array(toks[4:4 + 2 * n], dtype=float).reshape(n, 2)
+    body = np.array(toks[4 + 2 * n:4 + 2 * n + 4 * m],
+                    dtype=np.int64).reshape(m, 4)
+    return MeshModel(nodes, body[:, :3], body[:, 3], thickness)
 
 
 def _read_vtk(path, thickness=1.0):

@@ -257,15 +257,16 @@ def mma_update(problem, design, evaluation, state):
     return new
 
 
-def convergence_check(history, feas_tol=1e-3, density_change_tol=1e-4):
-    """Stop only when all constraints hold and the mean density change is
-    below threshold; BC-variable changes are deliberately not part of the
-    criterion."""
+def convergence_check(history, config=None):
+    """Stop only when all constraints hold to config.feas_tol and the mean
+    density change is below config.density_change_tol; BC-variable changes
+    are deliberately not part of the criterion."""
+    config = config or OptimizerConfig()
     if not history:
         return "continue"
     rec = history[-1]
-    feasible = np.all(rec.g <= feas_tol)
-    settled = rec.mean_drho < density_change_tol
+    feasible = np.all(rec.g <= config.feas_tol)
+    settled = rec.mean_drho < config.density_change_tol
     return "stop" if (feasible and settled) else "continue"
 
 
@@ -324,9 +325,7 @@ def run_optimization(problem, config=None, on_iteration=None):
         if consecutive_failures > config.max_consecutive_failures:
             stop_reason = "repeated_solver_failure"
             break
-        if it >= 2 and convergence_check(
-                history, config.feas_tol,
-                config.density_change_tol) == "stop":
+        if it >= 2 and convergence_check(history, config) == "stop":
             stop_reason = "converged"
             break
     return OptimizationResult(design=design, history=history,

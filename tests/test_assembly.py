@@ -212,6 +212,80 @@ class TestFusedKernel:
         assert err.value.element == e
 
 
+def _pattern_meshes():
+    rect = M.generate_mesh(M.rectangle_geometry(1.0, 0.6, 0.15), thickness=0.01)
+    # the same mesh with nodes and elements numbered in random order
+    rng = np.random.default_rng(11)
+    perm = rng.permutation(rect.num_nodes)
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(len(perm))
+    shuffled = M.MeshModel(rect.nodes[perm],
+                           new_id[rect.triangles][rng.permutation(
+                               rect.num_elements)], thickness=0.01)
+    # a node that no element references, numbered among the others
+    k = rect.num_nodes // 2
+    nodes = np.insert(rect.nodes, k, [[0.5, 0.3]], axis=0)
+    tri = rect.triangles + (rect.triangles >= k)
+    lonely = M.MeshModel(nodes, tri, thickness=0.01)
+    return {"rectangle": rect, "shuffled": shuffled, "unreferenced": lonely}
+
+
+class TestTangentPattern:
+    """ElementKinematics' CSC pattern against scipy's COO-to-CSC sum."""
+
+    @pytest.fixture(scope="class", params=["rectangle", "shuffled",
+                                           "unreferenced"])
+    def case(self, request):
+        mesh = _pattern_meshes()[request.param]
+        kin = asm.ElementKinematics(mesh, MaterialParams(nu=0.49))
+        n = mesh.num_dofs
+        dofs = kin.dofs.T                                   # (6, Ne)
+        rows = np.broadcast_to(dofs[:, None, :], (6, 6, mesh.num_elements))
+        cols = np.broadcast_to(dofs[None, :, :], (6, 6, mesh.num_elements))
+        k = np.random.default_rng(12).standard_normal(rows.shape)
+        diag = np.arange(n)
+        ref = sp.coo_matrix(
+            (np.concatenate([k.ravel(), np.zeros(n)]),
+             (np.concatenate([rows.ravel(), diag]),
+              np.concatenate([cols.ravel(), diag]))),
+            shape=(n, n)).tocsc()
+        return kin, k, ref
+
+    def test_indices_and_indptr_equal_the_reference(self, case):
+        kin, _, ref = case
+        for got, want in ((kin.csc_indices, ref.indices),
+                          (kin.csc_indptr, ref.indptr)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+
+    def test_scatter_sums_element_matrices_like_coo(self, case):
+        kin, k, ref = case
+        data = np.bincount(kin.csc_scatter, weights=k.ravel(),
+                           minlength=len(kin.csc_indices))
+        assert np.allclose(data, ref.data, rtol=1e-13, atol=1e-13)
+
+    def test_diagonal_points_at_the_diagonal_entries(self, case):
+        kin, _, _ = case
+        n = kin.mesh.num_dofs
+        d = kin.csc_diagonal
+        assert np.array_equal(kin.csc_indices[d], np.arange(n))
+        assert np.all(kin.csc_indptr[:-1] <= d)
+        assert np.all(d < kin.csc_indptr[1:])
+
+    def test_unreferenced_node_keeps_only_its_diagonal(self):
+        mesh = _pattern_meshes()["unreferenced"]
+        kin = asm.ElementKinematics(mesh, MaterialParams(nu=0.49))
+        lonely = np.setdiff1d(np.arange(mesh.num_nodes), mesh.triangles)
+        assert len(lonely) == 1
+        k = int(lonely[0])
+        for c in (2 * k, 2 * k + 1):
+            start, stop = kin.csc_indptr[c], kin.csc_indptr[c + 1]
+            assert kin.csc_indices[start:stop].tolist() == [c]
+        assert np.count_nonzero(np.isin(kin.csc_indices,
+                                        [2 * k, 2 * k + 1])) == 2
+
+
 def _overlap_sum(kin, K, e, fields, U):
     # contributions of other elements sharing DOFs with element e
     rows = kin.dofs[e]

@@ -73,6 +73,63 @@ class TestGenerateMesh:
             M.generate_mesh(M.rectangle_geometry(1.0, 1.0, 5.0))
 
 
+class TestBoundaryRecovery:
+    """Holes whose near-horizontal edges are not Delaunay edges at first, so
+    boundary recovery must split them with Steiner midpoints."""
+
+    @pytest.fixture(params=[
+        ([[0.25, 0.006], [0.8, 0.001], [0.8, 0.5], [0.25, 0.5]], 0.09, 2),
+        ([[0.1, 0.02], [0.9, 0.005], [0.9, 0.5], [0.1, 0.5]], 0.12, 1),
+    ])
+    def recovered(self, request, monkeypatch):
+        hole, h, rounds = request.param
+        g = M.DomainGeometry(outline=np.array([[0, 0], [1, 0], [1, 1], [0, 1]]),
+                             target_h=h, holes=[np.array(hole)])
+        calls = []
+
+        def counting_delaunay(points):
+            calls.append(len(points))
+            return delaunay(points)
+
+        delaunay = M.Delaunay
+        monkeypatch.setattr(M, "Delaunay", counting_delaunay)
+        return g, M.generate_mesh(g), rounds, calls
+
+    def test_resampled_segments_are_split_into_mesh_edges(self, recovered):
+        g, m, _, _ = recovered
+        edges = {tuple(sorted(e)) for t in m.triangles.tolist()
+                 for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))}
+        node_of = {tuple(p): i for i, p in enumerate(m.nodes.tolist())}
+        n_inserted = 0
+        for poly in [g.outline] + g.holes:
+            pts, segs = M._resample_polygon(poly, g.target_h)
+            for a, b in segs:
+                p, q = pts[a], pts[b]
+                d, r = q - p, m.nodes - p
+                t = r @ d / (d @ d)
+                off = np.abs(d[0] * r[:, 1] - d[1] * r[:, 0]) / np.hypot(*d)
+                on = np.flatnonzero((off <= 1e-12) & (t >= -1e-12)
+                                    & (t <= 1 + 1e-12))
+                chain = on[np.argsort(t[on])].tolist()
+                assert chain[0] == node_of[tuple(p)]
+                assert chain[-1] == node_of[tuple(q)]
+                n_inserted += len(chain) - 2
+                for u, v in zip(chain[:-1], chain[1:]):
+                    assert tuple(sorted((u, v))) in edges
+        assert n_inserted > 0
+
+    def test_area_tiles(self, recovered):
+        g, m, _, _ = recovered
+        assert abs(m.areas.sum() - g.area()) <= 1e-9 * g.area()
+
+    def test_one_triangulation_per_round(self, recovered):
+        # each midpoint round triangulates once, and the triangulation of
+        # the last round, which finds every segment, is the mesh
+        _, m, rounds, calls = recovered
+        assert len(calls) == rounds + 1
+        assert len(set(calls)) == rounds + 1
+
+
 class TestNaca0012:
     def test_halfthickness_at_30_percent(self):
         # direct polynomial evaluation oracle
@@ -225,6 +282,17 @@ nodes 4 triangles 2
         text = "nodes 3 triangles 2\n0 0\n1 0\n0 1\n0 1 2 0\n2 0 1 0\n"
         with pytest.raises(M.MeshError):
             M.read_mesh(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        "nodes 3", "nodes 3 triangles 1\n0 0\n1 0\n0 1\n0 1 2\n",
+        "nodes 3 triangles 1\n0 0\n1 0 # 0 1\n0 1 2 0\n"])
+    def test_truncated_file_rejected(self, text):
+        with pytest.raises(M.MeshError, match="truncated"):
+            M.read_mesh(io.StringIO(text))
+
+    def test_bad_header_rejected(self):
+        with pytest.raises(M.MeshError, match="header"):
+            M.read_mesh(io.StringIO("points 3 triangles 1\n0 0 1 0 0 1 0 1 2 0\n"))
 
     def test_bad_index_rejected(self):
         text = "nodes 3 triangles 1\n0 0\n1 0\n0 1\n0 1 5 0\n"

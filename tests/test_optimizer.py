@@ -171,6 +171,11 @@ class TestConvergenceCheck:
     def test_empty_history(self):
         assert O.convergence_check([]) == "continue"
 
+    def test_tolerances_come_from_the_config(self):
+        hist = [fake_record(5e-5, 0.01)]
+        assert O.convergence_check(hist) == "continue"
+        assert O.convergence_check(hist, O.OptimizerConfig(feas_tol=0.02)) == "stop"
+
 
 @pytest.fixture(scope="module")
 def tiny_problem():
