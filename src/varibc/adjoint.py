@@ -11,9 +11,10 @@ quantity f(zeta, U, lambda) the multipliers solve
 and the total derivative is df/dzeta + psi_R^T dR/dzeta + psi_c^T dc/dzeta.
 One set of factors per converged state serves every quantity read there; the
 reference-load and interpolation-row solves are one shared 4-column solve.
-StateAdjoint reuses the converged GlobalSystem that the solver attaches to
-each requested state and assembles only for states that carry none (bisection
-substates on a failed path, hand-made states).
+StateAdjoint reuses the converged GlobalSystem that the solver's per-state
+hook passes with each requested state, and assembles only for states given
+without one (bisection substates on a failed path, hand-made states). The
+system lives no longer than the StateAdjoint that reads it.
 
 Given the corrector's last factors, which belong to the tangent one Newton
 step before the converged K_T, StateAdjoint factorizes nothing: it solves
@@ -165,17 +166,20 @@ def refine(lu, K, K_norm, b):
 class StateAdjoint:
     """Shared factors and reference solves for one converged state.
 
-    lu, when given, holds the corrector's factors of a tangent near K_T:
+    system, when given, is the GlobalSystem assembled at the state, such as
+    the corrector's converged one; without it the state is assembled. lu,
+    when given, holds the corrector's factors of a tangent near K_T:
     solves then refine against K_T and factorize only if refinement falls
     short (see the module docstring). refinement_steps lists the steps of
     each refined solve, and factorized tells whether K_T was factorized.
     """
 
-    def __init__(self, model, control, state, fields, design, lu=None):
+    def __init__(self, model, control, state, fields, design, system=None,
+                 lu=None):
         self.ctx = StateContext(state=state, model=model, control=control,
                                 fields=fields, design=design)
-        self.system = state.system
-        if self.system is None:
+        self.system = system
+        if system is None:
             self.system = model.assemble(state.U,
                                          counter_scale=state.counter_scale)
         self.lu = lu

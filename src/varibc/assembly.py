@@ -19,7 +19,12 @@ the stress tensor of D BN U_e. Only the tangent forms the (6, 6, Ne) element
 matrices, gamma^2 E V (BN^T D BN + G S G^T) + (1 - gamma^2) E kl0, on the
 upper triangle, row by row, mirroring each row into its column. They are
 scattered straight into a CSC pattern that ElementKinematics computes once
-per mesh, so each assembly is one np.bincount into the nonzeros.
+per mesh, so each assembly is one np.bincount into the nonzeros. The large
+work arrays of the tangent (BN, D BN and the element matrices) belong to the
+ElementKinematics too, and each assembly overwrites them, so repeated
+assemblies allocate and page-fault none of them afresh. What an assembly
+returns (F_int, K_T's data, the ElementArrays) is always a fresh array:
+callers keep tangents and systems across later assemblies.
 tests/oracles.py keeps single-element forms of the same quantities as the
 reference the kernel is tested against.
 
@@ -58,6 +63,9 @@ class ElementKinematics:
     array. tangent_ordering is the solver's fill-reducing order of that
     pattern (solver.TangentOrdering), set by the first factorization of a
     tangent.
+
+    tangent_work holds the kernel's BN and D BN (3, 6, Ne) and element
+    matrices (6, 6, Ne), which every tangent assembly overwrites.
     """
 
     def __init__(self, mesh, material_params):
@@ -126,6 +134,8 @@ class ElementKinematics:
         kl0 = vol[:, None, None] * (B.transpose(0, 2, 1) @ (D0 @ B))
         self.kl0 = np.ascontiguousarray(kl0.transpose(1, 2, 0)).transpose(
             2, 0, 1)
+        self.tangent_work = (np.empty((3, 6, n_e)), np.empty((3, 6, n_e)),
+                             np.empty((6, 6, n_e)))
 
 
 @dataclass
@@ -234,14 +244,13 @@ def internal_force_and_tangent(kin, U, E, gamma, want_tangent=True):
     # element tangents gamma^2 E V (BN^T D BN + G) + (1 - gamma^2) E kl0,
     # (6, 6, Ne), formed row by row on the upper triangle and mirrored;
     # column 2i + a of BN is (F_a1 g_i1, F_a2 g_i2, F_a1 g_i2 + F_a2 g_i1)
-    BN = np.empty((3, 6, len(E)))
+    BN, DBN, k = kin.tangent_work
     BN[0, 0::2] = F11 * gx
     BN[0, 1::2] = F21 * gx
     BN[1, 0::2] = F12 * gy
     BN[1, 1::2] = F22 * gy
     BN[2, 0::2] = F11 * gy + F12 * gx
     BN[2, 1::2] = F21 * gy + F22 * gx
-    DBN = np.empty_like(BN)
     DBN[0] = D00 * BN[0] + D01 * BN[1] + D02 * BN[2]
     DBN[1] = D01 * BN[0] + D11 * BN[1] + D12 * BN[2]
     DBN[2] = D02 * BN[0] + D12 * BN[1] + D22 * BN[2]
@@ -251,7 +260,6 @@ def internal_force_and_tangent(kin, U, E, gamma, want_tangent=True):
     kl0 = kin.kl0.transpose(1, 2, 0)
     nl = g2 * Evol
     l_E = lin * E
-    k = np.empty((6, 6, len(E)))
     for r in range(6):
         i = r // 2
         row = k[r, r:]

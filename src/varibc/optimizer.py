@@ -101,15 +101,16 @@ def differentiate_path(model, control, solver_cfg, fields, design,
     """Solve one load case's path and differentiate the quantities on it.
 
     Each requested state a quantity reads is differentiated as the path
-    reaches it, with the corrector's factors (solve_equilibrium_path's
-    on_state hook), so one StateAdjoint serves every quantity of a step.
-    Steps that a failed path never reached are differentiated at its last
-    converged state (_state_for_step), with K_T factorized afresh. A state
-    whose differentiation raises one of ADJOINT_FAILURES fails the path as
-    well: its step's quantities keep their value at that state and get a
-    zero gradient. Returns (path, {name: SensitivityRecord}, failure): the
-    text of the first failure, PathFailed's message or the adjoint error's
-    class, step and message, and "" if there was none.
+    reaches it, with the corrector's converged system and factors
+    (solve_equilibrium_path's on_state hook), so one StateAdjoint serves
+    every quantity of a step. Steps that a failed path never reached are
+    differentiated at its last converged state (_state_for_step), assembled
+    and with K_T factorized afresh. A state whose differentiation raises one
+    of ADJOINT_FAILURES fails the path as well: its step's quantities keep
+    their value at that state and get a zero gradient. Returns (path,
+    {name: SensitivityRecord}, failure): the text of the first failure,
+    PathFailed's message or the adjoint error's class, step and message, and
+    "" if there was none.
     """
     by_step = {}
     for q in quantities:
@@ -118,11 +119,11 @@ def differentiate_path(model, control, solver_cfg, fields, design,
     reached = []
     failure = ""
 
-    def differentiate(state, lu, qs):
+    def differentiate(state, system, lu, qs):
         nonlocal failure
         try:
             adjointer = StateAdjoint(model, control, state, fields, design,
-                                     lu=lu)
+                                     system=system, lu=lu)
             for q in qs:
                 records[q.name] = adjointer.sensitivity(q)
         except ADJOINT_FAILURES as err:
@@ -136,11 +137,11 @@ def differentiate_path(model, control, solver_cfg, fields, design,
                     dgdzeta=np.zeros(design.size), psi_c=np.zeros(2),
                     psi_R=np.zeros(model.mesh.num_dofs))
 
-    def on_state(state, lu):
+    def on_state(state, system, lu):
         reached.append(state)
         qs = by_step.get(len(reached))
         if qs:
-            differentiate(state, lu, qs)
+            differentiate(state, system, lu, qs)
 
     try:
         path = solve_equilibrium_path(model, control, solver_cfg,
@@ -151,7 +152,7 @@ def differentiate_path(model, control, solver_cfg, fields, design,
     for m in sorted(by_step):
         if m > len(reached):
             state = _state_for_step(path, m, model.mesh.num_dofs)
-            differentiate(state, None, by_step[m])
+            differentiate(state, None, None, by_step[m])
     return path, records, failure
 
 

@@ -28,10 +28,18 @@ fill are the same, and the factors agree to round-off. On the gripper
 tangents it cuts the median time per factorization by about 10% at
 h = 1.5 mm, where the factors leave the cache.
 
+At most one set of factors is alive at a time. The corrector drops the
+last iteration's factors before it factorizes, and the path drops the last
+corrector's factors once the next predictor has used them. It keeps the
+tangent matrix they came from instead: a failed step's retry factorizes that
+matrix again, which gives the same factors bit for bit, since the
+factorization depends only on the data and the mesh's TangentOrdering.
+
 solve_equilibrium_path calls an optional per-state hook with each requested
-state and the corrector's last factors while they are still live;
-optimizer.differentiate_path differentiates the state there
-(adjoint.StateAdjoint), so the factors need not outlive their step.
+state, its converged GlobalSystem and the corrector's last factors while
+they are still live; optimizer.differentiate_path differentiates the state
+there (adjoint.StateAdjoint), so neither the system nor the factors need
+outlive their step.
 
 Counter-force load cases first ramp the constant counter load with the input
 pinned at zero, using the same machinery with the load scale as the
@@ -40,7 +48,7 @@ continuation parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,9 +125,6 @@ class EquilibriumState:
     requested: bool = True
     counter_scale: float = 1.0
     residual_history: tuple = ()
-    # converged GlobalSystem of a requested state, reused by the adjoint;
-    # None for bisection substates and hand-made states
-    system: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -276,28 +281,33 @@ def corrector(model, control, U, lam, s_target, config,
               counter_scale=1.0):
     """Newton corrections until the residual norm and constraint are met.
 
-    Each iteration factorizes the current tangent once and makes one
-    newton_update with the residual. Returns (U, lam, converged GlobalSystem,
-    lu, iterations, residual history, reference solves): the last are the
-    last iteration's K^-1 [F_ext_x, F_ext_y] with lu, and None when no
-    iteration was made, in which case lu factorizes the converged tangent.
+    Each iteration factorizes the current tangent once, after dropping the
+    last iteration's factors, and makes one newton_update with the residual.
+    Returns (U, lam, converged GlobalSystem, lu, K, iterations, residual
+    history, reference solves): K is the tangent that lu factorizes, and the
+    reference solves are the last iteration's K^-1 [F_ext_x, F_ext_y] with
+    lu, or None when no iteration was made, in which case K is the converged
+    tangent.
     """
     target = control.target(s_target)
     system = model.assemble(U, counter_scale=counter_scale)
     R = system.residual(lam[0], lam[1])
     rnorm = float(np.linalg.norm(R))
     history = [rnorm]
-    lu = ref = None
+    lu = K = ref = None
     ctol = max(1e-12 * abs(control.u_in_norm), 1e-300)
     for it in range(config.max_corrector_iters + 1):
         defect = target - control.sample.interpolate(U)
         if rnorm <= config.tol_residual and np.all(np.abs(defect) <= 100 * ctol):
             if lu is None:
-                lu = _factorize(system.K_T, kin=model.kin)
-            return U, lam, system, lu, it, tuple(history), ref
+                K = system.K_T
+                lu = _factorize(K, kin=model.kin)
+            return U, lam, system, lu, K, it, tuple(history), ref
         if it == config.max_corrector_iters:
             break
-        lu = _factorize(system.K_T, kin=model.kin)
+        lu = ref = None
+        K = system.K_T
+        lu = _factorize(K, kin=model.kin)
         U, lam, ref = newton_update(model, control, lu, U, lam, target, rhs=R)
         system = model.assemble(U, counter_scale=counter_scale)
         R = system.residual(lam[0], lam[1])
@@ -315,12 +325,13 @@ def solve_equilibrium_path(model, control, config, on_state=None):
     """March the input displacement to its full stroke.
 
     Reports converged states at the fractions m / steps (bisection substates
-    are kept and flagged as not requested). Each requested state carries the
-    corrector's converged GlobalSystem for the adjoint, and on_state, when
-    given, is called as on_state(state, lu) with each requested state, in
-    step order, and the factors of the corrector's last tangent, which the
-    next step goes on to use. A nonzero counter force on the model is ramped
-    first with the input held at zero.
+    are kept and flagged as not requested). on_state, when given, is called
+    as on_state(state, system, lu) with each requested state, in step order,
+    its converged GlobalSystem, and the factors of the corrector's last
+    tangent, which the next predictor goes on to use. The path keeps neither
+    after that: the system lives as long as the hook, and the factors until
+    the next predictor has used them. A nonzero counter force on the model
+    is ramped first with the input held at zero.
     """
     path = EquilibriumPath(states=[])
     has_counter = bool(np.any(model.F_counter))
@@ -328,9 +339,10 @@ def solve_equilibrium_path(model, control, config, on_state=None):
         U=np.zeros(model.mesh.num_dofs), lambda_x=0.0, lambda_y=0.0,
         input_fraction=0.0, residual_norm=0.0, corrector_iterations=0,
         counter_scale=0.0 if has_counter else 1.0)
-    # the last corrector's factors and the reference load solves made with
-    # them, which the next predictor reuses
-    lu = ref = None
+    # the last corrector's factors, which the next predictor uses and then
+    # drops; the tangent they factorize, which a retry factorizes again; and
+    # the reference load solves made with them, which every predictor reuses
+    lu = tangent = ref = None
     # increments to make, the next one last, as (s, alpha, bisection depth,
     # requested); a failed one is retried after its bisected first half
     todo = [(m / config.steps, 1.0, 0, True)
@@ -343,17 +355,21 @@ def solve_equilibrium_path(model, control, config, on_state=None):
         d_alpha = alpha_new - last.counter_scale
         counter = d_alpha * model.F_counter if d_alpha != 0.0 else None
         try:
-            if not path.states:
-                lu = _factorize(model.assemble(last.U).K_T, kin=model.kin)
+            if lu is None:
+                lu = _factorize(tangent if path.states
+                                else model.assemble(last.U).K_T,
+                                kin=model.kin)
             lam = np.array([last.lambda_x, last.lambda_y])
             U, lam, _ = newton_update(model, control, lu, last.U, lam,
                                       control.target(s_new), rhs=counter,
                                       ref=ref)
-            U, lam, system, lu, iters, hist, ref = corrector(
+            lu = None
+            U, lam, system, lu, tangent, iters, hist, ref = corrector(
                 model, control, U, lam, s_new, config,
                 counter_scale=alpha_new)
         except (CorrectorFailed, SingularTangent, Singular2x2,
                 NonPositiveJacobian) as err:
+            lu = None
             if depth >= config.max_bisections:
                 raise PathFailed(last.input_fraction, str(err),
                                  partial=path) from err
@@ -368,11 +384,11 @@ def solve_equilibrium_path(model, control, config, on_state=None):
             U=U.copy(), lambda_x=float(lam[0]), lambda_y=float(lam[1]),
             input_fraction=s_new, residual_norm=hist[-1],
             corrector_iterations=iters, requested=requested,
-            counter_scale=alpha_new, residual_history=hist,
-            system=system if requested else None)
+            counter_scale=alpha_new, residual_history=hist)
         path.states.append(st)
         if requested and on_state is not None:
-            on_state(st, lu)
+            on_state(st, system, lu)
+        del system
     return path
 
 

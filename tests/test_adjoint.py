@@ -1,4 +1,3 @@
-import dataclasses
 import os
 from types import SimpleNamespace
 
@@ -120,14 +119,32 @@ def count_assemblies(monkeypatch):
     return calls
 
 
+def hooked_systems(model, ctrl, cfg):
+    """A path and the (state, system) pairs its per-state hook was given."""
+    seen = []
+    path = S.solve_equilibrium_path(
+        model, ctrl, cfg,
+        on_state=lambda state, system, lu: seen.append((state, system)))
+    return path, seen
+
+
 class TestConvergedSystemReuse:
-    def test_records_equal_those_of_a_reassembled_state(self, gripper_setup):
+    @pytest.fixture(scope="class")
+    def converged(self, gripper_setup):
+        """The step-2 state and the converged system the hook passed."""
+        f, fields, model, ctrl, _ = gripper_setup
+        _, seen = hooked_systems(model, ctrl, SOLVE_CFG)
+        return seen[1]
+
+    def test_records_equal_those_of_a_reassembled_state(self, gripper_setup,
+                                                        converged):
         f, fields, model, ctrl, path = gripper_setup
-        st = path.state_at_step(2)
-        assert st.system is not None
-        bare = dataclasses.replace(st, system=None)
-        carried = adj.StateAdjoint(model, ctrl, st, fields, f.design)
-        rebuilt = adj.StateAdjoint(model, ctrl, bare, fields, f.design)
+        st, system = converged
+        assert system is not None
+        carried = adj.StateAdjoint(model, ctrl, st, fields, f.design,
+                                   system=system)
+        rebuilt = adj.StateAdjoint(model, ctrl, st, fields, f.design)
+        assert rebuilt.system is not system
         for q in quantity_set(f):
             a, b = carried.sensitivity(q), rebuilt.sensitivity(q)
             assert a.value == b.value
@@ -135,28 +152,30 @@ class TestConvergedSystemReuse:
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_carried_system_is_not_reassembled(self, gripper_setup,
-                                               monkeypatch):
+                                               converged, monkeypatch):
         f, fields, model, ctrl, path = gripper_setup
-        st = path.state_at_step(2)
+        st, system = converged
         calls = count_assemblies(monkeypatch)
-        adj.StateAdjoint(model, ctrl, st, fields, f.design)
+        adj.StateAdjoint(model, ctrl, st, fields, f.design, system=system)
         assert calls == []
-        adj.StateAdjoint(model, ctrl, dataclasses.replace(st, system=None),
-                         fields, f.design)
+        adj.StateAdjoint(model, ctrl, st, fields, f.design)
         assert len(calls) == 1
 
     def test_bisection_substates_carry_no_system(self):
         f = fx.load_fixture("mini_gripper_100")
         _, model = f.build()
         # two corrector iterations are too few for the full stroke at once
-        path = S.solve_equilibrium_path(
+        path, seen = hooked_systems(
             model, f.control(),
             S.SolverConfig(steps=1, max_corrector_iters=2, max_bisections=2))
         assert path.total_bisections >= 1
         substates = [s for s in path.states if not s.requested]
-        assert substates and all(s.system is None for s in substates)
-        for s in path.requested_states:
-            assert np.array_equal(s.system.U, s.U)
+        assert substates
+        assert not any(hasattr(s, "system") for s in path.states)
+        # the hook gets each requested state with its own converged system
+        assert [st for st, _ in seen] == path.requested_states
+        for st, system in seen:
+            assert np.array_equal(system.U, st.U)
 
     def test_failed_path_fallback_reassembles(self, monkeypatch):
         f = fx.load_fixture("toy_arch")
@@ -170,7 +189,7 @@ class TestConvergedSystemReuse:
         partial = err.value.partial
         st = O._state_for_step(partial, 1, f.mesh.num_dofs)
         assert st is partial.states[-1]
-        assert not st.requested and st.system is None
+        assert not st.requested
         calls = count_assemblies(monkeypatch)
         sa = adj.StateAdjoint(model, ctrl, st, fields, f.design)
         assert len(calls) == 1
@@ -184,9 +203,9 @@ class TestConvergedSystemReuse:
         n = f.mesh.num_dofs
         stub = SimpleNamespace(K_T=sp.csc_matrix((n, n)), F_ext_x=np.zeros(n),
                                F_ext_y=np.zeros(n))
-        st = dataclasses.replace(path.state_at_step(2), system=stub)
         with pytest.raises(S.SingularTangent):
-            adj.StateAdjoint(model, ctrl, st, fields, f.design)
+            adj.StateAdjoint(model, ctrl, path.state_at_step(2), fields,
+                             f.design, system=stub)
 
 
 def count_adjoint_factorizations(monkeypatch):
@@ -221,7 +240,7 @@ class TestRefinedAdjoint:
         seen = []
         path = S.solve_equilibrium_path(
             model, ctrl, S.SolverConfig(steps=4),
-            on_state=lambda state, lu: seen.append((state, lu)))
+            on_state=lambda *args: seen.append(args))
         return f, fields, model, ctrl, path, seen
 
     def test_multipliers_match_a_fresh_factorization(self, hooked,
@@ -229,14 +248,15 @@ class TestRefinedAdjoint:
         f, fields, model, ctrl, path, seen = hooked
         assert len(seen) == 4
         calls = count_adjoint_factorizations(monkeypatch)
-        for state, lu in seen:
+        for state, system, lu in seen:
             refined = adj.StateAdjoint(model, ctrl, state, fields, f.design,
-                                       lu=lu)
+                                       system=system, lu=lu)
             got = [refined.sensitivity(q) for q in quantity_set(f)]
             assert calls == [] and not refined.factorized
             assert all(1 <= n <= adj.MAX_REFINEMENT_STEPS
                        for n in refined.refinement_steps)
-            fresh = adj.StateAdjoint(model, ctrl, state, fields, f.design)
+            fresh = adj.StateAdjoint(model, ctrl, state, fields, f.design,
+                                     system=system)
             assert len(calls) == 1 and fresh.factorized
             calls.clear()
             for a, q in zip(got, quantity_set(f)):
@@ -245,15 +265,16 @@ class TestRefinedAdjoint:
     def test_distant_factors_fall_back_to_one_factorization(
             self, hooked, monkeypatch):
         f, fields, model, ctrl, path, seen = hooked
-        state = seen[3][0]
-        far_lu = seen[0][1]  # the step-1 factors, three steps away
+        state, system, _ = seen[3]
+        far_lu = seen[0][2]  # the step-1 factors, three steps away
         calls = count_adjoint_factorizations(monkeypatch)
         sa = adj.StateAdjoint(model, ctrl, state, fields, f.design,
-                              lu=far_lu)
+                              system=system, lu=far_lu)
         got = [sa.sensitivity(q) for q in quantity_set(f)]
         assert len(calls) == 1 and sa.factorized
         assert len(sa.refinement_steps) == 1
-        fresh = adj.StateAdjoint(model, ctrl, state, fields, f.design)
+        fresh = adj.StateAdjoint(model, ctrl, state, fields, f.design,
+                                 system=system)
         for a, q in zip(got, quantity_set(f)):
             assert_records_close(a, fresh.sensitivity(q), 1e-11)
 
@@ -266,9 +287,9 @@ class TestRefinedAdjoint:
 
         def records():
             out = []
-            for state, lu in seen:
+            for state, system, lu in seen:
                 sa = adj.StateAdjoint(model, ctrl, state, fields, f.design,
-                                      lu=lu)
+                                      system=system, lu=lu)
                 out.append((sa.refinement_steps,
                             [sa.sensitivity(q) for q in quantity_set(f)]))
             return out

@@ -430,6 +430,32 @@ class TestGlobalSystem:
         assert abs((sys1.K_T - sys0.K_T)[dof, dof] - k) <= 1e-9
 
 
+class TestKernelWorkArrays:
+    def test_later_assemblies_leave_earlier_results_alone(self, gripper):
+        # the kernel overwrites its work arrays on every call; what it
+        # returns must not share them
+        f, fields, model = gripper
+        rng = np.random.default_rng(8)
+        Us = [rng.uniform(-1e-3, 1e-3, f.mesh.num_dofs) for _ in range(2)]
+
+        def arrays(system):
+            el = system.elements
+            return [system.K_T.data, system.F_int, el.f_int, el.dF_dE,
+                    el.dF_dgamma]
+
+        first = model.assemble(Us[0])
+        kept = [a.copy() for a in arrays(first)]
+        second = model.assemble(Us[1])
+        for a, b in zip(arrays(first), kept):
+            assert a.tobytes() == b.tobytes()
+        for U, system in zip(Us, (first, second)):
+            fresh = asm.NonlinearModel(
+                asm.ElementKinematics(f.mesh, model.kin.material), fields,
+                output_springs=model.output_springs).assemble(U)
+            for a, b in zip(arrays(system), arrays(fresh)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture(scope="module")
 def partials_setup():
     f = fx.load_fixture("mini_gripper_100")

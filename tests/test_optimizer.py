@@ -1,13 +1,16 @@
 import dataclasses
+import gc
+import types
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import SuperLU
 
-from varibc import mma, outputs
+from varibc import assembly, mma, outputs
 from varibc import optimizer as O
 from varibc import problems as P
 from varibc.optimizer import IterationRecord
-from varibc.solver import SolverConfig
+from varibc.solver import PermutedLU, SolverConfig
 
 
 def scalar_quadratic_step(x, xold1, xold2, low, upp, it, move=1.0):
@@ -290,9 +293,10 @@ class TestPathFailureHandling:
 
         class Recording(A.StateAdjoint):
             def __init__(self, model, control, state, fields, design,
-                         lu=None):
-                log.append(("adjoint", state, lu))
-                super().__init__(model, control, state, fields, design, lu=lu)
+                         system=None, lu=None):
+                log.append(("adjoint", state, system, lu))
+                super().__init__(model, control, state, fields, design,
+                                 system=system, lu=lu)
 
             def sensitivity(self, q):
                 rec = super().sensitivity(q)
@@ -335,14 +339,15 @@ class TestPathFailureHandling:
         path = ev.paths[0]
         substate = path.states[-1]
         assert len(path.requested_states) == 2
-        assert not substate.requested and substate.system is None
+        assert not substate.requested
         assert substate.input_fraction == 0.625
         starts = [i for i, e in enumerate(log) if e[0] == "adjoint"]
         assert len(starts) == 4
         # steps 1-2: the corrector's factors, no adjoint factorization,
         # records bit-identical to the healthy path's
         for i, state in zip(starts[:2], path.requested_states):
-            assert log[i][1] is state and log[i][2] is not None
+            assert log[i][1] is state
+            assert log[i][2] is not None and log[i][3] is not None
         assert ("splu",) not in log[:starts[2]]
         for e in log[:starts[2]]:
             if e[0] == "record":
@@ -355,7 +360,8 @@ class TestPathFailureHandling:
         # steps 3-4: the last converged substate, assembled and factorized
         # once each
         for i, j in zip(starts[2:], starts[3:] + [len(log)]):
-            assert log[i][1] is substate and log[i][2] is None
+            assert log[i][1] is substate
+            assert log[i][2] is None and log[i][3] is None
             tags = [e[0] for e in log[i:j]]
             assert tags.count("assemble") == 1 and tags.count("splu") == 1
             assert {e[1].step for e in log[i:j] if e[0] == "record"} == {
@@ -615,6 +621,23 @@ class TestMultiLoadCaseEvaluation:
             for a, b in zip(rep.requested_states, run.requested_states):
                 assert np.array_equal(a.U, b.U)
                 assert (a.lambda_x, a.lambda_y) == (b.lambda_x, b.lambda_y)
+
+    def test_an_evaluation_holds_no_system_or_factors(self, line_gen):
+        # the converged systems and the factors live only as long as the
+        # adjoints that read them; what is left is states and gradients
+        prob, ev = line_gen
+        heavy = (assembly.GlobalSystem, PermutedLU, SuperLU)
+        seen, todo = {id(ev)}, [ev]
+        while todo:
+            obj = todo.pop()
+            assert not isinstance(obj, heavy), type(obj)
+            for ref in gc.get_referents(obj):
+                # the data an evaluation holds, not the code that made it
+                if id(ref) not in seen and not isinstance(
+                        ref, (type, types.ModuleType, types.FunctionType)):
+                    seen.add(id(ref))
+                    todo.append(ref)
+        assert len(seen) > 3 * prob.steps * len(ev.paths)
 
     def test_objective_and_constraint_gradients_vs_fd(self, line_gen):
         prob, ev = line_gen

@@ -1,12 +1,16 @@
 import gc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from varibc import adjoint as adj
 from varibc import assembly as asm
 from varibc import fixtures as fx
 from varibc import mesh as M
+from varibc import optimizer as O
+from varibc import problems as P
 from varibc import solver as S
 
 
@@ -46,6 +50,20 @@ def gripper():
     f = fx.load_fixture("mini_gripper_100")
     fields, model = f.build()
     return f, fields, model
+
+
+# two corrector iterations are too few for mini_gripper_100's full stroke at
+# once, so its path bisects
+FORCED_BISECTION = S.SolverConfig(steps=1, max_corrector_iters=2,
+                                  max_bisections=2)
+
+
+def counter_ramp_model(f):
+    """The fixture's model with a counter force at the output node, which
+    its path ramps in two halves."""
+    F_counter = np.zeros(f.mesh.num_dofs)
+    F_counter[f.output_selector[0][0]] = 100.0
+    return f.build()[1].with_counter_force(F_counter)
 
 
 class TestInputPointResponse:
@@ -127,9 +145,9 @@ class TestPredictorCorrector:
         ctrl = f.control()
         U0 = np.zeros(f.mesh.num_dofs)
         cfg = S.SolverConfig(steps=1)
-        U, lam, system, lu, iters, hist, ref = S.corrector(
+        U, lam, system, lu, K, iters, hist, ref = S.corrector(
             model, ctrl, U0, np.zeros(2), 0.0, cfg)
-        assert iters == 0 and ref is None
+        assert iters == 0 and ref is None and K is system.K_T
 
     def test_quadratic_residual_decay(self, gripper):
         f, fields, model = gripper
@@ -265,19 +283,17 @@ class TestPerStateHook:
         _, model = f.build()
         seen = []
 
-        def on_state(state, lu):
+        def on_state(state, system, lu):
             seen.append(state)
+            assert np.array_equal(system.U, state.U)
             # the factors solve with a tangent one Newton step away
-            b = state.system.F_ext_x
+            b = system.F_ext_x
             x = lu.solve(b)
-            r = b - state.system.K_T @ x
+            r = b - system.K_T @ x
             assert np.abs(r).max() <= 1e-3 * np.abs(b).max()
 
-        # two corrector iterations force bisection substates
-        path = S.solve_equilibrium_path(
-            model, f.control(),
-            S.SolverConfig(steps=1, max_corrector_iters=2, max_bisections=2),
-            on_state=on_state)
+        path = S.solve_equilibrium_path(model, f.control(), FORCED_BISECTION,
+                                        on_state=on_state)
         assert path.total_bisections >= 1
         assert len(seen) == len(path.requested_states) == 1
         assert all(a is b for a, b in zip(seen, path.requested_states))
@@ -339,14 +355,11 @@ class TestPredictorReuse:
         # halves: the second half's predictor solves the counter column
         # alone, with the reference solves of the first half's corrector
         f = fx.load_fixture("mini_gripper_100")
-        F_counter = np.zeros(f.mesh.num_dofs)
-        F_counter[f.output_selector[0][0]] = 100.0
         ctrl = f.control()
         cfg = S.SolverConfig(steps=2)
         (reused, cols_reused), (resolved, cols_resolved) = \
-            reused_and_resolved(
-                monkeypatch,
-                lambda: f.build()[1].with_counter_force(F_counter), ctrl, cfg)
+            reused_and_resolved(monkeypatch, lambda: counter_ramp_model(f),
+                                ctrl, cfg)
         assert [st.counter_scale for st in reused.states[:2]] == [0.5, 1.0]
         assert 1 in cols_reused and 1 not in cols_resolved
         assert_same_states(reused, resolved)
@@ -363,17 +376,117 @@ class TestMemory:
         # at the next cyclic collection, which let peak memory vary by run
         f = fx.load_fixture("mini_gripper_100")
         _, model = f.build()
-        cfg = S.SolverConfig(steps=1, max_corrector_iters=2, max_bisections=2)
         gc.collect()
         gc.disable()
         try:
-            path = S.solve_equilibrium_path(model, f.control(), cfg,
-                                            on_state=lambda state, lu: None)
+            path = S.solve_equilibrium_path(model, f.control(),
+                                            FORCED_BISECTION,
+                                            on_state=lambda *args: None)
             assert path.total_bisections >= 1
             del path
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class CountedLU:
+    """SuperLU factors, counted alive from their creation until freed.
+
+    SuperLU objects take no weak references, so a proxy's __del__ counts
+    them out.
+    """
+
+    def __init__(self, lu, live):
+        self._lu = lu
+        self._live = live
+        live.alive += 1
+        live.most = max(live.most, live.alive)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def __del__(self):
+        self._live.alive -= 1
+
+
+@pytest.fixture
+def live_factors(monkeypatch):
+    """Counts of the factorizations of the solver and of the adjoint, and
+    of those alive at once; the cyclic collector is off, so factors count
+    as freed only once nothing refers to them."""
+    live = SimpleNamespace(alive=0, most=0, calls={})
+    for module in (S, adj):
+        def counted(*args, real=module.splu, name=module.__name__,
+                    **kwargs):
+            live.calls[name] = live.calls.get(name, 0) + 1
+            return CountedLU(real(*args, **kwargs), live)
+        monkeypatch.setattr(module, "splu", counted)
+    gc.collect()
+    gc.disable()
+    yield live
+    gc.enable()
+
+
+class TestFactorLifetime:
+    """At most one set of tangent factors is alive at any time."""
+
+    @pytest.mark.parametrize("model_of, cfg", [
+        (lambda f: f.build()[1], S.SolverConfig(steps=4)),
+        (lambda f: f.build()[1], FORCED_BISECTION),
+        (counter_ramp_model, S.SolverConfig(steps=2)),
+    ], ids=["four_steps", "forced_bisection", "counter_ramp"])
+    def test_path(self, live_factors, model_of, cfg):
+        f = fx.load_fixture("mini_gripper_100")
+        model = model_of(f)
+        seen = []
+        path = S.solve_equilibrium_path(
+            model, f.control(), cfg,
+            on_state=lambda state, system, lu: seen.append(
+                live_factors.alive))
+        assert len(seen) == cfg.steps and set(seen) == {1}
+        assert live_factors.calls[S.__name__] > len(path.states)
+        assert live_factors.most == 1
+        assert live_factors.alive == 0
+
+    def test_differentiate_path(self, live_factors):
+        f = fx.load_fixture("mini_gripper_100")
+        fields, model = f.build()
+        qs = [P.FIn(step=1, name="f1"), P.FIn(step=2, name="f2"),
+              P.VolumeFraction(step=1)]
+        cfg = S.SolverConfig(steps=2, tol_residual=1e-11,
+                             max_corrector_iters=30)
+        path, records, failure = O.differentiate_path(
+            model, f.control(), cfg, fields, f.design, qs)
+        assert not failure and set(records) == {"f1", "f2", "v_f"}
+        # no refinement fallback, so the adjoint factorized nothing
+        assert adj.__name__ not in live_factors.calls
+        assert live_factors.most == 1
+        assert live_factors.alive == 0
+
+    def test_bisection_retry_equals_reusing_the_kept_factors(
+            self, monkeypatch):
+        # a retry from a converged substate factorizes the tangent kept from
+        # its corrector again; handing back the factors made from that very
+        # matrix, as a _factorize memoized by identity does, changes no bit
+        f = fx.load_fixture("mini_gripper_100")
+        solved = S.solve_equilibrium_path(f.build()[1], f.control(),
+                                          FORCED_BISECTION)
+        memo, reused = [], []
+        real = S._factorize
+
+        def memoized(K, *args, **kwargs):
+            for key, lu in memo:
+                if key is K:
+                    reused.append(lu)
+                    return lu
+            memo.append((K, real(K, *args, **kwargs)))
+            return memo[-1][1]
+
+        monkeypatch.setattr(S, "_factorize", memoized)
+        kept = S.solve_equilibrium_path(f.build()[1], f.control(),
+                                        FORCED_BISECTION)
+        assert solved.total_bisections >= 2 and reused
+        assert_same_states(solved, kept)
 
 
 class TestToyArch:
