@@ -28,7 +28,8 @@ quantities = [
     problems.FIn(step=2, name="F_in"),
 ]
 # as every optimizer iteration does: solve the path and differentiate each
-# state the quantities read with the corrector's factors
+# state the quantities read through its converged tangent, which refines
+# against the corrector's factors
 _, sens, _ = optimizer.differentiate_path(model, control, cfg, fields,
                                           f.design, quantities)
 print("state at full stroke: U_out = %.4e m, F_in = %.2f N"

@@ -9,24 +9,17 @@ quantity f(zeta, U, lambda) the multipliers solve
     df/dlam + psi_R^T [Fx Fy]        = 0
 
 and the total derivative is df/dzeta + psi_R^T dR/dzeta + psi_c^T dc/dzeta.
-One set of factors per converged state serves every quantity read there; the
+One StateAdjoint per converged state serves every quantity read there; the
 reference-load and interpolation-row solves are one shared 4-column solve.
-StateAdjoint reuses the converged GlobalSystem that the solver's per-state
-hook passes with each requested state, and assembles only for states given
-without one (bisection substates on a failed path, hand-made states). The
-system lives no longer than the StateAdjoint that reads it.
 
-Given the corrector's last factors, which belong to the tangent one Newton
-step before the converged K_T, StateAdjoint factorizes nothing: it solves
-with those factors and refines each solution against K_T by iterative
-refinement, with the stopping rule of LAPACK's xGERFS. Before each step it
-takes the normwise backward error |b - K_T x| / (|K_T| |x| + |b|), in the
-infinity norm and worst over the columns; it stops when that is at most
-BERR_TOL, when a step failed to halve it, or after MAX_REFINEMENT_STEPS
-steps. Unless it met BERR_TOL, it factorizes K_T (through solver._factorize
-with this module's splu, so the fallback is timed apart from the solver's
-factorizations) and solves with those factors from then on. States without
-factors are factorized likewise.
+StateAdjoint solves only through the state's solver.ConvergedTangent, which
+the solver's per-state hook passes with each requested state: its converged
+system, and the corrector's last factors, against which it refines, so it
+factorizes nothing unless refinement falls short (the rule and its
+constants live in solver.py). A state given without a tangent (bisection
+substates on a failed path, hand-made states) is assembled, and its K_T is
+factorized. A fallback factorization goes through solver._factorize with
+this module's splu, so it is timed apart from the solver's factorizations.
 """
 
 from __future__ import annotations
@@ -38,12 +31,8 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .assembly import residual_vjp
-from .solver import (Singular2x2, _factorize, _solve_2x2,
+from .solver import (ConvergedTangent, Singular2x2, _solve_2x2,
                      input_point_response)
-
-# stopping rule of the refinement against K_T (see the module docstring)
-BERR_TOL = 2.2e-16
-MAX_REFINEMENT_STEPS = 5
 
 
 class SingularReducedSystem(Exception):
@@ -130,88 +119,32 @@ def constraint_partials(ctx):
     return np.array([design.join(rho, p, t) for p, t in zip(pts, theta)])
 
 
-def _column_max_abs(a):
-    """max |a| over each column of a (n,) or (n, k) array.
-
-    |a| is written in Fortran order, so each column's maximum reads one
-    contiguous column; over a C-ordered (n, 4) array that is over ten times
-    faster than reducing across its rows. The maxima are the same.
-    """
-    return np.abs(a, order="F").max(axis=0)
-
-
-def refine(lu, K, K_norm, b):
-    """Solution of K x = b from the factors lu of a nearby matrix.
-
-    Iterative refinement with the stopping rule in the module docstring;
-    K_norm is the infinity norm of K. Returns (x, steps), with x None when
-    the backward error did not reach BERR_TOL.
-    """
-    b_norm = _column_max_abs(b)
-    x = lu.solve(b)
-    last = np.inf
-    for step in range(MAX_REFINEMENT_STEPS + 1):
-        r = b - K @ x
-        scale = K_norm * _column_max_abs(x) + b_norm
-        berr = np.max(_column_max_abs(r)
-                      / np.maximum(scale, np.finfo(float).tiny))
-        if berr <= BERR_TOL:
-            return x, step
-        if berr > 0.5 * last or step == MAX_REFINEMENT_STEPS:
-            return None, step
-        x = x + lu.solve(r)
-        last = berr
-
-
 class StateAdjoint:
-    """Shared factors and reference solves for one converged state.
+    """Shared reference and interpolation solves for one converged state,
+    made through tangent, its ConvergedTangent; without one the state is
+    assembled into a tangent without factors."""
 
-    system, when given, is the GlobalSystem assembled at the state, such as
-    the corrector's converged one; without it the state is assembled. lu,
-    when given, holds the corrector's factors of a tangent near K_T:
-    solves then refine against K_T and factorize only if refinement falls
-    short (see the module docstring). refinement_steps lists the steps of
-    each refined solve, and factorized tells whether K_T was factorized.
-    """
-
-    def __init__(self, model, control, state, fields, design, system=None,
-                 lu=None):
+    def __init__(self, model, control, state, fields, design, tangent=None):
         self.ctx = StateContext(state=state, model=model, control=control,
                                 fields=fields, design=design)
-        self.system = system
-        if system is None:
-            self.system = model.assemble(state.U,
-                                         counter_scale=state.counter_scale)
-        self.lu = lu
-        self.factorized = False
-        self.refinement_steps = []
-        if lu is not None:
-            K = self.system.K_T
-            self.K_norm = np.bincount(K.indices, weights=np.abs(K.data),
-                                      minlength=K.shape[0]).max()
+        if tangent is None:
+            tangent = ConvergedTangent(
+                model.assemble(state.U, counter_scale=state.counter_scale),
+                model.kin)
+        self.tangent = tangent
+        self.system = tangent.system
         smp = control.sample
         n = model.mesh.num_dofs
         Nt = np.zeros((n, 2))
         Nt[smp.dofs_x, 0] = smp.weights
         Nt[smp.dofs_y, 1] = smp.weights
-        cols = self.solve(
-            np.column_stack([self.system.F_ext_x, self.system.F_ext_y, Nt]))
+        cols = tangent.solve(
+            np.column_stack([self.system.F_ext_x, self.system.F_ext_y, Nt]),
+            splu)
         self.V = cols[:, :2]
         self.M2 = input_point_response(smp, self.V)
         self.W = cols[:, 2:]
         self.Nt = Nt
-
-    def solve(self, b):
-        """x with K_T x = b, exact to solver precision."""
-        if not self.factorized and self.lu is not None:
-            x, steps = refine(self.lu, self.system.K_T, self.K_norm, b)
-            self.refinement_steps.append(steps)
-            if x is not None:
-                return x
-        if not self.factorized:
-            self.lu = _factorize(self.system.K_T, splu, self.ctx.model.kin)
-            self.factorized = True
-        return self.lu.solve(b)
 
     def solve_multipliers(self, dfdU, dfdlam):
         """Multipliers (psi_c, psi_R) for explicit partials dfdU, dfdlam."""
@@ -219,7 +152,7 @@ class StateAdjoint:
             a = None
             aF = np.zeros(2)
         else:
-            a = self.solve(np.asarray(dfdU, dtype=float))
+            a = self.tangent.solve(np.asarray(dfdU, dtype=float), splu)
             aF = np.array([a @ self.system.F_ext_x, a @ self.system.F_ext_y])
         lam_part = np.zeros(2) if dfdlam is None else np.asarray(dfdlam, float)
         rhs = -(lam_part + aF)

@@ -47,15 +47,18 @@ def build_problem_from_config(cfg):
     return problems.make_problem(cfg.get("", "problem"), **kwargs)
 
 
-def _solver_config(cfg, problem):
+def _optimizer_config(cfg, problem, max_iterations=None):
+    """The run's OptimizerConfig, its SolverConfig included: the [optimizer]
+    and [solver] keys are their fields, but the steps are the problem's.
+    max_iterations, when given, overrides the config's."""
+    from .optimizer import OptimizerConfig
     from .solver import SolverConfig
 
-    return SolverConfig(
-        tol_residual=cfg.get("solver", "tol_residual"),
-        max_corrector_iters=cfg.get("solver", "max_corrector_iters"),
-        max_bisections=cfg.get("solver", "max_bisections"),
-        steps=problem.steps,
-    )
+    opt = dict(cfg.values["optimizer"])
+    if max_iterations is not None:
+        opt["max_iterations"] = max_iterations
+    return OptimizerConfig(**opt, solver=SolverConfig(
+        **{**cfg.values["solver"], "steps": problem.steps}))
 
 
 def cmd_run(args):
@@ -104,14 +107,7 @@ def cmd_run(args):
                 os.path.join(outdir, f"density_{record.iteration:03d}.vtk"),
                 problem.mesh, outputs.density_cell_data(problem.mesh, flds))
 
-    opt_cfg = optimizer.OptimizerConfig(
-        max_iterations=(cfg.get("optimizer", "max_iterations")
-                        if args.max_iterations is None
-                        else args.max_iterations),
-        feas_tol=cfg.get("optimizer", "feas_tol"),
-        density_change_tol=cfg.get("optimizer", "density_change_tol"),
-        solver=_solver_config(cfg, problem),
-    )
+    opt_cfg = _optimizer_config(cfg, problem, args.max_iterations)
     t0 = time.perf_counter()
     try:
         result = optimizer.run_optimization(problem, opt_cfg,
@@ -131,8 +127,8 @@ def cmd_run(args):
         outputs.write_case_artifacts(outdir, problem,
                                      result.evaluation.paths, result.design)
     outputs.write_design_summary(
-        os.path.join(outdir, "design_summary.json"), problem, result.design,
-        result.evaluation, result.stop_reason, resolved)
+        os.path.join(outdir, "design_summary.json"), problem, result,
+        resolved)
     log.close()
     return 0
 
@@ -190,8 +186,8 @@ def cmd_replay(args):
     os.makedirs(outdir, exist_ok=True)
     try:
         # the run's own solver settings, at the requested increments
-        solver_cfg = dataclasses.replace(_solver_config(cfg, problem),
-                                         steps=args.steps)
+        solver_cfg = dataclasses.replace(
+            _optimizer_config(cfg, problem).solver, steps=args.steps)
         paths, fields, control = outputs.replay_design(
             problem, design, solver_cfg, stroke_scale=args.stroke_scale)
     except Exception as err:

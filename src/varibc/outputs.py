@@ -108,20 +108,28 @@ def write_output_path(path, states, mesh, node, u_in_norm):
                 float(x0 + st.U[2 * node]), float(y0 + st.U[2 * node + 1])))
 
 
-def write_design_summary(path, problem, design, evaluation, stop_reason,
-                         resolved_config_text):
-    """Self-contained JSON record of the final design.
+def write_design_summary(path, problem, result, resolved_config_text):
+    """Self-contained JSON record of an OptimizationResult's final design.
 
-    Embeds the resolved configuration so `replay` can rebuild the problem
-    from this one file; densities are stored in full.
+    Says how the run went: the final evaluation's failure text ("" if none;
+    a failed one's g carries the failure penalty) and the numbers of failed
+    iterations, MMA fallbacks and solver bisections. Embeds the resolved
+    configuration so `replay` can rebuild the problem from this one file;
+    densities are stored in full.
     """
+    design, evaluation, history = (result.design, result.evaluation,
+                                   result.history)
     constraints = [
         {"name": c.name, "g": float(g)}
         for c, g in zip(problem.constraints, evaluation.g)
     ] if evaluation is not None else []
     doc = {
         "problem": problem.name,
-        "stop_reason": stop_reason,
+        "stop_reason": result.stop_reason,
+        "failure": evaluation.failure if evaluation is not None else "",
+        "failed_iterations": sum(r.path_failed for r in history),
+        "mma_fallbacks": sum(r.mma_fallback for r in history),
+        "solver_bisections": sum(r.solver_bisections for r in history),
         "objective": (float(evaluation.objective)
                       if evaluation is not None else None),
         "quantities": ({k: float(v) for k, v in evaluation.values.items()}

@@ -28,18 +28,27 @@ fill are the same, and the factors agree to round-off. On the gripper
 tangents it cuts the median time per factorization by about 10% at
 h = 1.5 mm, where the factors leave the cache.
 
-At most one set of factors is alive at a time. The corrector drops the
-last iteration's factors before it factorizes, and the path drops the last
-corrector's factors once the next predictor has used them. It keeps the
-tangent matrix they came from instead: a failed step's retry factorizes that
-matrix again, which gives the same factors bit for bit, since the
-factorization depends only on the data and the mesh's TangentOrdering.
+Each corrector returns a ConvergedTangent, the one owner of solving with a
+converged state's K_T. It holds the converged GlobalSystem, the corrector's
+last factors, the matrix they factorize (the tangent one Newton step before
+K_T, or K_T when no iteration was made) and the reference solves made with
+them. Its solve refines against K_T with those factors and stops as
+LAPACK's xGERFS does: when the normwise backward error
+|b - K_T x| / (|K_T| |x| + |b|), in the infinity norm and worst over the
+columns, is at most BERR_TOL, when a step failed to halve it, or after
+MAX_REFINEMENT_STEPS steps. Unless it met BERR_TOL, it factorizes K_T and
+solves with those fallback factors from then on.
 
 solve_equilibrium_path calls an optional per-state hook with each requested
-state, its converged GlobalSystem and the corrector's last factors while
-they are still live; optimizer.differentiate_path differentiates the state
-there (adjoint.StateAdjoint), so neither the system nor the factors need
-outlive their step.
+state and its ConvergedTangent; optimizer.differentiate_path differentiates
+the state there (adjoint.StateAdjoint). When the hook returns, the path
+releases the system and the fallback factors, which no predictor sees. At
+most one set of the path's factors is alive at a time: the corrector drops
+the last iteration's factors before it factorizes, and the next predictor
+takes the corrector's factors from the tangent and drops them once used. A
+failed step's retry factorizes the tangent's matrix again, which gives the
+same factors bit for bit, since the factorization depends only on the data
+and the mesh's TangentOrdering.
 
 Counter-force load cases first ramp the constant counter load with the input
 pinned at zero, using the same machinery with the load scale as the
@@ -49,6 +58,7 @@ continuation parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -247,6 +257,96 @@ def _factorize(K, factor=None, kin=None):
     return lu
 
 
+# stopping rule of the refinement against K_T (see the module docstring)
+BERR_TOL = 2.2e-16
+MAX_REFINEMENT_STEPS = 5
+
+
+def _column_max_abs(a):
+    """max |a| over each column of a (n,) or (n, k) array.
+
+    |a| is written in Fortran order, so each column's maximum reads one
+    contiguous column; over a C-ordered (n, 4) array that is over ten times
+    faster than reducing across its rows. The maxima are the same.
+    """
+    return np.abs(a, order="F").max(axis=0)
+
+
+def refine(lu, K, K_norm, b):
+    """Solution of K x = b from the factors lu of a nearby matrix.
+
+    Iterative refinement with the stopping rule in the module docstring;
+    K_norm is the infinity norm of K. Returns (x, steps), with x None when
+    the backward error did not reach BERR_TOL.
+    """
+    b_norm = _column_max_abs(b)
+    x = lu.solve(b)
+    last = np.inf
+    for step in range(MAX_REFINEMENT_STEPS + 1):
+        r = b - K @ x
+        scale = K_norm * _column_max_abs(x) + b_norm
+        berr = np.max(_column_max_abs(r)
+                      / np.maximum(scale, np.finfo(float).tiny))
+        if berr <= BERR_TOL:
+            return x, step
+        if berr > 0.5 * last or step == MAX_REFINEMENT_STEPS:
+            return None, step
+        x = x + lu.solve(r)
+        last = berr
+
+
+class ConvergedTangent:
+    """K_T of one converged state, and the factors that solve with it.
+
+    system is the converged GlobalSystem, kin the ElementKinematics whose
+    ordering factorizations reuse. lu, when given, are the corrector's last
+    factors, of the matrix K (K_T unless given), and ref is the
+    K^-1 [F_ext_x, F_ext_y] made with them. take_factors hands lu to the next
+    predictor, and release drops the system and the factors solve made.
+    factorizations and refinement_steps count what solve did.
+    """
+
+    def __init__(self, system, kin, lu=None, K=None, ref=None):
+        self.system = system
+        self.kin = kin
+        self.lu = lu
+        self.K = system.K_T if K is None else K
+        self.ref = ref
+        self.factorizations = 0
+        self.refinement_steps = []
+        self._own_lu = None     # solve's factors of K_T
+
+    @cached_property
+    def K_norm(self):
+        """Infinity norm of K_T."""
+        K = self.system.K_T
+        return np.bincount(K.indices, weights=np.abs(K.data),
+                           minlength=K.shape[0]).max()
+
+    def take_factors(self):
+        """Factors of K for a predictor: lu, which the tangent then no longer
+        holds, or, for a retry, new ones."""
+        lu, self.lu = self.lu, None
+        return lu if lu is not None else _factorize(self.K, kin=self.kin)
+
+    def release(self):
+        """Drop the system and solve's factors, keeping what a predictor
+        needs."""
+        self.system = self._own_lu = None
+
+    def solve(self, b, factor=None):
+        """x with K_T x = b to solver precision; factor: see _factorize."""
+        if self._own_lu is None and self.lu is not None:
+            x, steps = refine(self.lu, self.system.K_T, self.K_norm, b)
+            self.refinement_steps.append(steps)
+            if x is not None:
+                return x
+        if self._own_lu is None:
+            self._own_lu = _factorize(self.system.K_T, factor, self.kin)
+            self.factorizations += 1
+        return self._own_lu.solve(b)
+
+
 def newton_update(model, control, lu, U, lam, target, rhs=None, ref=None):
     """One bordered Newton update of (U, lam) with the tangent factors lu.
 
@@ -283,11 +383,10 @@ def corrector(model, control, U, lam, s_target, config,
 
     Each iteration factorizes the current tangent once, after dropping the
     last iteration's factors, and makes one newton_update with the residual.
-    Returns (U, lam, converged GlobalSystem, lu, K, iterations, residual
-    history, reference solves): K is the tangent that lu factorizes, and the
-    reference solves are the last iteration's K^-1 [F_ext_x, F_ext_y] with
-    lu, or None when no iteration was made, in which case K is the converged
-    tangent.
+    Returns (U, lam, ConvergedTangent, iterations, residual history). The
+    tangent holds the converged system, the last iteration's factors, the
+    tangent they factorize and its K^-1 [F_ext_x, F_ext_y]; when no
+    iteration was made, it holds factors of K_T and no reference solves.
     """
     target = control.target(s_target)
     system = model.assemble(U, counter_scale=counter_scale)
@@ -302,7 +401,8 @@ def corrector(model, control, U, lam, s_target, config,
             if lu is None:
                 K = system.K_T
                 lu = _factorize(K, kin=model.kin)
-            return U, lam, system, lu, K, it, tuple(history), ref
+            return (U, lam, ConvergedTangent(system, model.kin, lu, K, ref),
+                    it, tuple(history))
         if it == config.max_corrector_iters:
             break
         lu = ref = None
@@ -326,12 +426,12 @@ def solve_equilibrium_path(model, control, config, on_state=None):
 
     Reports converged states at the fractions m / steps (bisection substates
     are kept and flagged as not requested). on_state, when given, is called
-    as on_state(state, system, lu) with each requested state, in step order,
-    its converged GlobalSystem, and the factors of the corrector's last
-    tangent, which the next predictor goes on to use. The path keeps neither
-    after that: the system lives as long as the hook, and the factors until
-    the next predictor has used them. A nonzero counter force on the model
-    is ramped first with the input held at zero.
+    as on_state(state, tangent) with each requested state, in step order,
+    and its ConvergedTangent, whose factors the next predictor goes on to
+    use. When the hook returns, the path releases the tangent's system and
+    any factors its solve made; the corrector's factors go once the next
+    predictor has used them. A nonzero counter force on the model is ramped
+    first with the input held at zero.
     """
     path = EquilibriumPath(states=[])
     has_counter = bool(np.any(model.F_counter))
@@ -339,10 +439,10 @@ def solve_equilibrium_path(model, control, config, on_state=None):
         U=np.zeros(model.mesh.num_dofs), lambda_x=0.0, lambda_y=0.0,
         input_fraction=0.0, residual_norm=0.0, corrector_iterations=0,
         counter_scale=0.0 if has_counter else 1.0)
-    # the last corrector's factors, which the next predictor uses and then
-    # drops; the tangent they factorize, which a retry factorizes again; and
-    # the reference load solves made with them, which every predictor reuses
-    lu = tangent = ref = None
+    # the last converged state's tangent: the next predictor takes its
+    # factors, a retry factorizes its K again, and every predictor from it
+    # reuses its reference load solves
+    tangent = None
     # increments to make, the next one last, as (s, alpha, bisection depth,
     # requested); a failed one is retried after its bisected first half
     todo = [(m / config.steps, 1.0, 0, True)
@@ -355,16 +455,17 @@ def solve_equilibrium_path(model, control, config, on_state=None):
         d_alpha = alpha_new - last.counter_scale
         counter = d_alpha * model.F_counter if d_alpha != 0.0 else None
         try:
-            if lu is None:
-                lu = _factorize(tangent if path.states
-                                else model.assemble(last.U).K_T,
-                                kin=model.kin)
+            if tangent is None:
+                lu, ref = _factorize(model.assemble(last.U).K_T,
+                                     kin=model.kin), None
+            else:
+                lu, ref = tangent.take_factors(), tangent.ref
             lam = np.array([last.lambda_x, last.lambda_y])
             U, lam, _ = newton_update(model, control, lu, last.U, lam,
                                       control.target(s_new), rhs=counter,
                                       ref=ref)
             lu = None
-            U, lam, system, lu, tangent, iters, hist, ref = corrector(
+            U, lam, tangent, iters, hist = corrector(
                 model, control, U, lam, s_new, config,
                 counter_scale=alpha_new)
         except (CorrectorFailed, SingularTangent, Singular2x2,
@@ -387,8 +488,8 @@ def solve_equilibrium_path(model, control, config, on_state=None):
             counter_scale=alpha_new, residual_history=hist)
         path.states.append(st)
         if requested and on_state is not None:
-            on_state(st, system, lu)
-        del system
+            on_state(st, tangent)
+        tangent.release()
     return path
 
 

@@ -4,7 +4,8 @@ Criteria 1-6 are the check functions of varibc.verify, which also back the
 `varibc verify` table; their oracles and tolerances live there. Each test
 prints a single PASS line on success (run with -s or -rA to see them);
 failures surface as ordinary assertion errors. Criterion 7 runs two
-desk-scale optimizations and dominates the suite's runtime.
+desk-scale optimizations and dominates the suite's runtime; it is marked
+slow, so `-m "not slow"` leaves it out.
 """
 
 import time
@@ -65,6 +66,7 @@ def gripper_runs():
     return out
 
 
+@pytest.mark.slow
 def test_07_desk_scale_gripper(gripper_runs):
     prob_f, res_f, (u_f, _, feasible_f) = gripper_runs["fixed"]
     _, _, (u_v, moved, feasible_v) = gripper_runs["variable"]

@@ -124,7 +124,7 @@ def hooked_systems(model, ctrl, cfg):
     seen = []
     path = S.solve_equilibrium_path(
         model, ctrl, cfg,
-        on_state=lambda state, system, lu: seen.append((state, system)))
+        on_state=lambda state, tangent: seen.append((state, tangent.system)))
     return path, seen
 
 
@@ -142,7 +142,8 @@ class TestConvergedSystemReuse:
         st, system = converged
         assert system is not None
         carried = adj.StateAdjoint(model, ctrl, st, fields, f.design,
-                                   system=system)
+                                   tangent=S.ConvergedTangent(system,
+                                                              model.kin))
         rebuilt = adj.StateAdjoint(model, ctrl, st, fields, f.design)
         assert rebuilt.system is not system
         for q in quantity_set(f):
@@ -156,7 +157,8 @@ class TestConvergedSystemReuse:
         f, fields, model, ctrl, path = gripper_setup
         st, system = converged
         calls = count_assemblies(monkeypatch)
-        adj.StateAdjoint(model, ctrl, st, fields, f.design, system=system)
+        adj.StateAdjoint(model, ctrl, st, fields, f.design,
+                         tangent=S.ConvergedTangent(system, model.kin))
         assert calls == []
         adj.StateAdjoint(model, ctrl, st, fields, f.design)
         assert len(calls) == 1
@@ -205,7 +207,8 @@ class TestConvergedSystemReuse:
                                F_ext_y=np.zeros(n))
         with pytest.raises(S.SingularTangent):
             adj.StateAdjoint(model, ctrl, path.state_at_step(2), fields,
-                             f.design, system=stub)
+                             f.design,
+                             tangent=S.ConvergedTangent(stub, model.kin))
 
 
 def count_adjoint_factorizations(monkeypatch):
@@ -238,9 +241,14 @@ class TestRefinedAdjoint:
         fields, model = f.build()
         ctrl = f.control()
         seen = []
+
+        def on_state(state, tangent):
+            # the parts of the tangent, which the path releases or takes
+            seen.append((state, tangent.system, tangent.lu, tangent.K,
+                         tangent.ref))
+
         path = S.solve_equilibrium_path(
-            model, ctrl, S.SolverConfig(steps=4),
-            on_state=lambda *args: seen.append(args))
+            model, ctrl, S.SolverConfig(steps=4), on_state=on_state)
         return f, fields, model, ctrl, path, seen
 
     def test_multipliers_match_a_fresh_factorization(self, hooked,
@@ -248,16 +256,18 @@ class TestRefinedAdjoint:
         f, fields, model, ctrl, path, seen = hooked
         assert len(seen) == 4
         calls = count_adjoint_factorizations(monkeypatch)
-        for state, system, lu in seen:
-            refined = adj.StateAdjoint(model, ctrl, state, fields, f.design,
-                                       system=system, lu=lu)
+        for state, system, lu, K, ref in seen:
+            refined = adj.StateAdjoint(
+                model, ctrl, state, fields, f.design,
+                tangent=S.ConvergedTangent(system, model.kin, lu, K, ref))
             got = [refined.sensitivity(q) for q in quantity_set(f)]
-            assert calls == [] and not refined.factorized
-            assert all(1 <= n <= adj.MAX_REFINEMENT_STEPS
-                       for n in refined.refinement_steps)
-            fresh = adj.StateAdjoint(model, ctrl, state, fields, f.design,
-                                     system=system)
-            assert len(calls) == 1 and fresh.factorized
+            assert calls == [] and refined.tangent.factorizations == 0
+            assert all(1 <= n <= S.MAX_REFINEMENT_STEPS
+                       for n in refined.tangent.refinement_steps)
+            fresh = adj.StateAdjoint(
+                model, ctrl, state, fields, f.design,
+                tangent=S.ConvergedTangent(system, model.kin))
+            assert len(calls) == 1 and fresh.tangent.factorizations == 1
             calls.clear()
             for a, q in zip(got, quantity_set(f)):
                 assert_records_close(a, fresh.sensitivity(q), 1e-11)
@@ -265,16 +275,18 @@ class TestRefinedAdjoint:
     def test_distant_factors_fall_back_to_one_factorization(
             self, hooked, monkeypatch):
         f, fields, model, ctrl, path, seen = hooked
-        state, system, _ = seen[3]
+        state, system = seen[3][:2]
         far_lu = seen[0][2]  # the step-1 factors, three steps away
         calls = count_adjoint_factorizations(monkeypatch)
-        sa = adj.StateAdjoint(model, ctrl, state, fields, f.design,
-                              system=system, lu=far_lu)
+        sa = adj.StateAdjoint(
+            model, ctrl, state, fields, f.design,
+            tangent=S.ConvergedTangent(system, model.kin, far_lu))
         got = [sa.sensitivity(q) for q in quantity_set(f)]
-        assert len(calls) == 1 and sa.factorized
-        assert len(sa.refinement_steps) == 1
-        fresh = adj.StateAdjoint(model, ctrl, state, fields, f.design,
-                                 system=system)
+        assert len(calls) == 1 and sa.tangent.factorizations == 1
+        assert len(sa.tangent.refinement_steps) == 1
+        fresh = adj.StateAdjoint(
+            model, ctrl, state, fields, f.design,
+            tangent=S.ConvergedTangent(system, model.kin))
         for a, q in zip(got, quantity_set(f)):
             assert_records_close(a, fresh.sensitivity(q), 1e-11)
 
@@ -287,15 +299,16 @@ class TestRefinedAdjoint:
 
         def records():
             out = []
-            for state, system, lu in seen:
-                sa = adj.StateAdjoint(model, ctrl, state, fields, f.design,
-                                      system=system, lu=lu)
-                out.append((sa.refinement_steps,
+            for state, system, lu, K, ref in seen:
+                sa = adj.StateAdjoint(
+                    model, ctrl, state, fields, f.design,
+                    tangent=S.ConvergedTangent(system, model.kin, lu, K, ref))
+                out.append((sa.tangent.refinement_steps,
                             [sa.sensitivity(q) for q in quantity_set(f)]))
             return out
 
         got = records()
-        monkeypatch.setattr(adj, "_column_max_abs",
+        monkeypatch.setattr(S, "_column_max_abs",
                             lambda a: np.abs(a).max(axis=0))
         want = records()
         assert len(got) == 4
@@ -486,5 +499,6 @@ def test_differentiate_path_groups_by_step(monkeypatch):
     assert len(adjoints) == len(path.requested_states) == 2
     assert all(a.ctx.state is st
                for a, st in zip(adjoints, path.requested_states))
-    assert all(a.lu is not None and not a.factorized for a in adjoints)
+    assert all(a.tangent.refinement_steps and a.tangent.factorizations == 0
+               for a in adjoints)
     assert calls == []

@@ -109,6 +109,50 @@ class TestParseConfig:
             config.parse_config('problem = "custom"')  # no outline/load
 
 
+# [section] key -> (a value other than the default, where it lands in the
+# problem p or the OptimizerConfig o that the CLI builds from the config)
+CONFIG_TARGETS = {
+    **{("parameters", key): (value, lambda p, o, key=key: getattr(p.params,
+                                                                key))
+       for key, value in (("E0", 2.5e7), ("E_s", 1.5e9), ("nu_s", 0.25),
+                          ("t_s", 0.02), ("p_simp", 2.5), ("rho0", 0.01),
+                          ("b", 3.0), ("P", 5.0), ("Q", 10.0),
+                          ("beta", 800.0), ("r", 3e-3), ("r_min", 4e-3))},
+    ("parameters", "nu"): (0.45, lambda p, o: {p.params.nu, p.material.nu}),
+    ("parameters", "u_in"): (4e-3, lambda p, o: p.u_in_norm),
+    ("parameters", "k_out"): (250.0,
+                              lambda p, o: {k for _, k in p.output_springs}),
+    ("solver", "steps"): (3, lambda p, o: {p.steps, o.solver.steps}),
+    **{("solver", key): (value, lambda p, o, key=key: getattr(o.solver, key))
+       for key, value in (("tol_residual", 2e-7), ("max_corrector_iters", 17),
+                          ("max_bisections", 3))},
+    **{("optimizer", key): (value, lambda p, o, key=key: getattr(o, key))
+       for key, value in (("max_iterations", 7), ("feas_tol", 2e-3),
+                          ("density_change_tol", 5e-5))},
+}
+
+
+def test_config_targets_cover_every_key():
+    assert set(CONFIG_TARGETS) == {
+        (section, key) for section in ("parameters", "solver", "optimizer")
+        for key in config._SCHEMA[section]}
+
+
+@pytest.mark.parametrize("section,key", sorted(CONFIG_TARGETS))
+def test_every_key_reaches_what_it_configures(section, key):
+    value, where = CONFIG_TARGETS[(section, key)]
+
+    def reached(text):
+        cfg = config.parse_config(
+            'problem = "gripper"\n[mesh]\nelement_size = 0.008\n' + text)
+        problem = cli.build_problem_from_config(cfg)
+        got = where(problem, cli._optimizer_config(cfg, problem))
+        return got.pop() if isinstance(got, set) and len(got) == 1 else got
+
+    assert reached(f"[{section}]\n{key} = {value!r}\n") == value
+    assert reached("") != value
+
+
 @pytest.fixture()
 def tiny_cfg(tmp_path):
     p = tmp_path / "tiny.cfg"
@@ -235,6 +279,53 @@ class TestCliRun:
         assert iters[0].endswith(
             "[load case 1: SingularReducedSystem at step 1: injected]")
         assert not iters[1].endswith("]")
+
+    def test_summary_says_how_the_run_went(self, tiny_cfg, tmp_path):
+        cli.main(["run", tiny_cfg, "-q", "-o", str(tmp_path / "a")])
+        cli.main(["run", tiny_cfg, "-q", "-o", str(tmp_path / "b")])
+        text = (tmp_path / "a" / "design_summary.json").read_bytes()
+        assert text == (tmp_path / "b" / "design_summary.json").read_bytes()
+        doc = json.loads(text)
+        assert doc["failure"] == ""
+        assert (doc["failed_iterations"], doc["mma_fallbacks"],
+                doc["solver_bisections"]) == (0, 0, 0)
+
+    def test_summary_counts_failures_and_fallbacks(self, tiny_cfg, tmp_path,
+                                                   monkeypatch):
+        from varibc import mma
+        from varibc import optimizer as O
+        from varibc import solver as S
+
+        def failing_subproblem(*args, **kwargs):
+            raise mma.SubproblemError("synthetic failure")
+
+        real = O.solve_equilibrium_path
+        evaluations = []
+
+        def failing_last_path(model, control, config, on_state=None):
+            evaluations.append(1)
+            if len(evaluations) < 2:
+                return real(model, control, config, on_state=on_state)
+            raise S.PathFailed(0.5, "synthetic failure",
+                               partial=S.EquilibriumPath(
+                                   states=[], total_bisections=3))
+
+        monkeypatch.setattr(mma, "mmasub", failing_subproblem)
+        monkeypatch.setattr(O, "solve_equilibrium_path", failing_last_path)
+        assert cli.main(["run", tiny_cfg, "-q"]) == 0
+        out = tmp_path / "out"
+        doc = json.loads((out / "design_summary.json").read_text())
+        assert doc["failure"] == ("load case 1: path failed at input "
+                                  "fraction 0.5: synthetic failure")
+        assert (doc["failed_iterations"], doc["mma_fallbacks"],
+                doc["solver_bisections"]) == (1, 1, 3)
+        header, *rows = (out / "history.csv").read_text().splitlines()
+        cols = header.split(",")
+        for key, col in (("failed_iterations", "path_failed"),
+                         ("mma_fallbacks", "mma_fallback"),
+                         ("solver_bisections", "solver_bisections")):
+            i = cols.index(col)
+            assert doc[key] == sum(int(row.split(",")[i]) for row in rows)
 
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

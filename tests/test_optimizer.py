@@ -293,10 +293,11 @@ class TestPathFailureHandling:
 
         class Recording(A.StateAdjoint):
             def __init__(self, model, control, state, fields, design,
-                         system=None, lu=None):
-                log.append(("adjoint", state, system, lu))
+                         tangent=None):
+                log.append(("adjoint", state, tangent and tangent.system,
+                            tangent and tangent.lu))
                 super().__init__(model, control, state, fields, design,
-                                 system=system, lu=lu)
+                                 tangent=tangent)
 
             def sensitivity(self, q):
                 rec = super().sensitivity(q)

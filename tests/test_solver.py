@@ -145,9 +145,10 @@ class TestPredictorCorrector:
         ctrl = f.control()
         U0 = np.zeros(f.mesh.num_dofs)
         cfg = S.SolverConfig(steps=1)
-        U, lam, system, lu, K, iters, hist, ref = S.corrector(
+        U, lam, tangent, iters, hist = S.corrector(
             model, ctrl, U0, np.zeros(2), 0.0, cfg)
-        assert iters == 0 and ref is None and K is system.K_T
+        assert iters == 0 and tangent.ref is None
+        assert tangent.K is tangent.system.K_T
 
     def test_quadratic_residual_decay(self, gripper):
         f, fields, model = gripper
@@ -283,8 +284,9 @@ class TestPerStateHook:
         _, model = f.build()
         seen = []
 
-        def on_state(state, system, lu):
+        def on_state(state, tangent):
             seen.append(state)
+            system, lu = tangent.system, tangent.lu
             assert np.array_equal(system.U, state.U)
             # the factors solve with a tangent one Newton step away
             b = system.F_ext_x
@@ -401,6 +403,8 @@ class CountedLU:
         self._live = live
         live.alive += 1
         live.most = max(live.most, live.alive)
+        if not live.in_hook:
+            live.most_outside_hooks = max(live.most_outside_hooks, live.alive)
 
     def __getattr__(self, name):
         return getattr(self._lu, name)
@@ -412,9 +416,11 @@ class CountedLU:
 @pytest.fixture
 def live_factors(monkeypatch):
     """Counts of the factorizations of the solver and of the adjoint, and
-    of those alive at once; the cyclic collector is off, so factors count
-    as freed only once nothing refers to them."""
-    live = SimpleNamespace(alive=0, most=0, calls={})
+    of those alive at once, also outside the hook calls that set in_hook;
+    the cyclic collector is off, so factors count as freed only once
+    nothing refers to them."""
+    live = SimpleNamespace(alive=0, most=0, calls={}, in_hook=False,
+                           most_outside_hooks=0)
     for module in (S, adj):
         def counted(*args, real=module.splu, name=module.__name__,
                     **kwargs):
@@ -441,7 +447,7 @@ class TestFactorLifetime:
         seen = []
         path = S.solve_equilibrium_path(
             model, f.control(), cfg,
-            on_state=lambda state, system, lu: seen.append(
+            on_state=lambda state, tangent: seen.append(
                 live_factors.alive))
         assert len(seen) == cfg.steps and set(seen) == {1}
         assert live_factors.calls[S.__name__] > len(path.states)
@@ -487,6 +493,50 @@ class TestFactorLifetime:
                                         FORCED_BISECTION)
         assert solved.total_bisections >= 2 and reused
         assert_same_states(solved, kept)
+
+
+class TestFallbackFactors:
+    """A refinement shortfall factorizes K_T; those factors serve the
+    state's later solves only."""
+
+    @pytest.mark.parametrize("model_of, cfg", [
+        (counter_ramp_model, S.SolverConfig(steps=2)),
+        (lambda f: f.build()[1], FORCED_BISECTION),
+    ], ids=["counter_ramp", "forced_bisection"])
+    def test_fallback_factors_reach_no_predictor(
+            self, monkeypatch, live_factors, model_of, cfg):
+        f = fx.load_fixture("mini_gripper_100")
+        fields = f.build()[0]
+        ctrl = f.control()
+        unforced = S.solve_equilibrium_path(model_of(f), ctrl, cfg)
+        # no backward error meets a negative tolerance, so each adjoint's
+        # first solve falls short and factorizes K_T
+        monkeypatch.setattr(S, "BERR_TOL", -1.0)
+        model = model_of(f)
+        at_entry, fallbacks = [], []
+
+        def on_state(state, tangent):
+            at_entry.append(live_factors.alive)
+            live_factors.in_hook = True
+            lu, ref = tangent.lu, tangent.ref
+            sa = adj.StateAdjoint(model, ctrl, state, fields, f.design,
+                                  tangent=tangent)
+            sa.sensitivity(P.FIn(step=1, name="f_in"))
+            fallbacks.append(tangent.factorizations)
+            # the next predictor reads the corrector's factors and solves
+            assert tangent.lu is lu and tangent.ref is ref
+            live_factors.in_hook = False
+
+        forced = S.solve_equilibrium_path(model, ctrl, cfg, on_state=on_state)
+        assert_same_states(unforced, forced)
+        assert fallbacks == [1] * cfg.steps
+        assert live_factors.calls[adj.__name__] == cfg.steps
+        # inside a hook the corrector's factors and the fallback's are
+        # alive; outside, one set at most
+        assert at_entry == [1] * cfg.steps
+        assert live_factors.most == 2
+        assert live_factors.most_outside_hooks == 1
+        assert live_factors.alive == 0
 
 
 class TestToyArch:
