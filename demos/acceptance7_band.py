@@ -11,7 +11,9 @@ designs, each design0 with its densities scaled by 1 + U(-1e-12, 1e-12),
 and prints every run and the min, median and max of each number. The
 scalings are draws of one generator seeded with 0. Run k of both modes
 starts from the same scaled densities; its ratio is variable over fixed
-U_out.
+U_out. Of each variable-BC run it also prints the final actuator angle
+theta and the mean |drho| of its final densities against run 0's: the
+designs spread far more than U_out does.
 
 One run takes about half a minute on one core, so K = 10 takes about ten
 minutes.
@@ -36,25 +38,31 @@ def main():
     rng = np.random.default_rng(0)
     n_rho = len(problems.make_problem("gripper", element_size=3e-3)
                 .design0.rho)
-    runs = []  # per k: {fixed: (U_out, max move, feasible)}
+    rows = []  # per k: the numbers of the table below
     for k in range(args.K):
         scale = 1.0 + rng.uniform(-1e-12, 1e-12, n_rho)  # both modes
-        runs.append({fixed: desk_scale_gripper(fixed, scale)[2]
-                     for fixed in (True, False)})
-        (u_f, _, ok_f), (u_v, move, ok_v) = runs[k][True], runs[k][False]
+        _, _, (u_f, _, ok_f) = desk_scale_gripper(True, scale)
+        _, res, (u_v, move, ok_v) = desk_scale_gripper(False, scale)
+        if k == 0:
+            rho_run0 = res.design.rho
+        drho = np.abs(res.design.rho - rho_run0).mean()
+        rows.append((u_f, u_v, move, res.design.theta, drho))
         print(f"run {k}: fixed U_out {u_f * 100:.3f} cm, variable "
-              f"{u_v * 100:.3f} cm, max BC move {move * 1000:.1f} mm"
-              + ("" if ok_f and ok_v else ", ended infeasible"), flush=True)
+              f"{u_v * 100:.3f} cm, max BC move {move * 1000:.1f} mm, "
+              f"theta {res.design.theta:.3f} rad, mean |drho| to run 0 "
+              f"{drho:.4f}" + ("" if ok_f and ok_v else ", ended infeasible"),
+              flush=True)
 
-    u_f, u_v, move = (np.array([r[fixed][i] for r in runs])
-                      for fixed, i in ((True, 0), (False, 0), (False, 1)))
-    print(f"\n{'K = ' + str(args.K):30s} {'min':>8s} {'median':>8s} "
+    u_f, u_v, move, theta, drho = np.array(rows).T
+    print(f"\n{'K = ' + str(args.K):32s} {'min':>8s} {'median':>8s} "
           f"{'max':>8s}")
     for name, v in (("fixed-BC U_out [cm]", 100 * u_f),
                     ("variable-BC U_out [cm]", 100 * u_v),
                     ("ratio variable / fixed", u_v / u_f),
-                    ("variable-BC max BC move [mm]", 1000 * move)):
-        print(f"{name:30s} {v.min():8.3f} {np.median(v):8.3f} {v.max():8.3f}")
+                    ("variable-BC max BC move [mm]", 1000 * move),
+                    ("variable-BC final theta [rad]", theta),
+                    ("variable-BC mean |drho| to run 0", drho)):
+        print(f"{name:32s} {v.min():8.3f} {np.median(v):8.3f} {v.max():8.3f}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ def _fail(message, code=1):
 def build_problem_from_config(cfg):
     """Materialize a ProblemSpec from a parsed RunConfig. A setting left
     at 0 (k_out: below 0) takes the problem's own value."""
-    from . import mesh as msh, problems
+    from . import config, mesh as msh, problems
+    from .design_field import ProjectionParams
 
     def given(value):
         return value if value > 0 else None
@@ -34,9 +35,9 @@ def build_problem_from_config(cfg):
     thickness = given(mcfg["thickness"]) or problems.THICKNESS
     mesh = (msh.read_mesh(mcfg["path"], thickness=thickness)
             if mcfg["source"] == "import" else None)
-    po = {k: par[k] for k in ("E0", "nu", "E_s", "nu_s", "p_simp", "rho0",
-                              "b", "P", "Q")}
-    po.update((k, given(par[k])) for k in ("beta", "r", "r_min", "t_s"))
+    po = {f.name: given(par[f.name]) if f.name in config.FAMILY_VALUED
+          else par[f.name] for f in dataclasses.fields(ProjectionParams)
+          if f.init}
     kwargs = dict(
         fixed_bcs=cfg.get("", "fixed_bcs"), mesh=mesh, thickness=thickness,
         element_size=given(mcfg["element_size"]), u_in=given(par["u_in"]),
@@ -62,74 +63,73 @@ def _optimizer_config(cfg, problem, max_iterations=None):
 
 
 def cmd_run(args):
-    from . import config, optimizer, outputs
+    from . import config, mesh as msh, optimizer, outputs
 
     try:
         cfg = config.parse_config(args.config)
     except config.ConfigError as err:
         return _fail(str(err))
-    outdir = args.output or cfg.get("", "output_dir")
-    os.makedirs(outdir, exist_ok=True)
     try:
         problem = build_problem_from_config(cfg)
     except Exception as err:
         return _fail(f"problem construction failed: {err}")
+    try:
+        opt_cfg = _optimizer_config(cfg, problem, args.max_iterations)
+    except ValueError as err:
+        return _fail(str(err))
 
+    outdir = args.output or cfg.get("", "output_dir")
+    os.makedirs(outdir, exist_ok=True)
     resolved = config.dump_config(cfg)
     with open(os.path.join(outdir, "config_resolved.cfg"), "w",
               encoding="utf-8") as f:
         f.write(resolved)
 
-    log = open(os.path.join(outdir, "run.log"), "w", encoding="utf-8")
+    def dump_density(name, design):
+        flds = problem.fields(design)
+        outputs.write_vtk(os.path.join(outdir, name), problem.mesh,
+                          outputs.density_cell_data(problem.mesh, flds))
 
-    def say(msg):
-        log.write(f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] {msg}\n")
-        log.flush()
-        if not args.quiet:
-            print(msg)
+    with open(os.path.join(outdir, "run.log"), "w", encoding="utf-8") as log:
+        def say(msg):
+            log.write(f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] {msg}\n")
+            log.flush()
+            if not args.quiet:
+                print(msg)
 
-    say(f"problem {problem.name}: {problem.mesh.num_elements} elements, "
-        f"{problem.design0.size} design variables, "
-        f"{len(problem.constraints)} constraints")
+        say(f"problem {problem.name}: {problem.mesh.num_elements} elements, "
+            f"{problem.design0.size} design variables, "
+            f"{len(problem.constraints)} constraints")
 
-    dump_every = cfg.get("output", "dump_every")
-    history = outputs.HistoryWriter(os.path.join(outdir, "history.csv"),
-                                    problem)
+        dump_every = cfg.get("output", "dump_every")
+        history = outputs.HistoryWriter(os.path.join(outdir, "history.csv"),
+                                        problem)
 
-    def on_iteration(record, design, evaluation):
-        history(record, design, evaluation)
-        say(f"iter {record.iteration}: objective {record.objective:.6g}, "
-            f"max g {record.g.max():.3g}, mean |drho| {record.mean_drho:.2e}"
-            + (f" [{evaluation.failure}]" if evaluation.failed else ""))
-        if dump_every and record.iteration % dump_every == 0:
-            flds = problem.fields(design)
-            outputs.write_vtk(
-                os.path.join(outdir, f"density_{record.iteration:03d}.vtk"),
-                problem.mesh, outputs.density_cell_data(problem.mesh, flds))
+        def on_iteration(rec, design, evaluation):
+            history(rec, design, evaluation)
+            say(f"iter {rec.iteration}: objective {rec.objective:.6g}, "
+                f"max g {rec.g.max():.3g}, mean |drho| {rec.mean_drho:.2e}"
+                + (f" [{evaluation.failure}]" if evaluation.failed else ""))
+            if dump_every and rec.iteration % dump_every == 0:
+                dump_density(f"density_{rec.iteration:03d}.vtk", design)
 
-    opt_cfg = _optimizer_config(cfg, problem, args.max_iterations)
-    t0 = time.perf_counter()
-    try:
-        result = optimizer.run_optimization(problem, opt_cfg,
-                                            on_iteration=on_iteration)
-    finally:
-        history.close()
-    say(f"finished: {result.stop_reason} after {len(result.history)} "
-        f"iterations in {time.perf_counter() - t0:.1f} s")
+        t0 = time.perf_counter()
+        try:
+            result = optimizer.run_optimization(problem, opt_cfg,
+                                                on_iteration=on_iteration)
+        finally:
+            history.close()
+        say(f"finished: {result.stop_reason} after {len(result.history)} "
+            f"iterations in {time.perf_counter() - t0:.1f} s")
 
-    fields = problem.fields(result.design)
-    outputs.write_vtk(os.path.join(outdir, "density_final.vtk"),
-                      problem.mesh,
-                      outputs.density_cell_data(problem.mesh, fields))
-    from . import mesh as msh
-    msh.write_mesh(problem.mesh, os.path.join(outdir, "mesh.mesh"))
-    if result.evaluation is not None:
-        outputs.write_case_artifacts(outdir, problem,
-                                     result.evaluation.paths, result.design)
-    outputs.write_design_summary(
-        os.path.join(outdir, "design_summary.json"), problem, result,
-        resolved)
-    log.close()
+        dump_density("density_final.vtk", result.design)
+        msh.write_mesh(problem.mesh, os.path.join(outdir, "mesh.mesh"))
+        if result.evaluation is not None:
+            outputs.write_case_artifacts(
+                outdir, problem, result.evaluation.paths, result.design)
+        outputs.write_design_summary(
+            os.path.join(outdir, "design_summary.json"), problem, result,
+            resolved)
     return 0
 
 

@@ -7,6 +7,10 @@ nearest valid key, and TOML syntax errors carry line and column. Integers
 are accepted for floats and integral floats for integers; list entries must
 be numbers and become floats. The resolved configuration (all defaults
 materialized) re-parses to an identical RunConfig.
+
+Each section's defaults have one owner: ProjectionParams (then u_in and
+k_out) for [parameters], SolverConfig for [solver], OptimizerConfig but its
+solver for [optimizer], and CUSTOM_DEFAULTS for [custom].
 """
 
 from __future__ import annotations
@@ -16,9 +20,13 @@ import json
 import os
 import re
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
+from .design_field import ProjectionParams
+from .optimizer import OptimizerConfig
 from .problems import CUSTOM_DEFAULTS, FAMILIES
+from .solver import SolverConfig
 
 
 class ConfigError(Exception):
@@ -27,6 +35,18 @@ class ConfigError(Exception):
         if line is not None:
             where = f" (line {line}" + (f", col {col}" if col else "") + ")"
         super().__init__(message + where)
+
+
+# [parameters] and [solver] keys whose default 0 takes the family's value
+FAMILY_VALUED = frozenset({"t_s", "beta", "r", "r_min", "steps"})
+
+
+def _fields_of(cls, omit=None):
+    """key -> (type, default) of each init field of dataclass cls but omit."""
+    types = get_type_hints(cls)
+    return {f.name: (types[f.name], types[f.name]() if f.name in FAMILY_VALUED
+                     else f.default)
+            for f in fields(cls) if f.init and f.name != omit}
 
 
 # section -> key -> (type, default); the root keys are section "". A
@@ -44,33 +64,12 @@ _SCHEMA = {
         "thickness": (float, 0.0),      # 0 = family default
     },
     "parameters": {
-        "E0": (float, 10e6),
-        "nu": (float, 0.49),
-        "E_s": (float, 2000e6),
-        "nu_s": (float, 0.3),
-        "t_s": (float, 0.0),            # 0 = family default
-        "p_simp": (float, 3.0),
-        "rho0": (float, 0.0),
-        "b": (float, 2.0),
-        "P": (float, 4.0),
-        "Q": (float, 12.0),
-        "beta": (float, 0.0),           # 0 = family default
-        "r": (float, 0.0),
-        "r_min": (float, 0.0),
+        **_fields_of(ProjectionParams),
         "u_in": (float, 0.0),
         "k_out": (float, -1.0),         # <0 = family default
     },
-    "solver": {
-        "steps": (int, 0),              # 0 = family default
-        "tol_residual": (float, 1e-6),
-        "max_corrector_iters": (int, 20),
-        "max_bisections": (int, 6),
-    },
-    "optimizer": {
-        "max_iterations": (int, 400),
-        "feas_tol": (float, 1e-3),
-        "density_change_tol": (float, 1e-4),
-    },
+    "solver": _fields_of(SolverConfig),
+    "optimizer": _fields_of(OptimizerConfig, omit="solver"),
     "output": {
         "dump_every": (int, 0),
     },

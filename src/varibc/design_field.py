@@ -23,28 +23,29 @@ from .mesh import SOLID_NONDESIGN, VOID_NONDESIGN
 _TANH_SAT = 350.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProjectionParams:
     """Projection, interpolation, and material-field parameters.
 
     Defaults follow the common parameter set: base b = 2 (the projection
     radius r marks the 50 percent contour), sharpness P = 4, smooth min/max
-    exponent Q = 12, SIMP penalty 3, E_min = 1e-9 E_0.
+    exponent Q = 12, SIMP penalty 3, E_min = 1e-9 E_0. The init fields are
+    the keys of a run config's [parameters], in this order.
     """
 
-    r: float
-    r_min: float
     E0: float = 10e6
     nu: float = 0.49
     E_s: float = 2000e6
     nu_s: float = 0.3
     t_s: float = 0.01
+    p_simp: float = 3.0
+    rho0: float = 0.0
     b: float = 2.0
     P: float = 4.0
     Q: float = 12.0
-    p_simp: float = 3.0
     beta: float = 500.0
-    rho0: float = 0.0
+    r: float
+    r_min: float
     E_min: float = field(init=False)
     G_s: float = field(init=False)
 

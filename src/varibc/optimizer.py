@@ -24,6 +24,8 @@ from .solver import EquilibriumState, PathFailed, SingularTangent, \
     SolverConfig, solve_equilibrium_path
 
 FAILURE_PENALTY = 10.0
+# more failed evaluations in a row than this end the run
+MAX_CONSECUTIVE_FAILURES = 10
 # iterations over which _flag_oscillation counts objective reversals
 OSCILLATION_WINDOW = 10
 # what can stop a state's differentiation: the 2x2 multiplier system, the
@@ -34,11 +36,19 @@ ADJOINT_FAILURES = (SingularReducedSystem, SingularTangent,
 
 @dataclass
 class OptimizerConfig:
+    """Design-loop settings; the fields but solver are [optimizer]'s keys,
+    in order. solver None takes SolverConfig(steps=problem.steps)."""
+
     max_iterations: int = 400
     feas_tol: float = 1e-3
     density_change_tol: float = 1e-4
-    max_consecutive_failures: int = 10
     solver: SolverConfig | None = None
+
+    def __post_init__(self):
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
+        if min(self.feas_tol, self.density_change_tol) < 0:
+            raise ValueError("optimizer tolerances must be non-negative")
 
 
 @dataclass
@@ -323,7 +333,7 @@ def run_optimization(problem, config=None, on_iteration=None):
 
         consecutive_failures = (consecutive_failures + 1
                                 if evaluation.failed else 0)
-        if consecutive_failures > config.max_consecutive_failures:
+        if consecutive_failures > MAX_CONSECUTIVE_FAILURES:
             stop_reason = "repeated_solver_failure"
             break
         if it >= 2 and convergence_check(history, config) == "stop":

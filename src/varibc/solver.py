@@ -97,10 +97,12 @@ class PathFailed(SolverError):
 
 @dataclass
 class SolverConfig:
+    """Newton-path settings; the fields are [solver]'s keys, in order."""
+
+    steps: int = 4
     tol_residual: float = 1e-6
     max_corrector_iters: int = 20
     max_bisections: int = 6
-    steps: int = 4
 
     def __post_init__(self):
         if min(self.tol_residual, self.max_corrector_iters, self.steps) <= 0:

@@ -7,7 +7,8 @@ import pytest
 
 from varibc import cli, config
 from varibc import mesh as M
-from varibc import outputs, verify
+from varibc import outputs, problems, verify
+from varibc.optimizer import OptimizerConfig
 from varibc.solver import SolverConfig
 
 
@@ -16,11 +17,28 @@ class TestParseConfig:
         cfg = config.parse_config('problem = "gripper"')
         assert cfg.get("", "problem") == "gripper"
         assert cfg.get("", "fixed_bcs") is False
-        # full construction is exercised elsewhere; here check defaults
         assert cfg.get("parameters", "b") == 2.0
         assert cfg.get("parameters", "Q") == 12.0
         assert cfg.get("solver", "max_corrector_iters") == 20
         assert cfg.get("solver", "tol_residual") == 1e-6
+        # the key order of config_resolved.cfg, set by the field order of
+        # ProjectionParams, SolverConfig and OptimizerConfig
+        assert list(cfg.values["parameters"]) == [
+            "E0", "nu", "E_s", "nu_s", "t_s", "p_simp", "rho0", "b", "P",
+            "Q", "beta", "r", "r_min", "u_in", "k_out"]
+        assert list(cfg.values["solver"]) == [
+            "steps", "tol_residual", "max_corrector_iters", "max_bisections"]
+        assert list(cfg.values["optimizer"]) == [
+            "max_iterations", "feas_tol", "density_change_tol"]
+        # a config that sets nothing else builds the library's defaults
+        cfg = config.parse_config(
+            'problem = "gripper"\n[mesh]\nelement_size = 0.008\n')
+        problem = cli.build_problem_from_config(cfg)
+        library = problems.make_problem("gripper", element_size=0.008)
+        assert problem.params == library.params
+        assert problem.material.nu == library.material.nu  # its only input
+        assert cli._optimizer_config(cfg, problem) == OptimizerConfig(
+            solver=SolverConfig(steps=problem.steps))
 
     def test_beta_override(self):
         cfg = config.parse_config(
@@ -332,6 +350,21 @@ class TestCliRun:
         bad.write_text("problem = gripper\n")
         assert cli.main(["run", str(bad)]) != 0
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table,flags", [
+        ("", ["--max-iterations", "-3"]),
+        ("[optimizer]\nfeas_tol = -1.0\n", []),
+        ("[solver]\nmax_bisections = -1\n", []),
+    ], ids=["max_iterations", "feas_tol", "max_bisections"])
+    def test_bad_solver_or_optimizer_value_fails_before_writing(
+            self, tmp_path, capsys, table, flags):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text('problem = "gripper"\n[mesh]\nelement_size = 0.008\n'
+                       + table)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(bad), "-q", "-o", str(out), *flags]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "config_resolved.cfg").exists()
 
 
 class TestCliReplay:

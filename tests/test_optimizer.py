@@ -417,9 +417,9 @@ class TestPathFailureHandling:
                 failure="load case 1: synthetic failure")
 
         monkeypatch.setattr(O, "evaluate_design", fake_eval)
-        cfg = O.OptimizerConfig(max_iterations=30,
-                                max_consecutive_failures=3)
-        res = O.run_optimization(tiny_problem, cfg)
+        monkeypatch.setattr(O, "MAX_CONSECUTIVE_FAILURES", 3)
+        res = O.run_optimization(tiny_problem,
+                                 O.OptimizerConfig(max_iterations=30))
         assert res.stop_reason == "repeated_solver_failure"
         assert len(res.history) == 4
 
@@ -476,10 +476,9 @@ class TestAdjointFailureHandling:
                 armed.append(True)
 
         monkeypatch.setattr(A.StateAdjoint, "solve_multipliers", failing)
+        monkeypatch.setattr(O, "MAX_CONSECUTIVE_FAILURES", max_failures)
         res = O.run_optimization(
-            tiny_variable_problem,
-            O.OptimizerConfig(max_iterations=4,
-                              max_consecutive_failures=max_failures),
+            tiny_variable_problem, O.OptimizerConfig(max_iterations=4),
             on_iteration=arm_after_first)
         assert armed == [True, "fired"]
         failed = [r.path_failed for r in res.history]
@@ -487,7 +486,7 @@ class TestAdjointFailureHandling:
             assert res.stop_reason == "max_iterations"
             assert failed == [False, True, False, False]
         else:
-            # the failed iteration counts toward max_consecutive_failures
+            # the failed iteration counts toward MAX_CONSECUTIVE_FAILURES
             assert res.stop_reason == "repeated_solver_failure"
             assert failed == [False, True]
         assert np.all(res.history[1].g >= O.FAILURE_PENALTY - 1.5)
