@@ -46,7 +46,7 @@ print(f"  physical density range [{fields.rho_bar.min():.3f}, "
 
 # the projections are flat-topped: half stiffness exactly at distance r
 d = np.array([0.0, 0.5 * params.r, params.r, 2 * params.r])
-g = df.super_gaussian(d, 1.0, params.b, params.r, params.P)
+g, _ = df.super_gaussian(d, 1.0, params.b, params.r, params.P)
 print("\nsuper-Gaussian profile (A = 1):")
 for di, gi in zip(d, g):
     print(f"  d = {di * 1000:5.2f} mm -> G = {gi:.6f}")

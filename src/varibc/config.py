@@ -40,6 +40,14 @@ class ConfigError(Exception):
 # [parameters] and [solver] keys whose default 0 takes the family's value
 FAMILY_VALUED = frozenset({"t_s", "beta", "r", "r_min", "steps"})
 
+# section -> keys that take no negative value (k_out's is its sentinel)
+NON_NEGATIVE = {
+    "mesh": ("element_size", "thickness"),
+    "parameters": ("u_in", "t_s", "beta", "r", "r_min"),
+    "solver": ("steps",),
+    "output": ("dump_every",),
+}
+
 
 def _fields_of(cls, omit=None):
     """key -> (type, default) of each init field of dataclass cls but omit."""
@@ -162,6 +170,12 @@ def parse_config(source):
         for key, entry in value.items():
             values[name][key] = _checked(name, key, entry,
                                          _line_of(text, name, key))
+
+    for section, keys in NON_NEGATIVE.items():
+        for key in keys:
+            if values[section][key] < 0:
+                raise ConfigError(f"[{section}] {key} must not be negative",
+                                  _line_of(text, section, key))
 
     problem = values[""]["problem"]
     known = [*FAMILIES, "custom"]

@@ -156,12 +156,12 @@ def build_filter_matrix(mesh, r_min):
     return W.tocsr()
 
 
-def smooth_min_distance(points, queries, Q, with_gradients=False):
+def smooth_min_distance(points, queries, Q):
     """Differentiable minimum distance from each query to a point set.
 
     d = (sum_i d_i^(-Q))^(-1/Q). Always a lower bound on the true minimum.
     A query coinciding with a point returns the limit value 0 with zero
-    gradient. With gradients, also returns d(d)/d(points) with shape
+    gradient. Returns d and d(d)/d(points), the latter with shape
     (n_queries, n_points, 2).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -176,8 +176,6 @@ def smooth_min_distance(points, queries, Q, with_gradients=False):
         ssum = np.sum(ratio ** (-Q), axis=1)
     d = safe * ssum ** (-1.0 / Q)
     d[zero] = 0.0
-    if not with_gradients:
-        return d
     # dd/dd_i = (d/d_i)^(Q+1); dd_i/dP_i = (P_i - q)/d_i
     with np.errstate(divide="ignore", invalid="ignore"):
         w = (d[:, None] / di) ** (Q + 1.0)
@@ -187,16 +185,15 @@ def smooth_min_distance(points, queries, Q, with_gradients=False):
     return d, grad
 
 
-def super_gaussian(d, A, b, r, P, with_gradient=False):
-    """Flat-topped projection G = A * b^(-(d^2/r^2)^P) of a distance field."""
+def super_gaussian(d, A, b, r, P):
+    """Flat-topped projection G = A * b^(-(d^2/r^2)^P) of a distance field
+    and its derivative dG/dd; floats for a scalar d."""
     scalar = np.ndim(d) == 0
     d = np.asarray(d, dtype=float)
     u = (d / r) ** 2
     with np.errstate(over="ignore"):
         expo = u ** P
     g = A * np.exp(-np.log(b) * np.minimum(expo, 1e6))
-    if not with_gradient:
-        return float(g) if scalar else g
     # dG/dd = -G ln(b) P u^(P-1) 2 d / r^2
     with np.errstate(over="ignore", invalid="ignore"):
         dg = -g * np.log(b) * P * u ** (P - 1.0) * 2.0 * d / (r * r)
@@ -206,20 +203,16 @@ def super_gaussian(d, A, b, r, P, with_gradient=False):
     return g, dg
 
 
-def support_stiffness_field(design, mesh, params, with_gradients=False):
-    """Per-element support spring constants from the support-point layout.
+def support_stiffness_field(design, mesh, params):
+    """Per-element support spring constants from the support-point layout,
+    and their partials d(k_e)/d(supports), shape (Ne, ns, 2).
 
     k_e = (G_s / t_s) A_e b^(-(d_e^2/r^2)^P) with d_e the smooth-min distance
     from the element centroid to the support points.
     """
     coef = params.G_s / params.t_s * mesh.areas
-    if not with_gradients:
-        d = smooth_min_distance(design.supports, mesh.centroids, params.Q)
-        return super_gaussian(d, 1.0, params.b, params.r, params.P) * coef
-    d, dpts = smooth_min_distance(design.supports, mesh.centroids, params.Q,
-                                  with_gradients=True)
-    g, dg = super_gaussian(d, 1.0, params.b, params.r, params.P,
-                           with_gradient=True)
+    d, dpts = smooth_min_distance(design.supports, mesh.centroids, params.Q)
+    g, dg = super_gaussian(d, 1.0, params.b, params.r, params.P)
     k = coef * g
     dk = (coef * dg)[:, None, None] * dpts          # (Ne, ns, 2)
     return k, dk
@@ -234,8 +227,7 @@ def load_magnitude_field(design, mesh, params, A_f=None, with_gradients=False):
     """
     diff = mesh.centroids - design.load[None, :]
     d = np.hypot(diff[:, 0], diff[:, 1])
-    g, dg = super_gaussian(d, 1.0, params.b, params.r, params.P,
-                           with_gradient=True)
+    g, dg = super_gaussian(d, 1.0, params.b, params.r, params.P)
     if A_f is None:
         total = float(np.sum(g * mesh.volumes))
         A_f = 1.0 / total
@@ -249,25 +241,19 @@ def load_magnitude_field(design, mesh, params, A_f=None, with_gradients=False):
     return f, A_f, df
 
 
-def physical_density(rho_tilde_full, design, mesh, params, with_gradients=False):
+def physical_density(rho_tilde_full, design, mesh, params):
     """Smooth maximum of the filtered densities and the movable BC regions.
 
     rho_hat projects solid discs around every BC point (supports and load);
     the raw smooth max is clamped to 1, then fixed non-design tags override.
-    Returns rho_bar and, optionally, the chain factors d(rho_bar)/d(rho_tilde),
+    Returns rho_bar, rho_hat and the chain factors d(rho_bar)/d(rho_tilde),
     d(rho_bar)/d(rho_hat) (zero on clamped or fixed elements) and
     d(rho_hat)/d(points).
     """
     Q = params.Q
-    pts = design.bc_points()
-    if with_gradients:
-        d, dpts = smooth_min_distance(pts, mesh.centroids, Q, with_gradients=True)
-        rho_hat, dg = super_gaussian(d, 1.0, params.b, params.r, params.P,
-                                     with_gradient=True)
-        drho_hat_dpts = dg[:, None, None] * dpts    # (Ne, ns+1, 2)
-    else:
-        d = smooth_min_distance(pts, mesh.centroids, Q)
-        rho_hat = super_gaussian(d, 1.0, params.b, params.r, params.P)
+    d, dpts = smooth_min_distance(design.bc_points(), mesh.centroids, Q)
+    rho_hat, dg = super_gaussian(d, 1.0, params.b, params.r, params.P)
+    drho_hat_dpts = dg[:, None, None] * dpts        # (Ne, ns+1, 2)
 
     rt = np.clip(rho_tilde_full, 0.0, 1.0)
     big = np.maximum(rt, rho_hat)
@@ -280,8 +266,6 @@ def physical_density(rho_tilde_full, design, mesh, params, with_gradients=False)
     void = mesh.element_tag == VOID_NONDESIGN
     rho_bar[solid] = 1.0
     rho_bar[void] = 0.0
-    if not with_gradients:
-        return rho_bar, rho_hat
 
     active = (raw < 1.0) & ~solid & ~void
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -292,17 +276,16 @@ def physical_density(rho_tilde_full, design, mesh, params, with_gradients=False)
     return rho_bar, rho_hat, d_dt, d_dh, drho_hat_dpts
 
 
-def simp_modulus(rho_bar, params, with_gradient=False):
-    """SIMP interpolation E = E_min + rho^p (E0 - E_min)."""
+def simp_modulus(rho_bar, params):
+    """SIMP interpolation E = E_min + rho^p (E0 - E_min) and dE/drho."""
     E = params.E_min + rho_bar ** params.p_simp * (params.E0 - params.E_min)
-    if not with_gradient:
-        return E
     dE = params.p_simp * rho_bar ** (params.p_simp - 1.0) * (params.E0 - params.E_min)
     return E, dE
 
 
-def energy_interpolation_factor(rho_bar, params, with_gradient=False):
-    """Smoothed Heaviside blend factor between linear and nonlinear kinematics.
+def energy_interpolation_factor(rho_bar, params):
+    """Smoothed Heaviside blend factor between linear and nonlinear
+    kinematics, and d(gamma)/d(rho).
 
     gamma = (tanh(b r0) + tanh(b (rho^p - r0))) / (tanh(b r0) + tanh(b (1 - r0)))
     with b the sharpness and r0 the threshold; gamma(0) = 0 and gamma(1) = 1
@@ -312,8 +295,6 @@ def energy_interpolation_factor(rho_bar, params, with_gradient=False):
     den = np.tanh(b * r0) + np.tanh(b * (1.0 - r0))
     x = b * (rho_bar ** p - r0)
     gam = (np.tanh(b * r0) + np.tanh(x)) / den
-    if not with_gradient:
-        return gam
     xc = np.clip(x, -_TANH_SAT, _TANH_SAT)
     sech2 = np.where(np.abs(x) >= _TANH_SAT, 0.0, 1.0 / np.cosh(xc) ** 2)
     dgam = b * p * rho_bar ** (p - 1.0) * sech2 / den
@@ -375,15 +356,14 @@ def evaluate_fields(design, mesh, params, A_f=None, W=None):
     rho_tilde_full[des] = W @ design.rho
 
     rho_bar, rho_hat, d_dt, d_dh, dhat_dpts = physical_density(
-        rho_tilde_full, design, mesh, params, with_gradients=True
-    )
-    E, dE = simp_modulus(rho_bar, params, with_gradient=True)
-    gam, dgam = energy_interpolation_factor(rho_bar, params, with_gradient=True)
+        rho_tilde_full, design, mesh, params)
+    E, dE = simp_modulus(rho_bar, params)
+    gam, dgam = energy_interpolation_factor(rho_bar, params)
     solid = mesh.element_tag == SOLID_NONDESIGN
     void = mesh.element_tag == VOID_NONDESIGN
     dE[solid | void] = 0.0
     dgam[solid | void] = 0.0
-    k_s, dks = support_stiffness_field(design, mesh, params, with_gradients=True)
+    k_s, dks = support_stiffness_field(design, mesh, params)
     f_e, A_f, dfe = load_magnitude_field(design, mesh, params, A_f=A_f,
                                          with_gradients=True)
     return FieldState(

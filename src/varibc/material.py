@@ -38,8 +38,6 @@ def lame_parameters(nu):
     if not 0.0 <= nu < 0.5:
         raise ValueError("Poisson ratio must lie in [0, 0.5)")
     mu0 = 1.0 / (2.0 * (1.0 + nu))
-    if nu == 0.0:
-        return 0.0, mu0
     lam3d = nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     lam0 = 2.0 * lam3d * mu0 / (lam3d + 2.0 * mu0)
     return lam0, mu0
@@ -60,7 +58,7 @@ class MaterialParams:
     nu: float
     lam0: float = field(init=False)
     mu0: float = field(init=False)
-    D0: np.ndarray = field(init=False, repr=False)
+    D0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam0, mu0 = lame_parameters(self.nu)

@@ -11,6 +11,13 @@ settings: initialization at 0.5 of the variable range, adaptation factors
 the usual primal-dual Newton interior-point method. Move limits are accepted
 per variable.
 
+The subproblem's primal-dual iterate is one array w holding
+(x, y, z, lam, xsi, eta, mu, zet, s), and the Newton direction dw and the
+residual r share its layout; the named parts are views (z and zet of length
+1). Every part but x stays positive, so the step length takes one maximum of
+-1.01 dw / w over them, beside the two bounds on x, and each trial point of
+the line search is one update w = w_old + steg dw.
+
 Each Newton step of the subproblem solve works in arrays allocated once per
 solve. The products of an iterate (upp - x, x - low and their squares,
 x - alfa, beta - x, p0 + P^T lam, q0 + Q^T lam and the constraint values) are
@@ -98,15 +105,18 @@ def mmasub(iter_count, x, xmin, xmax, xold1, xold2, f0val, df0dx, fval, dfdx,
 
 def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
     """Primal-dual Newton interior-point solve of the MMA subproblem."""
-    x = 0.5 * (alfa + beta)
-    y = np.ones(m)
-    z = 1.0
-    lam = np.ones(m)
-    xsi = np.maximum(1.0 / np.maximum(x - alfa, 1e-12), 1.0)
-    eta = np.maximum(1.0 / np.maximum(beta - x, 1e-12), 1.0)
-    mu = np.maximum(1.0, 0.5 * c)
-    zet = 1.0
-    s = np.ones(m)
+    def parts(v):
+        return np.split(v, np.cumsum([n, m, 1, m, n, n, m, 1]))
+
+    w_old, dw, r = np.empty((3, 3 * n + 4 * m + 2))
+    w = np.ones_like(r)  # y, z, lam, zet and s start at 1
+    x, y, z, lam, xsi, eta, mu, zet, s = parts(w)
+    dx, dy, dz, dlam, dxsi, deta, dmu, dzet, ds = parts(dw)
+    rex, rey, rez, relam, rexsi, reeta, remu, rezet, res = parts(r)
+    x[:] = 0.5 * (alfa + beta)
+    xsi[:] = np.maximum(1.0 / np.maximum(x - alfa, 1e-12), 1.0)
+    eta[:] = np.maximum(1.0 / np.maximum(beta - x, 1e-12), 1.0)
+    mu[:] = np.maximum(1.0, 0.5 * c)
     epsi = 1.0
     # C order: the (m, n) passes below then run along the n variables
     P = np.ascontiguousarray(P)
@@ -119,10 +129,6 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
     gvec = np.empty(m)
     GG = np.empty((m, n))
     GGd = np.empty((m, n))
-    # the residual, in parts
-    r = np.empty(3 * n + 4 * m + 2)
-    rex, rey, rez, relam, rexsi, reeta, remu, rezet, res = np.split(
-        r, np.cumsum([n, m, 1, m, n, n, m, 1]))
 
     def products():
         np.subtract(upp, x, out=ux1)
@@ -141,12 +147,12 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
     def residuals(epsi_):
         np.add(dpsi - xsi, eta, out=rex)
         np.subtract(c + d * y - mu, lam, out=rey)
-        rez[0] = a0 - zet - a @ lam
-        np.subtract(gvec - a * z - y + s, b, out=relam)
+        rez[0] = a0 - zet[0] - a @ lam
+        np.subtract(gvec - a * z[0] - y + s, b, out=relam)
         np.subtract(xsi * xa, epsi_, out=rexsi)
         np.subtract(eta * bx, epsi_, out=reeta)
         np.subtract(mu * y, epsi_, out=remu)
-        rezet[0] = zet * z - epsi_
+        rezet[0] = zet[0] * z[0] - epsi_
         np.subtract(lam * s, epsi_, out=res)
         # the norm as np.linalg.norm computes it; max |r| without a copy
         return float(np.sqrt(r.dot(r))), float(max(r.max(), -r.min()))
@@ -162,8 +168,8 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
             GG -= GGd
             delx = dpsi - epsi / xa + epsi / bx
             dely = c + d * y - lam - epsi / y
-            delz = a0 - a @ lam - epsi / z
-            dellam = gvec - a * z - y - b + epsi / lam
+            delz = a0 - a @ lam - epsi / z[0]
+            dellam = gvec - a * z[0] - y - b + epsi / lam
             diagx = 2.0 * (plam / (ux1 * ux2) + qlam / (xl1 * xl2))
             diagx = diagx + xsi / xa + eta / bx
             diagy = d + mu / y
@@ -179,45 +185,34 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
             AA[:m, :m] = Alam
             AA[:m, m] = a
             AA[m, :m] = a
-            AA[m, m] = -zet / z
+            AA[m, m] = -zet[0] / z[0]
             bb = np.concatenate([blam, [delz]])
             try:
                 solut = np.linalg.solve(AA, bb)
             except np.linalg.LinAlgError as err:
                 raise SubproblemError(str(err)) from None
-            dlam = solut[:m]
-            dz = solut[m]
-            dx = -delxd - (GG.T @ dlam) / diagx
-            dy = -dely / diagy + dlam / diagy
-            dxsi = -xsi + epsi / xa - (xsi * dx) / xa
-            deta = -eta + epsi / bx + (eta * dx) / bx
-            dmu = -mu + epsi / y - (mu * dy) / y
-            dzet = -zet + epsi / z - zet * dz / z
-            ds = -s + epsi / lam - (s * dlam) / lam
+            dlam[:] = solut[:m]
+            dz[:] = solut[m]
+            dx[:] = -delxd - (GG.T @ dlam) / diagx
+            dy[:] = -dely / diagy + dlam / diagy
+            dxsi[:] = -xsi + epsi / xa - (xsi * dx) / xa
+            deta[:] = -eta + epsi / bx + (eta * dx) / bx
+            dmu[:] = -mu + epsi / y - (mu * dy) / y
+            dzet[:] = -zet + epsi / z - zet * dz / z
+            ds[:] = -s + epsi / lam - (s * dlam) / lam
 
-            stmxx = np.max([np.max(-1.01 * dv / v) for v, dv in (
-                (y, dy), (z, dz), (lam, dlam), (xsi, dxsi), (eta, deta),
-                (mu, dmu), (zet, dzet), (s, ds))])
+            # every part but x stays positive; x stays inside (alfa, beta)
+            stmxx = np.max(-1.01 * dw[n:] / w[n:])
             stmalfa = np.max(-1.01 * dx / xa)
             stmbeta = np.max(1.01 * dx / bx)
             steg = 1.0 / max(stmxx, stmalfa, stmbeta, 1.0)
 
-            xold, yold, zold = x, y, z
-            lamold, xsiold, etaold = lam, xsi, eta
-            muold, zetold, sold = mu, zet, s
+            w_old[:] = w
             resinew = 2.0 * residunorm
             for _ in range(50):
                 if resinew <= residunorm:
                     break
-                x = xold + steg * dx
-                y = yold + steg * dy
-                z = zold + steg * dz
-                lam = lamold + steg * dlam
-                xsi = xsiold + steg * dxsi
-                eta = etaold + steg * deta
-                mu = muold + steg * dmu
-                zet = zetold + steg * dzet
-                s = sold + steg * ds
+                np.add(w_old, steg * dw, out=w)
                 products()
                 resinew, residumax = residuals(epsi)
                 steg *= 0.5
@@ -225,4 +220,4 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
             if not np.isfinite(residunorm):
                 raise SubproblemError("non-finite subproblem residual")
         epsi *= 0.1
-    return x, y, z, lam
+    return x, y, float(z[0]), lam

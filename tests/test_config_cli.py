@@ -36,7 +36,7 @@ class TestParseConfig:
         problem = cli.build_problem_from_config(cfg)
         library = problems.make_problem("gripper", element_size=0.008)
         assert problem.params == library.params
-        assert problem.material.nu == library.material.nu  # its only input
+        assert problem.material == library.material
         assert cli._optimizer_config(cfg, problem) == OptimizerConfig(
             solver=SolverConfig(steps=problem.steps))
 
@@ -181,6 +181,16 @@ def tiny_cfg(tmp_path):
         '[optimizer]\nmax_iterations = 2\n'
     )
     return str(p)
+
+
+# keys whose negative values the config rejects, with such a value; at 0
+# each but dump_every takes the family's value
+NEGATIVE_VALUES = [
+    ("parameters", "u_in", -0.004), ("parameters", "t_s", -0.01),
+    ("parameters", "beta", -3), ("parameters", "r", -0.002),
+    ("parameters", "r_min", -0.003), ("mesh", "element_size", -0.008),
+    ("mesh", "thickness", -0.01), ("solver", "steps", -1),
+    ("output", "dump_every", -1)]
 
 
 class TestCliRun:
@@ -364,6 +374,22 @@ class TestCliRun:
         out = tmp_path / "out"
         assert cli.main(["run", str(bad), "-q", "-o", str(out), *flags]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not (out / "config_resolved.cfg").exists()
+
+    @pytest.mark.parametrize("section,key,value", NEGATIVE_VALUES,
+                             ids=[key for _, key, _ in NEGATIVE_VALUES])
+    def test_negative_value_fails_before_writing(self, tmp_path, capsys,
+                                                 section, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text('problem = "gripper"\n'
+                       + (f"[mesh]\n{key} = {value}\n" if section == "mesh"
+                          else "[mesh]\nelement_size = 0.008\n"
+                          f"[{section}]\n{key} = {value}\n"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(bad), "-q", "-o", str(out),
+                         "--max-iterations", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
         assert not (out / "config_resolved.cfg").exists()
 
 

@@ -59,19 +59,19 @@ class TestFilter:
 
 class TestSmoothMin:
     def test_single_point(self):
-        d = df.smooth_min_distance([[0.0, 0.0]], [[3.0, 4.0]], Q=12)
+        d, _ = df.smooth_min_distance([[0.0, 0.0]], [[3.0, 4.0]], Q=12)
         assert np.allclose(d, 5.0)
 
     def test_two_equidistant_points(self):
         pts = [[1.0, 0.0], [-1.0, 0.0]]
-        d = df.smooth_min_distance(pts, [[0.0, 0.0]], Q=12)
+        d, _ = df.smooth_min_distance(pts, [[0.0, 0.0]], Q=12)
         want = 1.0 * 2.0 ** (-1.0 / 12.0)  # direct evaluation
         assert abs(want - 0.943874) < 1e-6
         assert np.allclose(d, want, atol=1e-12)
 
     def test_distances_one_and_two(self):
         pts = [[1.0, 0.0], [0.0, 2.0]]
-        d = df.smooth_min_distance(pts, [[0.0, 0.0]], Q=12)
+        d, _ = df.smooth_min_distance(pts, [[0.0, 0.0]], Q=12)
         want = (1.0 ** -12 + 2.0 ** -12) ** (-1.0 / 12.0)  # oracle
         assert abs(want - 0.99997966) < 1e-7
         assert np.allclose(d, want, atol=1e-12)
@@ -81,15 +81,14 @@ class TestSmoothMin:
         for _ in range(50):
             pts = rng.normal(size=(rng.integers(1, 6), 2))
             q = rng.normal(size=(1, 2))
-            d = df.smooth_min_distance(pts, q, Q=12)[0]
+            d = df.smooth_min_distance(pts, q, Q=12)[0][0]
             true = np.min(np.hypot(*(q - pts).T))
             assert d <= true + 1e-12
             assert d >= true / len(pts) ** (1.0 / 12.0) - 1e-12
 
     def test_coincident_point_returns_zero(self):
         pts = [[0.5, 0.5], [2.0, 0.0]]
-        d, g = df.smooth_min_distance(pts, [[0.5, 0.5]], Q=12,
-                                      with_gradients=True)
+        d, g = df.smooth_min_distance(pts, [[0.5, 0.5]], Q=12)
         assert d[0] == 0.0
         assert np.all(g[0] == 0.0)
 
@@ -97,44 +96,44 @@ class TestSmoothMin:
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(3, 2))
         q = rng.normal(size=(4, 2)) * 2.0
-        d, g = df.smooth_min_distance(pts, q, Q=12, with_gradients=True)
+        d, g = df.smooth_min_distance(pts, q, Q=12)
         h = 1e-6
         for k in range(3):
             for c in range(2):
                 pp, pm = pts.copy(), pts.copy()
                 pp[k, c] += h
                 pm[k, c] -= h
-                fd = (df.smooth_min_distance(pp, q, 12)
-                      - df.smooth_min_distance(pm, q, 12)) / (2 * h)
+                fd = (df.smooth_min_distance(pp, q, 12)[0]
+                      - df.smooth_min_distance(pm, q, 12)[0]) / (2 * h)
                 assert np.allclose(g[:, k, c], fd, rtol=1e-4, atol=1e-9)
 
 
 class TestSuperGaussian:
     def test_zero_distance(self):
-        assert df.super_gaussian(0.0, 7.0, 2.0, 0.5, 4.0) == 7.0
+        assert df.super_gaussian(0.0, 7.0, 2.0, 0.5, 4.0)[0] == 7.0
 
     def test_at_radius_equals_a_over_b(self):
-        g = df.super_gaussian(0.5, 7.0, 2.0, 0.5, 4.0)
+        g, _ = df.super_gaussian(0.5, 7.0, 2.0, 0.5, 4.0)
         assert abs(g - 7.0 / 2.0) < 1e-15
 
     def test_half_radius(self):
-        g = df.super_gaussian(0.25, 1.0, 2.0, 0.5, 4.0)
+        g, _ = df.super_gaussian(0.25, 1.0, 2.0, 0.5, 4.0)
         want = 2.0 ** (-(0.25 ** 2) ** 4 / (0.5 ** 2) ** 4)  # direct Eq form
         assert abs(want - 0.9972960) < 1e-6
         assert abs(g - want) < 1e-12
 
     def test_monotone_and_bounded(self):
         d = np.linspace(0, 3, 500)
-        g = df.super_gaussian(d, 1.0, 2.0, 0.5, 4.0)
+        g, _ = df.super_gaussian(d, 1.0, 2.0, 0.5, 4.0)
         assert np.all(np.diff(g) <= 1e-15)
         assert np.all(g <= 1.0) and np.all(g >= 0.0)
 
     def test_gradient_matches_fd(self):
         d = np.array([0.05, 0.2, 0.5, 0.8, 1.4])
-        g, dg = df.super_gaussian(d, 2.5, 2.0, 0.5, 4.0, with_gradient=True)
+        g, dg = df.super_gaussian(d, 2.5, 2.0, 0.5, 4.0)
         h = 1e-5
-        fd = (df.super_gaussian(d + h, 2.5, 2.0, 0.5, 4.0)
-              - df.super_gaussian(d - h, 2.5, 2.0, 0.5, 4.0)) / (2 * h)
+        fd = (df.super_gaussian(d + h, 2.5, 2.0, 0.5, 4.0)[0]
+              - df.super_gaussian(d - h, 2.5, 2.0, 0.5, 4.0)[0]) / (2 * h)
         assert np.allclose(dg, fd, rtol=1e-4, atol=1e-9)
 
 
@@ -144,7 +143,7 @@ class TestSupportField:
         e = 11
         design = make_design(square_mesh,
                              supports=[tuple(square_mesh.centroids[e])])
-        k = df.support_stiffness_field(design, square_mesh, p)
+        k, _ = df.support_stiffness_field(design, square_mesh, p)
         want = p.G_s / p.t_s * square_mesh.areas[e]
         assert abs(k[e] - want) < 1e-9 * want
 
@@ -153,7 +152,7 @@ class TestSupportField:
         e = 20
         c = square_mesh.centroids[e]
         design = make_design(square_mesh, supports=[(c[0] + p.r, c[1])])
-        k = df.support_stiffness_field(design, square_mesh, p)
+        k, _ = df.support_stiffness_field(design, square_mesh, p)
         want = p.G_s / p.t_s * square_mesh.areas[e] / p.b
         assert abs(k[e] - want) < 1e-9 * want
 
@@ -161,7 +160,7 @@ class TestSupportField:
         # independent two-step scalar oracle: Eq-7 smooth min, then Eq-11
         p = make_params()
         design = make_design(square_mesh)
-        k = df.support_stiffness_field(design, square_mesh, p)
+        k, _ = df.support_stiffness_field(design, square_mesh, p)
         rng = np.random.default_rng(0)
         for e in rng.integers(0, square_mesh.num_elements, size=12):
             c = square_mesh.centroids[e]
@@ -210,7 +209,7 @@ class TestPhysicalDensity:
         design = make_design(square_mesh, rho=0.0,
                              load=tuple(square_mesh.centroids[e]))
         rt = np.zeros(square_mesh.num_elements)
-        rho_bar, rho_hat = df.physical_density(rt, design, square_mesh, p)
+        rho_bar, rho_hat, *_ = df.physical_density(rt, design, square_mesh, p)
         assert abs(rho_hat[e] - 1.0) < 1e-12
         assert abs(rho_bar[e] - 1.0) < 1e-12
 
@@ -222,14 +221,14 @@ class TestPhysicalDensity:
         rt = np.ones(square_mesh.num_elements)
         raw = (1.0 + 1.0) ** (1.0 / p.Q)
         assert abs(raw - 1.0594631) < 1e-6  # direct evaluation of smooth max
-        rho_bar, _ = df.physical_density(rt, design, square_mesh, p)
+        rho_bar, *_ = df.physical_density(rt, design, square_mesh, p)
         assert rho_bar[e] == 1.0
 
     def test_far_from_bcs_keeps_filtered(self, square_mesh):
         p = make_params(r=0.02)
         design = make_design(square_mesh, supports=[(0.0, 0.0)], load=(0.0, 0.05))
         rt = np.full(square_mesh.num_elements, 0.42)
-        rho_bar, rho_hat = df.physical_density(rt, design, square_mesh, p)
+        rho_bar, rho_hat, *_ = df.physical_density(rt, design, square_mesh, p)
         far = np.hypot(*(square_mesh.centroids - [0.0, 0.0]).T) > 0.5
         assert np.all(rho_hat[far] <= 1e-30)
         assert np.allclose(rho_bar[far], 0.42, atol=1e-12)
@@ -239,8 +238,8 @@ class TestPhysicalDensity:
         design = make_design(square_mesh)
         rng = np.random.default_rng(5)
         rt = rng.uniform(0, 1, square_mesh.num_elements)
-        r1, _ = df.physical_density(rt, design, square_mesh, p)
-        r2, _ = df.physical_density(np.minimum(rt + 0.05, 1.0), design,
+        r1, *_ = df.physical_density(rt, design, square_mesh, p)
+        r2, *_ = df.physical_density(np.minimum(rt + 0.05, 1.0), design,
                                     square_mesh, p)
         assert np.all(r2 >= r1 - 1e-12)
 
@@ -248,15 +247,15 @@ class TestPhysicalDensity:
 class TestSimpAndGamma:
     def test_simp_endpoints(self):
         p = make_params()
-        assert df.simp_modulus(np.array([1.0]), p)[0] == p.E0
-        assert df.simp_modulus(np.array([0.0]), p)[0] == p.E_min
+        assert df.simp_modulus(np.array([1.0]), p)[0][0] == p.E0
+        assert df.simp_modulus(np.array([0.0]), p)[0][0] == p.E_min
         assert p.E_min == p.E0 * 1e-9
-        half = df.simp_modulus(np.array([0.5]), p)[0]
+        half = df.simp_modulus(np.array([0.5]), p)[0][0]
         assert abs(half - (p.E_min + 0.125 * (p.E0 - p.E_min))) < 1e-6
 
     def test_gamma_endpoints(self):
         p = make_params(beta=500.0)
-        g = df.energy_interpolation_factor(np.array([0.0, 1.0]), p)
+        g, _ = df.energy_interpolation_factor(np.array([0.0, 1.0]), p)
         assert abs(g[0]) < 1e-15
         assert abs(g[1] - 1.0) < 1e-15
 
@@ -264,7 +263,7 @@ class TestSimpAndGamma:
         # direct evaluation of the corrected blend at rho^p = 1/beta
         p = make_params(beta=500.0)
         rho = (1.0 / 500.0) ** (1.0 / 3.0)
-        g = df.energy_interpolation_factor(np.array([rho]), p)[0]
+        g = df.energy_interpolation_factor(np.array([rho]), p)[0][0]
         want = np.tanh(1.0) / np.tanh(500.0)
         assert abs(want - 0.761594) < 1e-6
         assert abs(g - want) < 1e-12
@@ -272,17 +271,17 @@ class TestSimpAndGamma:
     def test_gamma_monotone_and_bounded(self):
         p = make_params(beta=2000.0)
         rho = np.linspace(0, 1, 2000)
-        g = df.energy_interpolation_factor(rho, p)
+        g, _ = df.energy_interpolation_factor(rho, p)
         assert np.all(np.diff(g) >= -1e-15)
         assert np.all((g >= 0) & (g <= 1.0 + 1e-15))
 
     def test_gamma_gradient_fd(self):
         p = make_params(beta=500.0)
         rho = np.array([0.05, 0.1, 0.13, 0.3, 0.7])
-        _, dg = df.energy_interpolation_factor(rho, p, with_gradient=True)
+        _, dg = df.energy_interpolation_factor(rho, p)
         h = 1e-7
-        fd = (df.energy_interpolation_factor(rho + h, p)
-              - df.energy_interpolation_factor(rho - h, p)) / (2 * h)
+        fd = (df.energy_interpolation_factor(rho + h, p)[0]
+              - df.energy_interpolation_factor(rho - h, p)[0]) / (2 * h)
         assert np.allclose(dg, fd, rtol=1e-5, atol=1e-8)
 
 

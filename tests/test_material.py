@@ -97,6 +97,12 @@ class TestLameParameters:
         assert abs(p.D0[0, 0] - 1.3159626322) < 1e-5  # frozen oracle value
         assert abs(p.D0[2, 2] - p.mu0) < 1e-14
 
+    def test_params_compare_and_hash_by_nu(self):
+        a, b = mat.MaterialParams(nu=0.49), mat.MaterialParams(nu=0.49)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != mat.MaterialParams(nu=0.3)
+
     def test_invalid_nu(self):
         with pytest.raises(ValueError):
             mat.lame_parameters(0.5)

@@ -548,6 +548,31 @@ class TestMmaFallback:
         assert np.allclose(got[free], want[free], rtol=0.0,
                            atol=1e-12 * np.abs(z).max())
 
+    def test_singular_newton_system_fails_the_real_subproblem(
+            self, tiny_variable_problem, evaluation, monkeypatch):
+        prob = tiny_variable_problem
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        free = np.flatnonzero(~prob.frozen)
+        x = np.full(free.size, 0.5)
+        with pytest.raises(mma.SubproblemError, match="Singular matrix"):
+            mma.mmasub(1, x, np.zeros_like(x), np.ones_like(x), x, x, 0.0,
+                       evaluation.df0[free], evaluation.g,
+                       evaluation.dg[:, free], x - 0.5, x + 0.5,
+                       np.full(free.size, 0.1))
+        state = {}
+        new = O.mma_update(prob, prob.design0, evaluation, state)
+        assert state["fallback"] is True
+        z = prob.design0.to_array()
+        want = np.clip(z - 0.5 * prob.move_limits * np.sign(evaluation.df0),
+                       prob.lower, prob.upper)
+        got = new.to_array()
+        assert np.allclose(got[free], want[free], rtol=0.0,
+                           atol=1e-12 * np.abs(z).max())
+
     def test_real_subproblem_records_no_fallback(self, tiny_variable_problem,
                                                  evaluation):
         state = {}
