@@ -12,10 +12,11 @@ recovers it.
 Run:  python demos/arch_snap_through.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from varibc import fixtures, solver as S
-from varibc.mesh import shape_values_at
 from varibc.problems import f_in
 
 arch = fixtures.load_fixture("toy_arch")
@@ -41,9 +42,7 @@ for k in range(0, 50, 6):
     print(f"  u = {u[k]:5.3f}  F_in = {curve[k]:8.2f} N  {bar}")
 
 # a single nominal step over a 1.6x stroke diverges without bisection
-hard = S.InputControl(sample=shape_values_at(arch.mesh, arch.design.load),
-                      theta=arch.design.theta,
-                      u_in_norm=arch.expected["bisect_stroke"])
+hard = dataclasses.replace(control, u_in_norm=arch.expected["bisect_stroke"])
 try:
     S.solve_equilibrium_path(model, hard,
                              S.SolverConfig(steps=1, max_bisections=0))

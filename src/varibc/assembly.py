@@ -368,32 +368,19 @@ def build_model(mesh, design, params, material_params, A_f=None,
 
 
 def residual_vjp(model, system, lam_x, lam_y, psi):
-    """psi^T dR/dzeta assembled through the field chain rules.
+    """psi^T dR/dzeta, a flat gradient in the zeta layout of DesignVector.join.
 
-    Returns a flat design-gradient contribution in the zeta layout of
-    DesignVector.join. The theta column of dR/dzeta is identically zero.
+    This function owns the residual's part of the chain rule: psi against the
+    element partials of GlobalSystem.residual with respect to E, gamma, k_s
+    (through the support springs in F_int) and f_e (through F_x and F_y).
+    FieldState.vjp carries those sensitivities on to zeta.
     """
-    fields = model.fields
     kin = model.kin
-    mesh = model.mesh
-    U = system.U
     psi_e = psi[kin.dofs.T]                                 # (6, Ne)
     gE = np.einsum("in,in->n", psi_e, system.elements.dF_dE.T)
     ggam = np.einsum("in,in->n", psi_e, system.elements.dF_dgamma.T)
-    U_e = U[kin.dofs.T]
-    gks = np.einsum("in,in->n", psi_e, U_e) / 3.0
-    # load columns: R includes +lam_x F_x + lam_y F_y
+    gks = np.einsum("in,in->n", psi_e, system.U[kin.dofs.T]) / 3.0
     lam_psi = (lam_x * psi_e[0::2].sum(axis=0)
                + lam_y * psi_e[1::2].sum(axis=0))
-    gf = lam_psi * mesh.volumes / 3.0
-
-    sens_rho_bar = -(gE * fields.dE_drho_bar + ggam * fields.dgamma_drho_bar)
-    des = mesh.designable
-    d_rho = fields.W.T @ (sens_rho_bar[des] * fields.drho_bar_drho_tilde[des])
-
-    hat = sens_rho_bar * fields.drho_bar_drho_hat           # (Ne,)
-    d_pts = np.einsum("n,nkc->kc", hat, fields.drho_hat_dpts)
-    d_pts[:-1] += np.einsum("n,nkc->kc", -gks, fields.dks_dsup)
-    d_pts[-1] += np.einsum("n,nc->c", gf, fields.dfe_dload)
-
-    return fields.design.join(d_rho, d_pts, 0.0)
+    gf = lam_psi * model.mesh.volumes / 3.0
+    return model.fields.vjp(E=-gE, gamma=-ggam, k_s=-gks, f_e=gf)

@@ -7,6 +7,11 @@ in zeta order is built through it. This module produces the filtered /
 projected / physical densities, element moduli, energy-interpolation factors,
 support spring constants, and load magnitudes, together with the analytic
 partial derivatives of every field with respect to every design variable.
+
+The chain rule is split by owner. A caller forms per-element sensitivities
+to the fields (assembly.residual_vjp for the residual, a quantity's dfdzeta
+for itself); FieldState.vjp, the only reader of the partials, carries them to
+zeta.
 """
 
 from __future__ import annotations
@@ -303,11 +308,11 @@ def energy_interpolation_factor(rho_bar, params):
 
 @dataclass
 class FieldState:
-    """All per-element fields at one design, with chain-rule factors.
+    """All per-element fields at one design, with their chain-rule factors.
 
-    The *_chain arrays let callers turn a derivative with respect to one field
-    into derivatives with respect to the raw design variables without
-    re-walking the projection formulas.
+    The fields are rho_bar, E, gamma, k_s and f_e. The factors after
+    `designable` (the filter W and each field's partials) are read only by
+    vjp, the one pullback of field sensitivities to zeta.
     """
 
     design: DesignVector
@@ -327,19 +332,29 @@ class FieldState:
     dks_dsup: np.ndarray         # (Ne, ns, 2)
     dfe_dload: np.ndarray        # (Ne, 2)
 
-    def rho_bar_jacobian_rho(self):
-        """Sparse d(rho_bar)/d(rho) over (all elements x designable)."""
-        des = self.designable
-        chain = sp.diags(self.drho_bar_drho_tilde[des]) @ self.W
-        n_e = len(self.rho_bar)
-        lift = sp.csr_matrix(
-            (np.ones(len(des)), (des, np.arange(len(des)))), shape=(n_e, len(des))
-        )
-        return lift @ chain
+    def vjp(self, rho_bar=None, E=None, gamma=None, k_s=None, f_e=None):
+        """sum_f v_f^T d(f)/d(zeta) for per-element sensitivities v_f to the
+        fields f, each absent one zero; a flat gradient in zeta order.
 
-    def rho_bar_partials_points(self):
-        """d(rho_bar)/d(bc points): (Ne, ns+1, 2) through the projection."""
-        return self.drho_bar_drho_hat[:, None, None] * self.drho_hat_dpts
+        E and gamma pull back onto rho_bar through their interpolations,
+        rho_bar through the projection onto the filtered densities (then
+        through the filter onto rho) and onto the BC points, k_s onto the
+        supports and f_e onto the load point. No field depends on theta.
+        """
+        sens = np.zeros(len(self.rho_bar)) if rho_bar is None else rho_bar
+        if E is not None:
+            sens = sens + E * self.dE_drho_bar
+        if gamma is not None:
+            sens = sens + gamma * self.dgamma_drho_bar
+        des = self.designable
+        d_rho = self.W.T @ (sens[des] * self.drho_bar_drho_tilde[des])
+        d_pts = np.einsum("n,nkc->kc", sens * self.drho_bar_drho_hat,
+                          self.drho_hat_dpts)
+        if k_s is not None:
+            d_pts[:-1] += np.einsum("n,nkc->kc", k_s, self.dks_dsup)
+        if f_e is not None:
+            d_pts[-1] += np.einsum("n,nc->c", f_e, self.dfe_dload)
+        return self.design.join(d_rho, d_pts, 0.0)
 
 
 def evaluate_fields(design, mesh, params, A_f=None, W=None):

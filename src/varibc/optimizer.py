@@ -94,11 +94,9 @@ class OptimizationResult:
     evaluation: Evaluation | None = None
 
 
-def _state_for_step(path, step, n_dofs):
-    """Requested state at step; degrade to the last converged substate."""
-    req = path.requested_states
-    if len(req) >= step:
-        return req[step - 1]
+def _last_converged_state(path, n_dofs):
+    """The state a failed path's unreached steps are differentiated at: its
+    last converged substate, or the zero state if it converged none."""
     if path.states:
         return path.states[-1]
     return EquilibriumState(U=np.zeros(n_dofs), lambda_x=0.0, lambda_y=0.0,
@@ -114,8 +112,8 @@ def differentiate_path(model, control, solver_cfg, fields, design,
     reaches it, by one StateAdjoint for every quantity of the step, through
     the ConvergedTangent that solve_equilibrium_path's on_state hook passes
     with the state. Steps that a failed path never reached are
-    differentiated at its last converged state (_state_for_step), assembled
-    and with K_T factorized afresh. A state whose differentiation raises one
+    differentiated at _last_converged_state, assembled and with K_T
+    factorized afresh. A state whose differentiation raises one
     of ADJOINT_FAILURES fails the path as well: its step's quantities keep
     their value at that state and get a zero gradient. Returns (path,
     {name: SensitivityRecord}, failure): the text of the first failure,
@@ -161,7 +159,7 @@ def differentiate_path(model, control, solver_cfg, fields, design,
         failure = failure or str(err)
     for m in sorted(by_step):
         if m > len(reached):
-            state = _state_for_step(path, m, model.mesh.num_dofs)
+            state = _last_converged_state(path, model.mesh.num_dofs)
             differentiate(state, None, by_step[m])
     return path, records, failure
 

@@ -102,12 +102,8 @@ class VolumeFraction(QuantitySpec):
                      / np.sum(mesh.volumes))
 
     def dfdzeta(self, ctx):
-        mesh = ctx.mesh
-        fields = ctx.fields
-        w = mesh.volumes / np.sum(mesh.volumes)
-        pts = np.einsum("n,nkc->kc", w, fields.rho_bar_partials_points())
-        return DesignVector.join(fields.rho_bar_jacobian_rho().T @ w, pts,
-                                 0.0)
+        volumes = ctx.mesh.volumes
+        return ctx.fields.vjp(rho_bar=volumes / np.sum(volumes))
 
 
 class OutputOffsetSq(QuantitySpec):
@@ -261,9 +257,11 @@ class ProblemSpec:
         return fields, models, control
 
     def quantities(self):
+        """The quantities of the objective and the constraints, one per name:
+        records are keyed by name, so each name is differentiated once."""
         qs = [q for _, q in self.objective_terms]
         qs += [c.quantity for c in self.constraints]
-        return qs
+        return list({q.name: q for q in qs}.values())
 
 
 def _clamp_into(point, box):

@@ -217,7 +217,8 @@ def projection_identities():
     f = fx.load_fixture("mini_gripper_100")
     fields, _ = f.build()
     total = np.sum(fields.f_e * f.mesh.volumes)
-    rows = np.asarray(fields.W.sum(axis=1)).ravel()
+    W = df.build_filter_matrix(f.mesh, f.params.r_min)
+    rows = np.asarray(W.sum(axis=1)).ravel()
     ok = (g0 == A and abs(gr - A / b) <= 1e-15 * A
           and abs(total - 1.0) <= 1e-9
           and np.abs(rows - 1.0).max() <= 1e-12)

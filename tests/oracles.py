@@ -90,6 +90,24 @@ def _element_force_tangent(kin, e, U_e, E_e, gamma_e, want_tangent):
     return f, k, f_nl
 
 
+def rho_bar_jacobian(fields):
+    """Explicit sparse d(rho_bar)/d(zeta), (elements x zeta).
+
+    Built from FieldState's chain arrays, independently of FieldState.vjp:
+    the density columns chain the projection and the filter, the BC-point
+    columns the projected discs; the theta column is zero.
+    """
+    des = fields.designable
+    n_e = len(fields.rho_bar)
+    lift = sp.csr_matrix((np.ones(len(des)), (des, np.arange(len(des)))),
+                         shape=(n_e, len(des)))
+    d_rho = lift @ (sp.diags(fields.drho_bar_drho_tilde[des]) @ fields.W)
+    d_pts = fields.drho_bar_drho_hat[:, None, None] * fields.drho_hat_dpts
+    cols = fields.design.join(np.zeros((0, n_e)), d_pts.transpose(1, 2, 0),
+                              np.zeros(n_e))
+    return sp.hstack([d_rho, sp.csr_matrix(cols.T)], format="csc")
+
+
 def residual_design_partials(model, system, lam_x, lam_y):
     """Explicit sparse dR/dzeta at one state (columns per design variable).
 
@@ -109,16 +127,17 @@ def residual_design_partials(model, system, lam_x, lam_y):
          (kin.dofs.ravel(), np.repeat(np.arange(mesh.num_elements), 6))),
         shape=(n_dof, mesh.num_elements),
     ).tocsc()
-    d_rho = -(A @ fields.rho_bar_jacobian_rho())
+    J = rho_bar_jacobian(fields)
+    n_rho = len(fields.design.rho)
+    d_rho = -(A @ J[:, :n_rho])
 
     U_e = system.U[kin.dofs]
     n_s = fields.design.num_supports
     cols = np.zeros((n_dof, 2 * n_s + 2))
-    rho_pts = fields.rho_bar_partials_points()              # (Ne, ns+1, 2)
     for k in range(n_s + 1):
         for c in range(2):
             col = k + c * n_s if k < n_s else 2 * n_s + c
-            contrib = -(A @ rho_pts[:, k, c])
+            contrib = -(A @ J[:, n_rho + col].toarray().ravel())
             if k < n_s:
                 spring = fields.dks_dsup[:, k, c][:, None] * U_e / 3.0
                 scat = np.zeros(n_dof)

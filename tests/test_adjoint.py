@@ -189,7 +189,7 @@ class TestConvergedSystemReuse:
             S.solve_equilibrium_path(model, ctrl,
                                      S.SolverConfig(steps=2, max_bisections=3))
         partial = err.value.partial
-        st = O._state_for_step(partial, 1, f.mesh.num_dofs)
+        st = O._last_converged_state(partial, f.mesh.num_dofs)
         assert st is partial.states[-1]
         assert not st.requested
         calls = count_assemblies(monkeypatch)

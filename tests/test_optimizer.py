@@ -398,10 +398,10 @@ class TestPathFailureHandling:
                               input_fraction=0.5, residual_norm=0.0,
                               corrector_iterations=1, requested=False)
         path = EquilibriumPath(states=[st])
-        got = O._state_for_step(path, 4, 4)
+        got = O._last_converged_state(path, 4)
         assert got is st
         empty = EquilibriumPath(states=[])
-        zero = O._state_for_step(empty, 2, 4)
+        zero = O._last_converged_state(empty, 4)
         assert np.all(zero.U == 0.0)
 
     def test_repeated_failure_aborts(self, tiny_problem, monkeypatch):
@@ -683,6 +683,24 @@ class TestMultiLoadCaseEvaluation:
             fd_g = (evp.g - evm.g) / (2 * h)
             big = np.abs(fd_g) > 1e-6
             assert np.allclose(ev0.dg[big, col], fd_g[big], rtol=5 * tol)
+
+
+def test_each_quantity_is_differentiated_once(tiny_problem, monkeypatch):
+    # each |F_p| cap is two constraints, upper and lower, on one quantity
+    names = []
+    sensitivity = O.StateAdjoint.sensitivity
+
+    def counting(self, quantity):
+        names.append(quantity.name)
+        return sensitivity(self, quantity)
+
+    monkeypatch.setattr(O.StateAdjoint, "sensitivity", counting)
+    ev = O.evaluate_design(tiny_problem, tiny_problem.design0)
+    read = [q for _, q in tiny_problem.objective_terms] + [
+        c.quantity for c in tiny_problem.constraints]
+    assert len(read) == 14
+    assert sorted(names) == sorted({q.name for q in read})
+    assert len(names) == 10 == len(ev.values)
 
 
 def test_evaluation_refuses_another_normalization(tiny_problem):
