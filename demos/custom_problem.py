@@ -46,9 +46,10 @@ move_xy = 0.004
 
 cfg = config.parse_config(CFG)
 prob = cli.build_problem_from_config(cfg)
+sense = "max" if prob.objective.direction == "lower" else "min"
 print(f"custom L-domain: {prob.mesh.num_elements} elements, "
       f"{len(prob.constraints)} constraints, objective "
-      f"{prob.objective_sense} {prob.objective_terms[0][1].name}")
+      f"{sense} {prob.objective.quantities[0].name}")
 
 res = optimizer.run_optimization(
     prob, optimizer.OptimizerConfig(max_iterations=25))

@@ -48,8 +48,8 @@ class SubproblemError(RuntimeError):
     """The dual subproblem solve failed to produce finite iterates."""
 
 
-def mmasub(iter_count, x, xmin, xmax, xold1, xold2, f0val, df0dx, fval, dfdx,
-           low, upp, move):
+def mmasub(iter_count, x, xmin, xmax, xold1, xold2, df0dx, fval, dfdx, low,
+           upp, move):
     """One MMA iteration.
 
     dfdx has shape (m, n); move is a per-variable cap on |x_new - x| in the

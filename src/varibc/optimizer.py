@@ -54,7 +54,7 @@ class OptimizerConfig:
 @dataclass
 class IterationRecord:
     iteration: int
-    objective: float            # natural units, before sense/scale
+    objective: float            # sum of the objective's quantities
     f0: float                   # scaled minimization objective
     g: np.ndarray               # scaled constraint values (<= 0 feasible)
     values: dict                # quantity name -> value
@@ -194,27 +194,16 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
         bisections += path.total_bisections
         iterations += path.total_corrector_iterations
 
-    obj_val = 0.0
-    obj_grad = np.zeros(design.size)
-    for w, q in problem.objective_terms:
-        rec = records[q.name]
-        obj_val += w * rec.value
-        obj_grad = obj_grad + w * rec.dgdzeta
-    sign = -1.0 if problem.objective_sense == "max" else 1.0
-    f0 = sign * obj_val / problem.objective_scale
-    df0 = sign * obj_grad / problem.objective_scale
-
+    objective, f0, df0 = problem.objective.evaluate(records)
     g = np.empty(len(problem.constraints))
     dg = np.empty((len(problem.constraints), design.size))
     for j, con in enumerate(problem.constraints):
-        rec = records[con.quantity.name]
-        g[j] = con.g(rec.value)
-        dg[j] = con.dg(rec.dgdzeta)
+        _, g[j], dg[j] = con.evaluate(records)
     if failure:
         g = g + FAILURE_PENALTY
 
     values = {name: rec.value for name, rec in records.items()}
-    return Evaluation(objective=obj_val, f0=f0, df0=df0, g=g, dg=dg,
+    return Evaluation(objective=objective, f0=f0, df0=df0, g=g, dg=dg,
                       values=values, paths=paths,
                       solver_bisections=bisections,
                       solver_iterations=iterations, failure=failure)
@@ -247,7 +236,7 @@ def mma_update(problem, design, evaluation, state):
     try:
         x_new, low, upp = mma.mmasub(
             it, xn, np.zeros_like(xn), np.ones_like(xn), xold1, xold2,
-            evaluation.f0, df0_n, evaluation.g, dg_n, low, upp, move_n)
+            df0_n, evaluation.g, dg_n, low, upp, move_n)
         state["fallback"] = False
     except mma.SubproblemError:
         step = 0.5 * move_n * np.sign(df0_n)

@@ -2,8 +2,10 @@
 
 Quantities implement the QuantitySpec interface so the adjoint engine can
 differentiate them; problem specs bundle the domain, non-design layout,
-output attachments, load cases, constraint schedule, bounds, and move limits,
-and build the fields and models that are solved at a design.
+output attachments, load cases, objective, constraint schedule, bounds, and
+move limits, and build the fields and models that are solved at a design.
+The objective (MMA's f0) and every constraint (g <= 0) have one form,
+`Scaled`; each constraint is one quantity scaled by |bound|.
 
 `FAMILIES` tables the four studied families: defaults, a geometry builder
 and a layout function that places what differs between problems on the
@@ -151,30 +153,40 @@ def f_p(lam_x, lam_y, theta):
 
 
 @dataclass
-class Constraint:
-    """Scaled inequality g <= 0 built from one quantity.
+class Scaled:
+    """MMA's scaled form sign * (sum - bound) / scale of the sum of one or
+    more quantities: the objective f0 (bound 0) and each constraint g <= 0.
 
-    direction "upper" means quantity < bound, "lower" means quantity > bound;
-    scale normalizes the constraint for the optimizer.
+    direction "upper" means sum < bound (for the objective: minimize the
+    sum), "lower" means sum > bound (maximize) and gives sign -1.
     """
 
-    quantity: QuantitySpec
+    quantities: list
     bound: float
     direction: str
     scale: float
 
-    def g(self, value):
-        if self.direction == "upper":
-            return (value - self.bound) / self.scale
-        return (self.bound - value) / self.scale
-
-    def dg(self, grad):
-        return grad / self.scale if self.direction == "upper" else -grad / self.scale
+    def evaluate(self, records):
+        """(sum, scaled value, scaled gradient) from records, the
+        SensitivityRecords keyed by quantity name."""
+        recs = [records[q.name] for q in self.quantities]
+        value = sum(r.value for r in recs)
+        grad = sum(r.dgdzeta for r in recs)
+        sign = -1.0 if self.direction == "lower" else 1.0
+        return (value, sign * (value - self.bound) / self.scale,
+                sign * grad / self.scale)
 
     @property
     def name(self):
         cmp = "<" if self.direction == "upper" else ">"
-        return f"{self.quantity.name} {cmp} {self.bound:g}"
+        total = " + ".join(q.name for q in self.quantities)
+        return f"{total} {cmp} {self.bound:g}"
+
+
+def _cap(quantity, bound, direction="upper"):
+    """The constraint quantity < bound ("upper") or > bound ("lower"),
+    scaled by |bound|."""
+    return Scaled([quantity], bound, direction, abs(bound))
 
 
 @dataclass
@@ -202,13 +214,10 @@ class ProblemSpec:
     design0: DesignVector
     u_in_norm: float
     steps: int
-    objective_terms: list          # [(weight, QuantitySpec)]
-    objective_sense: str           # "min" | "max"
-    objective_scale: float
-    constraints: list
+    objective: Scaled              # bound 0; direction "lower" maximizes
+    constraints: list              # [Scaled] of one quantity each
     load_cases: list = field(default_factory=lambda: [LoadCase("nominal")])
     output_springs: tuple = ()
-    output_selector: tuple = ()
     output_node: int | None = None
     lower: np.ndarray = None       # zeta bounds, natural units
     upper: np.ndarray = None
@@ -259,8 +268,8 @@ class ProblemSpec:
     def quantities(self):
         """The quantities of the objective and the constraints, one per name:
         records are keyed by name, so each name is differentiated once."""
-        qs = [q for _, q in self.objective_terms]
-        qs += [c.quantity for c in self.constraints]
+        qs = [q for s in [self.objective, *self.constraints]
+              for q in s.quantities]
         return list({q.name: q for q in qs}.values())
 
 
@@ -282,24 +291,25 @@ def _force_caps(n_cases, caps):
     for i in range(n_cases):
         for m, cap_in, cap_p in caps:
             out += [
-                Constraint(FIn(step=m, load_case=i), cap_in, "upper", cap_in),
-                Constraint(FP(step=m, load_case=i), cap_p, "upper", cap_p),
-                Constraint(FP(step=m, load_case=i), -cap_p, "lower", cap_p),
+                _cap(FIn(step=m, load_case=i), cap_in),
+                _cap(FP(step=m, load_case=i), cap_p),
+                _cap(FP(step=m, load_case=i), -cap_p, "lower"),
             ]
     return out
 
 
 def _path_error(mesh, node, prec, n_cases, M):
-    """Squared offsets of the output node from the precision points.
+    """The objective: minimize the squared offsets of the output node from
+    the precision points.
 
     A single point is matched at step M, M points one per step, in every load
     case. The scale is the value on the undeformed mesh.
     """
     steps = [M] if len(prec) == 1 else range(1, M + 1)
-    terms = [(1.0, OutputOffsetSq(node, p, m, i))
-             for i in range(n_cases) for p, m in zip(prec, steps)]
-    scale = sum(np.sum((mesh.nodes[node] - q.target) ** 2) for _, q in terms)
-    return terms, scale
+    qs = [OutputOffsetSq(node, p, m, i)
+          for i in range(n_cases) for p, m in zip(prec, steps)]
+    scale = sum(np.sum((mesh.nodes[node] - q.target) ** 2) for q in qs)
+    return Scaled(qs, 0.0, "upper", scale)
 
 
 def gripper_geometry(h=1.5e-3, jaw_band=5e-3):
@@ -332,12 +342,11 @@ def _gripper(mesh, params, M, u_in, k_out, fixed_bcs):
     return dict(
         vf=0.3, supports=supports, load=load, theta=0.0, sup_box=box,
         load_box=box, moves=(0.2, 2.5e-3, np.deg2rad(5.0)),
-        objective_terms=[(1.0, UOut(selector, step=M))],
-        objective_sense="max", objective_scale=u_in,
+        objective=Scaled([UOut(selector, step=M)], 0.0, "lower", u_in),
         constraints=_force_caps(1, [(m, 30.0 * m / M, 7.5 * m / M)
                                     for m in range(1, M + 1)]),
         output_springs=((2 * out_hi + 1, k_out), (2 * out_lo + 1, k_out)),
-        output_selector=selector, output_node=out_lo,
+        output_node=out_lo,
     )
 
 
@@ -349,16 +358,16 @@ def _bistable_airfoil(mesh, params, M, u_in, k_out, fixed_bcs):
     te = msh.nearest_node(mesh, (chord, 0.0))
     selector = ((2 * te + 1, -1.0),)   # downward positive
     constraints = [
-        Constraint(UOut(selector, step=M), 5e-3, "lower", 5e-3),
-        Constraint(FIn(step=1), 2.0, "lower", 2.0),
+        _cap(UOut(selector, step=M), 5e-3, "lower"),
+        _cap(FIn(step=1), 2.0, "lower"),
     ]
     for m in range(1, min(6, M) + 1):
         cap = 15.0 * np.sin(np.pi * m / 6.0) + 5.0
-        constraints.append(Constraint(FIn(step=m), cap, "upper", cap))
+        constraints.append(_cap(FIn(step=m), cap))
     for m in range(1, M + 1):
         constraints += [
-            Constraint(FP(step=m), 5.0, "upper", 5.0),
-            Constraint(FP(step=m), -5.0, "lower", 5.0),
+            _cap(FP(step=m), 5.0),
+            _cap(FP(step=m), -5.0, "lower"),
         ]
     return dict(
         vf=0.4, supports=np.array([[0.06, y_spar], [0.06, -y_spar],
@@ -367,9 +376,8 @@ def _bistable_airfoil(mesh, params, M, u_in, k_out, fixed_bcs):
         sup_box=((-margin, chord + margin), (-0.024 - margin, 0.024 + margin)),
         load_box=((0.0, chord), (-0.024, 0.024)),
         moves=(0.05, 0.5e-3, np.deg2rad(1.0)),
-        objective_terms=[(1.0, FIn(step=M))],
-        objective_sense="min", objective_scale=5.0, constraints=constraints,
-        output_springs=((2 * te + 1, k_out),), output_selector=selector,
+        objective=Scaled([FIn(step=M)], 0.0, "upper", 5.0),
+        constraints=constraints, output_springs=((2 * te + 1, k_out),),
         output_node=te,
     )
 
@@ -391,13 +399,12 @@ def _line_generator(mesh, params, M, u_in, k_out, fixed_bcs):
     cases = [LoadCase("free"),
              LoadCase("counter_x", out, (-5.0, 0.0)),
              LoadCase("counter_y", out, (0.0, -5.0))]
-    terms, scale = _path_error(mesh, out, prec, len(cases), M)
     return dict(
         vf=0.2, supports=np.array([_clamp_into((0.03, 0.0), box),
                                    _clamp_into((0.13, 0.0), box)]),
         load=_clamp_into((0.08, 0.0), box), theta=np.pi / 2.0, sup_box=box,
         load_box=box, moves=(0.2, 3e-3, np.deg2rad(2.0)),
-        objective_terms=terms, objective_sense="min", objective_scale=scale,
+        objective=_path_error(mesh, out, prec, len(cases), M),
         constraints=_force_caps(len(cases), [(m, 20.0, 5.0)
                                              for m in range(1, M + 1)]),
         load_cases=cases, output_node=out,
@@ -456,7 +463,6 @@ def _morphing_wing(mesh, params, M, u_in, k_out, fixed_bcs):
     cases = [LoadCase("free"),
              LoadCase("drag", out, (1.0, 0.0)),
              LoadCase("lift", out, (0.0, 1.0))]
-    terms, scale = _path_error(mesh, out, prec, len(cases), M)
     return dict(
         vf=0.3, supports=np.array([[0.045, 0.006], [0.045, -0.006],
                                    [0.06, 0.014]]),
@@ -464,7 +470,7 @@ def _morphing_wing(mesh, params, M, u_in, k_out, fixed_bcs):
         sup_box=_node_box(mesh, 0.05), load_box=_node_box(mesh),
         moves=(0.2, 1e-3, np.deg2rad(5.0)),
         frozen_supports=(2,),   # the skin-attachment support stays fixed
-        objective_terms=terms, objective_sense="min", objective_scale=scale,
+        objective=_path_error(mesh, out, prec, len(cases), M),
         constraints=_force_caps(len(cases), [(M, 20.0, 5.0)]),
         load_cases=cases, output_node=out,
     )
@@ -497,25 +503,29 @@ def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
     cases = [LoadCase("nominal")] + [
         LoadCase(f"counter{j}", out, (fx, fy))
         for j, (fx, fy) in enumerate(counters, start=1)]
+    # each bound also scales its constraint, so it must be finite and > 0
+    for key, top in (("vf_bound", 1.0), ("f_in_bound", np.inf),
+                     ("f_p_bound", np.inf)):
+        if not 0.0 < float(spec[key]) <= top or np.isinf(float(spec[key])):
+            raise ValueError(f"[custom] {key} = {spec[key]!r}; need a "
+                             f"finite value in (0, {top:g}]")
+    vf = float(spec["vf_bound"])
     f_in_bound = float(spec["f_in_bound"])
     f_p_bound = float(spec["f_p_bound"])
     objective = spec["objective"]
     if out is None and objective in ("max_u_out", "path_error"):
         raise ValueError(f"objective {objective!r} needs an output_point")
     if objective == "max_u_out":
-        terms, sense, scale = [(1.0, UOut(selector, step=M))], "max", u_in
+        objective = Scaled([UOut(selector, step=M)], 0.0, "lower", u_in)
     elif objective == "min_f_in_final":
-        terms, sense = [(1.0, FIn(step=M))], "min"
-        scale = max(abs(f_p_bound), 1.0)
+        objective = Scaled([FIn(step=M)], 0.0, "upper", max(f_p_bound, 1.0))
     elif objective == "path_error":
         prec = np.asarray(spec["precision_points"], float).reshape(-1, 2)
         if len(prec) not in (1, M):
             raise ValueError("need 1 or M precision points")
-        terms, scale = _path_error(mesh, out, prec, len(cases), M)
-        sense = "min"
+        objective = _path_error(mesh, out, prec, len(cases), M)
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    vf = float(spec["vf_bound"])
     return dict(
         vf=vf, rho0=float(spec["rho_init"] or vf),
         supports=np.asarray(spec["supports"], float).reshape(-1, 2),
@@ -525,10 +535,9 @@ def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
         load_box=_node_box(mesh),
         moves=(float(spec["move_rho"]), float(spec["move_xy"]),
                np.deg2rad(float(spec["move_theta_deg"]))),
-        objective_terms=terms, objective_sense=sense, objective_scale=scale,
+        objective=objective,
         constraints=_force_caps(len(cases), [(M, f_in_bound, f_p_bound)]),
-        load_cases=cases, output_springs=springs, output_selector=selector,
-        output_node=out,
+        load_cases=cases, output_springs=springs, output_node=out,
     )
 
 
@@ -611,8 +620,7 @@ def _assemble(name, mesh, params, u_in, M, fixed_bcs, *, vf, supports, load,
         name=name, mesh=mesh, params=params,
         material=MaterialParams(nu=params.nu), design0=design0,
         u_in_norm=u_in, steps=M,
-        constraints=[Constraint(VolumeFraction(step=M), vf, "upper", vf)]
-        + constraints,
+        constraints=[_cap(VolumeFraction(step=M), vf)] + constraints,
         lower=lower, upper=upper, move_limits=move, **spec)
 
 

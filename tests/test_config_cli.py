@@ -543,6 +543,29 @@ class TestCustomProblem:
                          .read_text())
         assert doc["problem"] == "custom"
 
+    @pytest.mark.parametrize("key,value", [
+        ("vf_bound", 0.0), ("f_in_bound", 0.0), ("f_p_bound", 0.0),
+        ("f_p_bound", -0.4), ("f_in_bound", -30.0),
+        ("f_in_bound", float("inf"))])
+    def test_out_of_range_bound_fails_before_writing(self, tmp_path, capsys,
+                                                     key, value):
+        # each bound also scales its constraint: 0 divides by zero, a
+        # negative one inverts the constraint and an infinite one gives NaN
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            'problem = "custom"\n[mesh]\nelement_size = 0.02\n'
+            '[custom]\noutline = [0.0, 0.0, 0.1, 0.0, 0.1, 0.1, 0.0, 0.1]\n'
+            'supports = [0.015, 0.015, 0.015, 0.085]\n'
+            'load = [0.015, 0.05]\noutput_point = [0.1, 0.05]\n'
+            f'{key} = {value}\n')
+        out = tmp_path / "out"
+        assert cli.main(["run", str(bad), "-q", "-o", str(out),
+                         "--max-iterations", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem construction failed:")
+        assert key in err
+        assert not (out / "config_resolved.cfg").exists()
+
 
 def test_bistable_curve_has_eight_rows(tmp_path):
     # one analysis (no optimization) of the coarse bistable problem: the

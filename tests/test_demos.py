@@ -30,3 +30,10 @@ def test_adjoint_gradients_demo_matches_finite_differences():
         rows.append(float(line.split()[-1]))
     assert len(rows) == 10
     assert max(rows) <= 1e-4, out.stdout
+
+
+def test_custom_problem_demo_runs():
+    out = run_demo("custom_problem.py")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == (
+        "custom L-domain: 858 elements, 4 constraints, objective max u_out[3]")

@@ -14,13 +14,12 @@ from varibc.solver import PermutedLU, SolverConfig
 
 
 def scalar_quadratic_step(x, xold1, xold2, low, upp, it, move=1.0):
-    f0 = (x[0] - 2.0) ** 2
-    df0 = np.array([2.0 * (x[0] - 2.0)])
+    df0 = np.array([2.0 * (x[0] - 2.0)])  # of f0 = (x - 2)^2
     # one always-inactive constraint keeps the subproblem well-posed
     fval = np.array([-1.0])
     dfdx = np.zeros((1, 1))
     return mma.mmasub(it, x, np.array([0.0]), np.array([5.0]), xold1, xold2,
-                      f0, df0, fval, dfdx, low, upp, np.array([move]))
+                      df0, fval, dfdx, low, upp, np.array([move]))
 
 
 class TestMmaSub:
@@ -57,7 +56,7 @@ class TestMmaSub:
         x = np.array([0.5])
         huge = np.array([1e9])
         x_new, *_ = mma.mmasub(
-            1, x, np.array([0.0]), np.array([1.0]), x, x, 0.0, huge,
+            1, x, np.array([0.0]), np.array([1.0]), x, x, huge,
             np.array([-1.0]), np.zeros((1, 1)), x - 0.5, x + 0.5,
             np.array([0.2]))
         assert abs((x[0] - x_new[0]) - 0.2) <= 1e-5
@@ -65,7 +64,7 @@ class TestMmaSub:
     def test_zero_gradient_feasible_point_stays(self):
         x = np.array([0.3, 0.7])
         x_new, *_ = mma.mmasub(
-            1, x, np.zeros(2), np.ones(2), x, x, 1.0, np.zeros(2),
+            1, x, np.zeros(2), np.ones(2), x, x, np.zeros(2),
             np.array([-0.5]), np.zeros((1, 2)), x - 0.5, x + 0.5,
             np.array([0.2, 0.2]))
         assert np.allclose(x_new, x, atol=1e-6)
@@ -77,7 +76,7 @@ class TestMmaSub:
         dg = rng.normal(size=(3, 20))
         g = rng.uniform(-1, 0.5, 3)
         x_new, *_ = mma.mmasub(
-            1, x, np.zeros(20), np.ones(20), x, x, 0.0, df0, g, dg,
+            1, x, np.zeros(20), np.ones(20), x, x, df0, g, dg,
             x - 0.5, x + 0.5, np.full(20, 0.1))
         assert np.all(x_new >= -1e-12) and np.all(x_new <= 1 + 1e-12)
         assert np.all(np.abs(x_new - x) <= 0.1 + 1e-9)
@@ -368,11 +367,11 @@ class TestPathFailureHandling:
             assert {e[1].step for e in log[i:j] if e[0] == "record"} == {
                 3 if i == starts[2] else 4}
         # every constraint carries the penalty
-        g = np.array([c.g(ev.values[c.quantity.name])
-                      for c in prob.constraints])
+        records = {e[1].name: e[2] for e in log if e[0] == "record"}
+        g = np.array([c.evaluate(records)[1] for c in prob.constraints])
         assert np.array_equal(ev.g, g + O.FAILURE_PENALTY)
         early = [j for j, c in enumerate(prob.constraints)
-                 if c.quantity.step <= 2]
+                 if c.quantities[0].step <= 2]
         assert early and np.array_equal(ev.g[early],
                                         healthy.g[early] + O.FAILURE_PENALTY)
 
@@ -449,7 +448,7 @@ class TestAdjointFailureHandling:
         assert ev.values == healthy.values
         assert np.array_equal(ev.g, healthy.g + O.FAILURE_PENALTY)
         assert np.array_equal(ev.df0, healthy.df0)
-        steps = [c.quantity.step for c in prob.constraints]
+        steps = [c.quantities[0].step for c in prob.constraints]
         assert 2 in steps
         for j, step in enumerate(steps):
             if step == 2:
@@ -535,7 +534,7 @@ class TestMmaFallback:
         bad = dataclasses.replace(evaluation, dg=dg)
         x = np.full(free.size, 0.5)
         with pytest.raises(mma.SubproblemError):
-            mma.mmasub(1, x, np.zeros_like(x), np.ones_like(x), x, x, 0.0,
+            mma.mmasub(1, x, np.zeros_like(x), np.ones_like(x), x, x,
                        evaluation.df0[free], evaluation.g, dg[:, free],
                        x - 0.5, x + 0.5, np.full(free.size, 0.1))
         state = {}
@@ -559,7 +558,7 @@ class TestMmaFallback:
         free = np.flatnonzero(~prob.frozen)
         x = np.full(free.size, 0.5)
         with pytest.raises(mma.SubproblemError, match="Singular matrix"):
-            mma.mmasub(1, x, np.zeros_like(x), np.ones_like(x), x, x, 0.0,
+            mma.mmasub(1, x, np.zeros_like(x), np.ones_like(x), x, x,
                        evaluation.df0[free], evaluation.g,
                        evaluation.dg[:, free], x - 0.5, x + 0.5,
                        np.full(free.size, 0.1))
@@ -696,8 +695,8 @@ def test_each_quantity_is_differentiated_once(tiny_problem, monkeypatch):
 
     monkeypatch.setattr(O.StateAdjoint, "sensitivity", counting)
     ev = O.evaluate_design(tiny_problem, tiny_problem.design0)
-    read = [q for _, q in tiny_problem.objective_terms] + [
-        c.quantity for c in tiny_problem.constraints]
+    read = [q for s in [tiny_problem.objective, *tiny_problem.constraints]
+            for q in s.quantities]
     assert len(read) == 14
     assert sorted(names) == sorted({q.name for q in read})
     assert len(names) == 10 == len(ev.values)

@@ -164,10 +164,12 @@ class TestMakeProblem:
         vf = g.constraints[0]
         assert vf.bound == 0.3 and vf.direction == "upper"
         fin4 = [c for c in g.constraints
-                if c.quantity.name == "f_in[4,0]" and c.direction == "upper"]
+                if c.quantities[0].name == "f_in[4,0]"
+                and c.direction == "upper"]
         assert fin4[0].bound == 30.0
         fin1 = [c for c in g.constraints
-                if c.quantity.name == "f_in[1,0]" and c.direction == "upper"]
+                if c.quantities[0].name == "f_in[1,0]"
+                and c.direction == "upper"]
         assert fin1[0].bound == 7.5
 
     def test_gripper_bc_bounds_inset_by_r(self, coarse_gripper):
@@ -210,7 +212,7 @@ class TestMakeProblem:
         assert b.upper[n_rho] > 0.2
         # sine-wave force schedule
         caps = [c.bound for c in b.constraints
-                if c.quantity.name.startswith("f_in[")
+                if c.quantities[0].name.startswith("f_in[")
                 and c.direction == "upper"]
         want = [15 * np.sin(np.pi * m / 6) + 5 for m in range(1, 7)]
         assert np.allclose(sorted(caps), sorted(want))
@@ -223,13 +225,13 @@ class TestMakeProblem:
         assert lg.load_cases[2].counter_vector == (0.0, -5.0)
         assert lg.output_springs == ()
         # one precision point per step, shared by the three load cases
-        assert len({tuple(q.target) for _, q in lg.objective_terms}) == 4
+        assert len({tuple(q.target) for q in lg.objective.quantities}) == 4
         w = P.make_problem("morphing_wing", element_size=2e-3)
         assert w.u_in_norm == 2e-3
         assert w.load_cases[1].counter_vector == (1.0, 0.0)
         assert w.load_cases[2].counter_vector == (0.0, 1.0)
         # one precision point, 2.5 mm behind and 5 mm below the output point
-        targets = {tuple(q.target) for _, q in w.objective_terms}
+        targets = {tuple(q.target) for q in w.objective.quantities}
         assert len(targets) == 1
         out_xy = w.mesh.nodes[w.output_node]
         assert np.allclose(targets.pop(),
@@ -268,26 +270,26 @@ def custom_problem(**extra):
 
 class TestCustomProblem:
     def test_min_f_in_final_objective(self):
-        for f_p_bound, scale in ((7.5, 7.5), (-0.4, 1.0)):
+        for f_p_bound, scale in ((7.5, 7.5), (0.4, 1.0)):
             p = custom_problem(objective="min_f_in_final",
                                f_p_bound=f_p_bound)
-            [(w, q)] = p.objective_terms
-            assert w == 1.0 and isinstance(q, P.FIn)
+            [q] = p.objective.quantities
+            assert p.objective.bound == 0.0 and isinstance(q, P.FIn)
             assert (q.step, q.load_case) == (3, 0)
-            assert p.objective_sense == "min"
-            assert p.objective_scale == scale
+            assert p.objective.direction == "upper"
+            assert p.objective.scale == scale
 
     def test_path_error_single_point(self):
         p = custom_problem(objective="path_error",
                            precision_points=[0.1, 0.02])
         assert [c.name for c in p.load_cases] == ["nominal"]
-        [(w, q)] = p.objective_terms
-        assert w == 1.0 and isinstance(q, P.OutputOffsetSq)
+        [q] = p.objective.quantities
+        assert p.objective.bound == 0.0 and isinstance(q, P.OutputOffsetSq)
         assert (q.node, q.step, q.load_case) == (p.output_node, 3, 0)
         assert np.array_equal(q.target, [0.1, 0.02])
         x0 = p.mesh.nodes[p.output_node]
-        assert p.objective_scale == np.sum((x0 - [0.1, 0.02]) ** 2)
-        assert p.objective_sense == "min"
+        assert p.objective.scale == np.sum((x0 - [0.1, 0.02]) ** 2)
+        assert p.objective.direction == "upper"
 
     def test_path_error_every_step_with_counter_forces(self):
         prec = [[0.1, 0.020], [0.1, 0.021], [0.1, 0.022]]
@@ -300,16 +302,15 @@ class TestCustomProblem:
             ("nominal", None, (0.0, 0.0)), ("counter1", out, (1.0, 0.0)),
             ("counter2", out, (0.0, -2.0))]
         terms = [(q.load_case, q.step, tuple(q.target))
-                 for _, q in p.objective_terms]
+                 for q in p.objective.quantities]
         assert terms == [(i, m, tuple(prec[m - 1]))
                          for i in range(3) for m in range(1, 4)]
         x0 = p.mesh.nodes[out]
         want = 3 * sum(np.sum((x0 - t) ** 2) for t in np.array(prec))
-        assert np.isclose(p.objective_scale, want, rtol=1e-14, atol=0)
+        assert np.isclose(p.objective.scale, want, rtol=1e-14, atol=0)
         # F_in cap and two-sided F_p at the final step of every case
-        forces = [(type(c.quantity).__name__, c.quantity.load_case,
-                   c.quantity.step, c.direction)
-                  for c in p.constraints[1:]]
+        forces = [(type(q).__name__, q.load_case, q.step, c.direction)
+                  for c in p.constraints[1:] for q in c.quantities]
         assert forces == [(k, i, 3, d) for i in range(3)
                           for k, d in (("FIn", "upper"), ("FP", "upper"),
                                        ("FP", "lower"))]
@@ -358,18 +359,62 @@ class TestCustomProblem:
                 output_point=[])
 
 
-class TestConstraintScaling:
+class TestScaled:
+    @staticmethod
+    def evaluate(scaled, values, grads=None):
+        """scaled.evaluate on records of the given values and gradients."""
+        grads = grads or [np.zeros(2)] * len(values)
+        return scaled.evaluate({
+            q.name: SimpleNamespace(value=v, dgdzeta=d)
+            for q, v, d in zip(scaled.quantities, values, grads)})
+
     def test_upper_and_lower(self):
         q = P.FIn(step=1)
-        up = P.Constraint(q, 30.0, "upper", 30.0)
-        lo = P.Constraint(q, 2.0, "lower", 2.0)
-        assert up.g(30.0) == 0.0
-        assert up.g(33.0) > 0.0 and up.g(27.0) < 0.0
-        assert lo.g(2.0) == 0.0
-        assert lo.g(1.0) > 0.0 and lo.g(3.0) < 0.0
+        up = P.Scaled([q], 30.0, "upper", 30.0)
+        lo = P.Scaled([q], 2.0, "lower", 2.0)
+        assert self.evaluate(up, [33.0])[0] == 33.0
+        assert self.evaluate(up, [30.0])[1] == 0.0
+        assert self.evaluate(up, [33.0])[1] > 0.0
+        assert self.evaluate(up, [27.0])[1] < 0.0
+        assert self.evaluate(lo, [2.0])[1] == 0.0
+        assert self.evaluate(lo, [1.0])[1] > 0.0
+        assert self.evaluate(lo, [3.0])[1] < 0.0
         g = np.array([1.0, -2.0])
-        assert np.allclose(up.dg(g), g / 30.0)
-        assert np.allclose(lo.dg(g), -g / 2.0)
+        assert np.allclose(self.evaluate(up, [1.0], [g])[2], g / 30.0)
+        assert np.allclose(self.evaluate(lo, [1.0], [g])[2], -g / 2.0)
+        assert (up.name, lo.name) == ("f_in[1,0] < 30", "f_in[1,0] > 2")
+
+    @pytest.mark.parametrize("direction,sign", [("lower", -1.0),
+                                                ("upper", 1.0)],
+                             ids=["max", "min"])
+    def test_objective_is_the_signed_scaled_sum(self, direction, sign):
+        qs = [P.FIn(step=1), P.FP(step=2)]
+        objective = P.Scaled(qs, 0.0, direction, 4.0)
+        grads = [np.array([1.0, -2.0]), np.array([0.5, 3.0])]
+        value, f0, df0 = self.evaluate(objective, [1.5, 2.5], grads)
+        assert value == 4.0
+        assert f0 == sign * 4.0 / 4.0
+        assert np.array_equal(df0, sign * np.array([1.5, 1.0]) / 4.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: P.make_problem("gripper", element_size=4e-3),
+    lambda: P.make_problem("bistable_airfoil", element_size=6e-3),
+    lambda: P.make_problem("line_generator", element_size=8e-3),
+    lambda: P.make_problem("morphing_wing", element_size=3e-3),
+    lambda: custom_problem(counter_forces=[1.0, 0.0]),
+], ids=["gripper", "bistable_airfoil", "line_generator", "morphing_wing",
+        "custom"])
+def test_objective_and_constraints_share_one_form(make):
+    p = make()
+    for c in p.constraints:
+        assert len(c.quantities) == 1
+        assert c.scale == abs(c.bound) > 0.0
+    assert p.objective.bound == 0.0 and p.objective.scale > 0.0
+    read = {q.name for s in [p.objective, *p.constraints]
+            for q in s.quantities}
+    names = [q.name for q in p.quantities()]
+    assert sorted(names) == sorted(read)
 
 
 class TestModels:
