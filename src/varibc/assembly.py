@@ -119,13 +119,13 @@ class ElementKinematics:
         self.csc_indptr.setflags(write=False)
         self.tangent_ordering = None
 
-        # linear strain-displacement matrix (Voigt 11, 22, 12-engineering)
+        # linear strain-displacement matrix (Voigt 11, 22, 12-engineering),
+        # which only kl0 reads
         B = np.zeros((n_e, 3, 6))
         B[:, 0, 0::2] = gx.T
         B[:, 1, 1::2] = gy.T
         B[:, 2, 0::2] = gy.T
         B[:, 2, 1::2] = gx.T
-        self.B = B
         vol = mesh.areas * mesh.thickness
         self.vol = vol
         D0 = material_params.D0

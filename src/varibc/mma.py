@@ -1,15 +1,18 @@
 """Method of Moving Asymptotes, one iteration at a time.
 
-Standard MMA (Svanberg 1987; September-2007 reference algorithm) for
+Standard MMA (Svanberg 1987; September-2007 reference algorithm) in the one
+form varibc poses:
 
     minimize f0(x) + a0 z + sum(c_i y_i + 0.5 d_i y_i^2)
-    s.t.     f_i(x) - a_i z - y_i <= 0,   xmin <= x <= xmax,  y >= 0, z >= 0
+    s.t.     f_i(x) - a_i z - y_i <= 0,   0 <= x <= 1,  y >= 0, z >= 0
 
-with a0 = 1, a_i = 0, c_i = 1000, d_i = 1 and the default asymptote
-settings: initialization at 0.5 of the variable range, adaptation factors
-0.7 (oscillation) and 1.2 (monotone progress). The subproblem is solved by
-the usual primal-dual Newton interior-point method. Move limits are accepted
-per variable.
+optimizer.mma_update normalizes every free variable to the unit box, so each
+range factor of the reference algorithm is 1, and the coefficients a0 = 1,
+a_i = 0, c_i = 1000, d_i = 1 are fixed in subsolv's body. The asymptotes
+start at x -+ 0.5, adapt by 0.7 (oscillation) and 1.2 (monotone progress)
+and are clamped to x -+ [1e-4, 10]. The subproblem is solved by the usual
+primal-dual Newton interior-point method. Move limits are accepted per
+variable.
 
 The subproblem's primal-dual iterate is one array w holding
 (x, y, z, lam, xsi, eta, mu, zet, s), and the Newton direction dw and the
@@ -17,6 +20,12 @@ residual r share its layout; the named parts are views (z and zet of length
 1). Every part but x stays positive, so the step length takes one maximum of
 -1.01 dw / w over them, beside the two bounds on x, and each trial point of
 the line search is one update w = w_old + steg dw.
+
+With a = 0, z decouples from lam, yet the Newton system stays the bordered
+(m+1) one, with a zero border: np.linalg.solve rounds dlam differently in
+the last bits over m+1 rows than over m, so solving the z row on its own
+would move x_new (on 8 of 16 subproblems captured from an h = 3 mm gripper
+run, by up to 4.4e-16).
 
 Each Newton step of the subproblem solve works in arrays allocated once per
 solve. The products of an iterate (upp - x, x - low and their squares,
@@ -48,63 +57,60 @@ class SubproblemError(RuntimeError):
     """The dual subproblem solve failed to produce finite iterates."""
 
 
-def mmasub(iter_count, x, xmin, xmax, xold1, xold2, df0dx, fval, dfdx, low,
-           upp, move):
-    """One MMA iteration.
+def mmasub(iter_count, x, xold1, xold2, df0dx, fval, dfdx, low, upp, move):
+    """One MMA iteration in the unit box.
 
-    dfdx has shape (m, n); move is a per-variable cap on |x_new - x| in the
-    same units as x. Returns (x_new, low, upp).
+    dfdx has shape (m, n); move is a per-variable cap on |x_new - x|.
+    low and upp are read from iteration 3 on. Returns (x_new, low, upp).
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    m = len(fval)
-    move = np.broadcast_to(np.asarray(move, dtype=float), (n,))
+    move = np.broadcast_to(np.asarray(move, dtype=float), x.shape)
 
-    xrange = np.maximum(xmax - xmin, 1e-5)
     if iter_count <= 2:
-        low = x - ASYINIT * xrange
-        upp = x + ASYINIT * xrange
+        low = x - ASYINIT
+        upp = x + ASYINIT
     else:
         zzz = (x - xold1) * (xold1 - xold2)
-        factor = np.ones(n)
+        factor = np.ones(x.size)
         factor[zzz > 0] = ASYINCR
         factor[zzz < 0] = ASYDECR
         low = x - factor * (xold1 - low)
         upp = x + factor * (upp - xold1)
-        # near clamp at 1e-4 of the range: lets oscillating variables damp
-        # out instead of limit-cycling at the clamp distance
-        low = np.clip(low, x - 10.0 * xrange, x - 1e-4 * xrange)
-        upp = np.clip(upp, x + 1e-4 * xrange, x + 10.0 * xrange)
+        # near clamp at 1e-4: lets oscillating variables damp out instead
+        # of limit-cycling at the clamp distance
+        low = np.clip(low, x - 10.0, x - 1e-4)
+        upp = np.clip(upp, x + 1e-4, x + 10.0)
 
-    alfa = np.maximum.reduce([low + ALBEFA * (x - low), x - move, xmin])
-    beta = np.minimum.reduce([upp - ALBEFA * (upp - x), x + move, xmax])
+    alfa = np.maximum(np.maximum(low + ALBEFA * (x - low), x - move), 0.0)
+    beta = np.minimum(np.minimum(upp - ALBEFA * (upp - x), x + move), 1.0)
 
     ux1 = upp - x
     xl1 = x - low
     ux2 = ux1 * ux1
     xl2 = xl1 * xl1
-    xmami_inv = 1.0 / xrange
 
     df0p = np.maximum(df0dx, 0.0)
     df0m = np.maximum(-df0dx, 0.0)
-    pq0 = 0.001 * (df0p + df0m) + RAA0 * xmami_inv
+    pq0 = 0.001 * (df0p + df0m) + RAA0
     p0 = (df0p + pq0) * ux2
     q0 = (df0m + pq0) * xl2
 
     dfp = np.maximum(dfdx, 0.0)
     dfm = np.maximum(-dfdx, 0.0)
-    pq = 0.001 * (dfp + dfm) + RAA0 * xmami_inv[None, :]
+    pq = 0.001 * (dfp + dfm) + RAA0
     P = (dfp + pq) * ux2[None, :]
     Q = (dfm + pq) * xl2[None, :]
     b = P @ (1.0 / ux1) + Q @ (1.0 / xl1) - fval
 
-    x_new, _, _, _ = subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, 1.0,
-                             np.zeros(m), b, np.full(m, 1000.0), np.ones(m))
+    x_new, _, _, _ = subsolv(low, upp, alfa, beta, p0, q0, P, Q, b)
     return x_new, low, upp
 
 
-def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
-    """Primal-dual Newton interior-point solve of the MMA subproblem."""
+def subsolv(low, upp, alfa, beta, p0, q0, P, Q, b):
+    """Primal-dual Newton interior-point solve of the MMA subproblem, with
+    a0 = 1, a = 0, c = 1000 and d = 1. Returns (x, y, z, lam)."""
+    m, n = P.shape
+
     def parts(v):
         return np.split(v, np.cumsum([n, m, 1, m, n, n, m, 1]))
 
@@ -116,7 +122,7 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
     x[:] = 0.5 * (alfa + beta)
     xsi[:] = np.maximum(1.0 / np.maximum(x - alfa, 1e-12), 1.0)
     eta[:] = np.maximum(1.0 / np.maximum(beta - x, 1e-12), 1.0)
-    mu[:] = np.maximum(1.0, 0.5 * c)
+    mu[:] = 500.0  # max(1, c / 2)
     epsi = 1.0
     # C order: the (m, n) passes below then run along the n variables
     P = np.ascontiguousarray(P)
@@ -146,9 +152,9 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
 
     def residuals(epsi_):
         np.add(dpsi - xsi, eta, out=rex)
-        np.subtract(c + d * y - mu, lam, out=rey)
-        rez[0] = a0 - zet[0] - a @ lam
-        np.subtract(gvec - a * z[0] - y + s, b, out=relam)
+        np.subtract(1000.0 + y - mu, lam, out=rey)
+        rez[0] = 1.0 - zet[0]
+        np.subtract(gvec - y + s, b, out=relam)
         np.subtract(xsi * xa, epsi_, out=rexsi)
         np.subtract(eta * bx, epsi_, out=reeta)
         np.subtract(mu * y, epsi_, out=remu)
@@ -167,24 +173,22 @@ def subsolv(m, n, low, upp, alfa, beta, p0, q0, P, Q, a0, a, b, c, d):
             np.divide(Q, xl2, out=GGd)
             GG -= GGd
             delx = dpsi - epsi / xa + epsi / bx
-            dely = c + d * y - lam - epsi / y
-            delz = a0 - a @ lam - epsi / z[0]
-            dellam = gvec - a * z[0] - y - b + epsi / lam
+            dely = 1000.0 + y - lam - epsi / y
+            delz = 1.0 - epsi / z[0]
+            dellam = gvec - y - b + epsi / lam
             diagx = 2.0 * (plam / (ux1 * ux2) + qlam / (xl1 * xl2))
             diagx = diagx + xsi / xa + eta / bx
-            diagy = d + mu / y
+            diagy = 1.0 + mu / y
             diaglam = s / lam
             diaglamyi = diaglam + 1.0 / diagy
 
-            # m is small here: solve the (m+1) dense system
+            # m is small here: solve the (m+1) dense system, bordered by
+            # a = 0 (see the module docstring)
             delxd = delx / diagx
             blam = dellam + dely / diagy - GG @ delxd
             np.divide(GG, diagx, out=GGd)
-            Alam = np.diag(diaglamyi) + GGd @ GG.T
-            AA = np.empty((m + 1, m + 1))
-            AA[:m, :m] = Alam
-            AA[:m, m] = a
-            AA[m, :m] = a
+            AA = np.zeros((m + 1, m + 1))
+            AA[:m, :m] = np.diag(diaglamyi) + GGd @ GG.T
             AA[m, m] = -zet[0] / z[0]
             bb = np.concatenate([blam, [delz]])
             try:

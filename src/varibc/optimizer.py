@@ -210,13 +210,13 @@ def evaluate_design(problem, design, A_f=None, W=None, kin=None,
 
 
 def mma_update(problem, design, evaluation, state):
-    """One normalized MMA step; returns the new design vector.
+    """One normalized MMA step; returns (new design vector, fallback).
 
-    state is a dict carrying (iteration, xold1, xold2, low, upp) across
-    calls. Falls back to a bound-projected half-move steepest-descent step if
-    the subproblem solver fails, and sets state["fallback"] to whether this
-    update did. An actuator point that leaves the mesh is clamped back onto
-    it.
+    state is a dict carrying MMA's history (iteration, xold1, xold2, low,
+    upp) across calls. Falls back to a bound-projected half-move
+    steepest-descent step if the subproblem solver fails; fallback is
+    whether this update did. An actuator point that leaves the mesh is
+    clamped back onto it.
     """
     z = design.to_array()
     free = ~problem.frozen
@@ -234,15 +234,14 @@ def mma_update(problem, design, evaluation, state):
     low = state.get("low", xn - 0.5)
     upp = state.get("upp", xn + 0.5)
     try:
-        x_new, low, upp = mma.mmasub(
-            it, xn, np.zeros_like(xn), np.ones_like(xn), xold1, xold2,
-            df0_n, evaluation.g, dg_n, low, upp, move_n)
-        state["fallback"] = False
+        x_new, low, upp = mma.mmasub(it, xn, xold1, xold2, df0_n,
+                                     evaluation.g, dg_n, low, upp, move_n)
+        fallback = False
     except mma.SubproblemError:
         step = 0.5 * move_n * np.sign(df0_n)
         x_new = np.clip(xn - step, np.maximum(0.0, xn - move_n),
                         np.minimum(1.0, xn + move_n))
-        state["fallback"] = True
+        fallback = True
     state["xold2"] = xold1
     state["xold1"] = xn
     state["low"] = low
@@ -252,7 +251,7 @@ def mma_update(problem, design, evaluation, state):
     z_new[free] = lb + x_new * rng
     new = DesignVector.from_array(z_new, len(design.rho), design.num_supports)
     new.load = clamp_to_mesh(problem.mesh, new.load)
-    return new
+    return new, fallback
 
 
 def convergence_check(history, config=None):
@@ -294,9 +293,11 @@ def run_optimization(problem, config=None, on_iteration=None):
         return OptimizationResult(design=design, history=history,
                                   stop_reason="zero_budget")
     for it in range(1, config.max_iterations + 1):
+        fallback = False
         if it > 1:
             prev_rho = design.rho.copy()
-            design = mma_update(problem, design, evaluation, mma_state)
+            design, fallback = mma_update(problem, design, evaluation,
+                                          mma_state)
             drho = np.abs(design.rho - prev_rho)
         else:
             drho = np.zeros_like(design.rho)
@@ -311,7 +312,7 @@ def run_optimization(problem, config=None, on_iteration=None):
             solver_bisections=evaluation.solver_bisections,
             solver_iterations=evaluation.solver_iterations,
             path_failed=evaluation.failed,
-            mma_fallback=it > 1 and mma_state["fallback"],
+            mma_fallback=fallback,
         )
         record.oscillating = _flag_oscillation(history + [record])
         history.append(record)

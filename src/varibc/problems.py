@@ -232,6 +232,15 @@ class ProblemSpec:
                 raise ValueError("bounds and move limits must cover zeta")
         if not np.all(self.lower <= self.upper):
             raise ValueError("lower bounds exceed upper bounds")
+        # MMA works in the bound box, so design0 must start inside it;
+        # DesignVector already holds the densities to [0, 1]
+        n_rho = len(self.design0.rho)
+        z, lo, hi = (v[n_rho:] for v in (self.design0.to_array(),
+                                         self.lower, self.upper))
+        for name, v, a, b in zip(self.design0.bc_names(), z, lo, hi):
+            if not a <= v <= b:
+                raise ValueError(f"initial {name} = {v:g} lies outside its "
+                                 f"bounds [{a:g}, {b:g}]")
 
     @property
     def frozen(self):

@@ -29,6 +29,18 @@ def strain_energy(F, params):
     )
 
 
+def linear_B(kin, e):
+    """Element e's linear strain-displacement matrix (3, 6), Voigt 11, 22,
+    12-engineering, from its shape gradients."""
+    g = kin.grads[e]
+    B = np.zeros((3, 6))
+    B[0, 0::2] = g[:, 0]
+    B[1, 1::2] = g[:, 1]
+    B[2, 0::2] = g[:, 1]
+    B[2, 1::2] = g[:, 0]
+    return B
+
+
 def element_strain_energy(kin, e, U_e, E_e, gamma_e):
     """Interpolated strain energy of one element (oracle-friendly scalar)."""
     params = kin.material
@@ -36,7 +48,7 @@ def element_strain_energy(kin, e, U_e, E_e, gamma_e):
     H = np.einsum("ia,ib->ab", ue, kin.grads[e])
     F = np.eye(2) + gamma_e * H
     psi = strain_energy(F, params)
-    eps = kin.B[e] @ np.asarray(U_e, dtype=float)
+    eps = linear_B(kin, e) @ np.asarray(U_e, dtype=float)
     w_lin = 0.5 * eps @ params.D0 @ eps
     return E_e * kin.vol[e] * (psi + (1.0 - gamma_e**2) * w_lin)
 
@@ -74,8 +86,8 @@ def _element_force_tangent(kin, e, U_e, E_e, gamma_e, want_tangent):
     sv = np.array([S[0, 0], S[1, 1], S[0, 1]])
     vol = kin.vol[e]
     f_nl = E_e * vol * (BN.T @ sv)
-    eps = kin.B[e] @ U_e
-    f_l = E_e * vol * (kin.B[e].T @ (params.D0 @ eps))
+    B = linear_B(kin, e)
+    f_l = E_e * vol * (B.T @ (params.D0 @ (B @ U_e)))
     f = gamma_e * f_nl + (1.0 - gamma_e**2) * f_l
     if not want_tangent:
         return f, None, f_nl

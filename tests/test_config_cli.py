@@ -566,6 +566,30 @@ class TestCustomProblem:
         assert key in err
         assert not (out / "config_resolved.cfg").exists()
 
+    @pytest.mark.parametrize("key,value,name", [
+        ("supports", "[-0.01, 0.0, 0.09, 0.0]", "X_s1"),
+        ("load", "[0.05, 0.06]", "Y_f"),
+        ("theta_deg", "270.0", "theta")])
+    def test_design_outside_its_bounds_fails_before_writing(
+            self, tmp_path, capsys, key, value, name):
+        # the supports and the load are bounded by the outline's box and
+        # theta by [-pi, pi]; MMA cannot start outside its box
+        entries = {"supports": "[0.01, 0.0, 0.09, 0.0]",
+                   "load": "[0.05, 0.025]", "theta_deg": "0.0", key: value}
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            'problem = "custom"\n[mesh]\nelement_size = 0.01\n'
+            '[custom]\noutline = [0.0, 0.0, 0.1, 0.0, 0.1, 0.05, 0.0, 0.05]\n'
+            'output_point = [0.1, 0.025]\n'
+            + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(bad), "-q", "-o", str(out),
+                         "--max-iterations", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem construction failed: initial "
+                              f"{name} = ")
+        assert not (out / "config_resolved.cfg").exists()
+
 
 def test_bistable_curve_has_eight_rows(tmp_path):
     # one analysis (no optimization) of the coarse bistable problem: the

@@ -13,60 +13,101 @@ from varibc.optimizer import IterationRecord
 from varibc.solver import PermutedLU, SolverConfig
 
 
-def scalar_quadratic_step(x, xold1, xold2, low, upp, it, move=1.0):
-    df0 = np.array([2.0 * (x[0] - 2.0)])  # of f0 = (x - 2)^2
+def scalar_quadratic_step(x, xold1, xold2, low, upp, it):
+    """One step on (X - 2)^2 over X in [0, 5] with a move limit of 1, in
+    the unit box: x = X / 5, f0 = (5 x - 2)^2 and a move limit of 0.2."""
+    df0 = np.array([10.0 * (5.0 * x[0] - 2.0)])
     # one always-inactive constraint keeps the subproblem well-posed
     fval = np.array([-1.0])
     dfdx = np.zeros((1, 1))
-    return mma.mmasub(it, x, np.array([0.0]), np.array([5.0]), xold1, xold2,
-                      df0, fval, dfdx, low, upp, np.array([move]))
+    return mma.mmasub(it, x, xold1, xold2, df0, fval, dfdx, low, upp,
+                      np.array([0.2]))
+
+
+def asymptotes(it, x, xold1, xold2, low, upp):
+    """mmasub's (low, upp) at a zero gradient and an inactive constraint."""
+    n = x.size
+    _, low, upp = mma.mmasub(it, x, xold1, xold2, np.zeros(n),
+                             np.array([-1.0]), np.zeros((1, n)), low, upp,
+                             np.full(n, 0.1))
+    return low, upp
 
 
 class TestMmaSub:
     def test_scalar_quadratic_converges(self):
         x = np.array([0.0])
         xold1 = xold2 = x
-        low = np.array([-0.5])
-        upp = np.array([0.5])
+        low = np.array([-0.1])
+        upp = np.array([0.1])
         for it in range(1, 31):
             x_new, low, upp = scalar_quadratic_step(
                 x, xold1, xold2, low, upp, it)
             xold2, xold1, x = xold1, x, x_new
-        assert abs(x[0] - 2.0) < 1e-3
+        assert abs(5.0 * x[0] - 2.0) < 1e-3
 
     def test_error_envelope_contracts(self):
         # the iterates may overshoot while the asymptotes adapt, but the
         # error envelope over trailing windows must shrink towards zero
         x = np.array([0.0])
         xold1 = xold2 = x
-        low = np.array([-0.5])
-        upp = np.array([0.5])
+        low = np.array([-0.1])
+        upp = np.array([0.1])
         errs = []
         for it in range(1, 31):
             x_new, low, upp = scalar_quadratic_step(
                 x, xold1, xold2, low, upp, it)
             xold2, xold1, x = xold1, x, x_new
-            errs.append(abs(x[0] - 2.0))
-            assert 0.0 <= x[0] <= 5.0
+            errs.append(abs(5.0 * x[0] - 2.0))
+            assert 0.0 <= 5.0 * x[0] <= 5.0
         env = [max(errs[i:i + 6]) for i in range(0, 30, 6)]
         assert all(b <= a + 1e-12 for a, b in zip(env, env[1:]))
         assert errs[-1] < 1e-3
+
+    @pytest.mark.parametrize("it", [1, 2])
+    def test_first_two_iterations_start_the_asymptotes_at_half(self, it):
+        # whatever low and upp are passed, and whatever the history
+        x = np.array([0.25, 0.5, 0.75])
+        low, upp = asymptotes(it, x, x - 0.1, x + 0.2, x - 3.0, x + 7.0)
+        assert np.array_equal(low, x - 0.5)
+        assert np.array_equal(upp, x + 0.5)
+
+    def test_later_iterations_adapt_by_the_direction_of_progress(self):
+        # monotone progress widens by 1.2, an oscillation narrows by 0.7,
+        # a variable that did not move keeps its distances
+        xold2 = np.array([0.25, 0.25, 0.5])
+        xold1 = np.array([0.5, 0.5, 0.5])
+        x = np.array([0.75, 0.25, 0.5])
+        low = xold1 - np.array([0.25, 0.125, 0.0625])
+        upp = xold1 + np.array([0.5, 0.25, 0.125])
+        new_low, new_upp = asymptotes(3, x, xold1, xold2, low, upp)
+        factor = np.array([1.2, 0.7, 1.0])
+        assert np.allclose(x - new_low, factor * (xold1 - low),
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(new_upp - x, factor * (upp - xold1),
+                           rtol=1e-15, atol=0.0)
+
+    def test_asymptotes_are_clamped_to_the_near_and_far_limits(self):
+        # distances of 1e-6 and 100 from xold1 = x clamp to 1e-4 and 10
+        x = np.array([0.5, 0.5])
+        low = x - np.array([1e-6, 100.0])
+        upp = x + np.array([100.0, 1e-6])
+        new_low, new_upp = asymptotes(3, x, x, x, low, upp)
+        assert np.array_equal(new_low, [x[0] - 1e-4, x[1] - 10.0])
+        assert np.array_equal(new_upp, [x[0] + 10.0, x[1] + 1e-4])
 
     def test_move_limit_clamps_exactly(self):
         x = np.array([0.5])
         huge = np.array([1e9])
         x_new, *_ = mma.mmasub(
-            1, x, np.array([0.0]), np.array([1.0]), x, x, huge,
-            np.array([-1.0]), np.zeros((1, 1)), x - 0.5, x + 0.5,
-            np.array([0.2]))
+            1, x, x, x, huge, np.array([-1.0]), np.zeros((1, 1)), x - 0.5,
+            x + 0.5, np.array([0.2]))
         assert abs((x[0] - x_new[0]) - 0.2) <= 1e-5
 
     def test_zero_gradient_feasible_point_stays(self):
         x = np.array([0.3, 0.7])
         x_new, *_ = mma.mmasub(
-            1, x, np.zeros(2), np.ones(2), x, x, np.zeros(2),
-            np.array([-0.5]), np.zeros((1, 2)), x - 0.5, x + 0.5,
-            np.array([0.2, 0.2]))
+            1, x, x, x, np.zeros(2), np.array([-0.5]), np.zeros((1, 2)),
+            x - 0.5, x + 0.5, np.array([0.2, 0.2]))
         assert np.allclose(x_new, x, atol=1e-6)
 
     def test_respects_bounds(self):
@@ -76,8 +117,7 @@ class TestMmaSub:
         dg = rng.normal(size=(3, 20))
         g = rng.uniform(-1, 0.5, 3)
         x_new, *_ = mma.mmasub(
-            1, x, np.zeros(20), np.ones(20), x, x, df0, g, dg,
-            x - 0.5, x + 0.5, np.full(20, 0.1))
+            1, x, x, x, df0, g, dg, x - 0.5, x + 0.5, np.full(20, 0.1))
         assert np.all(x_new >= -1e-12) and np.all(x_new <= 1 + 1e-12)
         assert np.all(np.abs(x_new - x) <= 0.1 + 1e-9)
 
@@ -102,14 +142,14 @@ def seeded_subproblem(m=13, n=2000, move=0.05):
     Q = (np.maximum(-dg, 0.0) + pq) * xl1**2
     fval = np.where(np.arange(m) < m - 4, rng.uniform(-0.5, 0.5, m), -10.0)
     b = P @ (1.0 / ux1) + Q @ (1.0 / xl1) - fval
-    return dict(m=m, n=n, low=low, upp=upp, alfa=alfa, beta=beta, p0=p0,
-                q0=q0, P=P, Q=Q, a0=1.0, a=np.zeros(m), b=b,
-                c=np.full(m, 1000.0), d=np.ones(m))
+    return dict(low=low, upp=upp, alfa=alfa, beta=beta, p0=p0, q0=q0, P=P,
+                Q=Q, b=b)
 
 
 class TestSubproblemKkt:
     """subsolv's answer against the KKT conditions of the MMA subproblem,
-    evaluated from P, Q, b and the bounds alone."""
+    evaluated from P, Q, b, the bounds and the fixed a0 = 1, a = 0,
+    c = 1000 and d = 1 alone."""
 
     @pytest.fixture(scope="class")
     def solved(self):
@@ -119,7 +159,7 @@ class TestSubproblemKkt:
     def test_answer_meets_the_kkt_conditions(self, solved):
         sub, (x, y, z, lam) = solved
         tol = 5 * mma.EPSIMIN
-        alfa, beta, a = sub["alfa"], sub["beta"], sub["a"]
+        alfa, beta = sub["alfa"], sub["beta"]
         ux, xl = sub["upp"] - x, x - sub["low"]
         assert np.all(alfa < x) and np.all(x < beta)
         assert np.all(y >= 0) and z >= 0 and np.all(lam >= 0)
@@ -130,20 +170,18 @@ class TestSubproblemKkt:
         assert np.max(np.maximum(dldx, 0.0) * (x - alfa)) <= tol
         assert np.max(np.maximum(-dldx, 0.0) * (beta - x)) <= tol
         # primal feasibility and complementary slackness
-        h = (sub["P"] @ (1.0 / ux) + sub["Q"] @ (1.0 / xl) - a * z - y
-             - sub["b"])
+        h = sub["P"] @ (1.0 / ux) + sub["Q"] @ (1.0 / xl) - y - sub["b"]
         assert h.max() <= tol
         assert np.max(lam * -h) <= tol
         # y and z: the Lagrangian's derivatives are the multipliers of
         # y >= 0 and z >= 0
-        mu = sub["c"] + sub["d"] * y - lam
+        mu = 1000.0 + y - lam
         assert mu.min() >= -tol and np.max(mu * y) <= tol
-        zet = sub["a0"] - a @ lam
-        assert zet >= -tol and zet * z <= tol
+        assert z <= tol  # its multiplier zet = a0 - a lam is 1
 
     def test_subproblem_exercises_bounds_and_constraints(self, solved):
         sub, (x, y, z, lam) = solved
-        n = sub["n"]
+        n = x.size
         at_alfa = np.sum(x - sub["alfa"] <= 1e-5)
         at_beta = np.sum(sub["beta"] - x <= 1e-5)
         assert min(at_alfa, at_beta, n - at_alfa - at_beta) >= n // 20
@@ -511,8 +549,8 @@ class TestMmaFallback:
 
         monkeypatch.setattr(mma, "mmasub", failing)
         state = {}
-        new = O.mma_update(prob, prob.design0, evaluation, state)
-        assert state["fallback"] is True
+        new, fallback = O.mma_update(prob, prob.design0, evaluation, state)
+        assert fallback is True
         # every free variable moves half its move limit against the
         # gradient, clipped to its bounds; frozen ones stay put
         z = prob.design0.to_array()
@@ -534,12 +572,11 @@ class TestMmaFallback:
         bad = dataclasses.replace(evaluation, dg=dg)
         x = np.full(free.size, 0.5)
         with pytest.raises(mma.SubproblemError):
-            mma.mmasub(1, x, np.zeros_like(x), np.ones_like(x), x, x,
-                       evaluation.df0[free], evaluation.g, dg[:, free],
-                       x - 0.5, x + 0.5, np.full(free.size, 0.1))
-        state = {}
-        new = O.mma_update(prob, prob.design0, bad, state)
-        assert state["fallback"] is True
+            mma.mmasub(1, x, x, x, evaluation.df0[free], evaluation.g,
+                       dg[:, free], x - 0.5, x + 0.5,
+                       np.full(free.size, 0.1))
+        new, fallback = O.mma_update(prob, prob.design0, bad, {})
+        assert fallback is True
         z = prob.design0.to_array()
         want = np.clip(z - 0.5 * prob.move_limits * np.sign(evaluation.df0),
                        prob.lower, prob.upper)
@@ -558,13 +595,11 @@ class TestMmaFallback:
         free = np.flatnonzero(~prob.frozen)
         x = np.full(free.size, 0.5)
         with pytest.raises(mma.SubproblemError, match="Singular matrix"):
-            mma.mmasub(1, x, np.zeros_like(x), np.ones_like(x), x, x,
-                       evaluation.df0[free], evaluation.g,
+            mma.mmasub(1, x, x, x, evaluation.df0[free], evaluation.g,
                        evaluation.dg[:, free], x - 0.5, x + 0.5,
                        np.full(free.size, 0.1))
-        state = {}
-        new = O.mma_update(prob, prob.design0, evaluation, state)
-        assert state["fallback"] is True
+        new, fallback = O.mma_update(prob, prob.design0, evaluation, {})
+        assert fallback is True
         z = prob.design0.to_array()
         want = np.clip(z - 0.5 * prob.move_limits * np.sign(evaluation.df0),
                        prob.lower, prob.upper)
@@ -574,10 +609,10 @@ class TestMmaFallback:
 
     def test_real_subproblem_records_no_fallback(self, tiny_variable_problem,
                                                  evaluation):
-        state = {}
-        O.mma_update(tiny_variable_problem, tiny_variable_problem.design0,
-                     evaluation, state)
-        assert state["fallback"] is False
+        _, fallback = O.mma_update(tiny_variable_problem,
+                                   tiny_variable_problem.design0, evaluation,
+                                   {})
+        assert fallback is False
 
     @pytest.mark.parametrize("fails", [True, False])
     def test_fallback_is_reported_per_iteration(self, tiny_variable_problem,
