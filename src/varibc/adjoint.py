@@ -31,8 +31,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .assembly import residual_vjp
-from .solver import (ConvergedTangent, Singular2x2, _solve_2x2,
-                     input_point_response)
+from .solver import ConvergedTangent, Singular2x2, _solve_2x2
 
 
 class SingularReducedSystem(Exception):
@@ -133,18 +132,12 @@ class StateAdjoint:
                 model.kin)
         self.tangent = tangent
         self.system = tangent.system
-        smp = control.sample
-        n = model.mesh.num_dofs
-        Nt = np.zeros((n, 2))
-        Nt[smp.dofs_x, 0] = smp.weights
-        Nt[smp.dofs_y, 1] = smp.weights
-        cols = tangent.solve(
-            np.column_stack([self.system.F_ext_x, self.system.F_ext_y, Nt]),
-            splu)
+        self.Nt = control.sample.rows(model.mesh.num_dofs)
+        cols = tangent.solve(np.column_stack(
+            [self.system.F_ext_x, self.system.F_ext_y, self.Nt]), splu)
         self.V = cols[:, :2]
-        self.M2 = input_point_response(smp, self.V)
+        self.M2 = control.sample.interpolate(self.V)
         self.W = cols[:, 2:]
-        self.Nt = Nt
 
     def solve_multipliers(self, dfdU, dfdlam):
         """Multipliers (psi_c, psi_R) for explicit partials dfdU, dfdlam."""

@@ -28,8 +28,10 @@ callers keep tangents and systems across later assemblies.
 tests/oracles.py keeps single-element forms of the same quantities as the
 reference the kernel is tested against.
 
-Support springs are lumped k_e/3 to each element node on both DOFs; the
-reference load vectors distribute f_e V_e / 3 likewise.
+One rule, lump_to_nodes, places the element fields on the nodes: each
+element's value is split equally over its three nodes. It lumps the support
+springs k_e onto both DOFs of each node and the reference loads f_e V_e onto
+the x-DOFs of F_ext_x and the y-DOFs of F_ext_y.
 """
 
 from __future__ import annotations
@@ -275,29 +277,12 @@ def internal_force_and_tangent(kin, U, E, gamma, want_tangent=True):
     return F_int, K, arrays
 
 
-def assemble_support_matrix(k_s, mesh):
-    """Diagonal ground-spring matrix: each element lumps k_e/3 to its nodes."""
-    diag = np.zeros(mesh.num_dofs)
-    share = np.repeat(k_s / 3.0, 3)
-    nodes = mesh.triangles.ravel()
-    np.add.at(diag, 2 * nodes, share)
-    np.add.at(diag, 2 * nodes + 1, share)
-    return sp.diags(diag).tocsc()
-
-
-def assemble_external_refs(f_e, mesh):
-    """Reference load vectors: f_e V_e split evenly over the element nodes.
-
-    F_x acts on x-DOFs only and F_y on y-DOFs only, so the load intensity
-    factors multiplying them are the applied force components in newtons.
-    """
-    share = np.repeat(f_e * mesh.volumes / 3.0, 3)
-    nodes = mesh.triangles.ravel()
-    Fx = np.zeros(mesh.num_dofs)
-    Fy = np.zeros(mesh.num_dofs)
-    np.add.at(Fx, 2 * nodes, share)
-    np.add.at(Fy, 2 * nodes + 1, share)
-    return Fx, Fy
+def lump_to_nodes(values, mesh):
+    """Per-node sums of per-element values, each split equally over the
+    element's three nodes."""
+    return np.bincount(mesh.triangles.ravel(),
+                       weights=np.repeat(values / 3.0, 3),
+                       minlength=mesh.num_nodes)
 
 
 class NonlinearModel:
@@ -314,11 +299,13 @@ class NonlinearModel:
         self.fields = fields
         self.E = fields.E
         self.gamma = fields.gamma
-        self.K_s = assemble_support_matrix(fields.k_s, kin.mesh)
-        Fx, Fy = assemble_external_refs(fields.f_e, kin.mesh)
-        self.F_ext_x = Fx
-        self.F_ext_y = Fy
-        self.k_s_diagonal = self.K_s.diagonal()
+        # F_ext_x and F_ext_y load only x- and y-DOFs, so the intensities
+        # multiplying them are the applied force components in newtons
+        self.k_s_diagonal = np.repeat(lump_to_nodes(fields.k_s, kin.mesh), 2)
+        load = lump_to_nodes(fields.f_e * kin.mesh.volumes, kin.mesh)
+        self.F_ext_x = np.zeros(kin.mesh.num_dofs)
+        self.F_ext_y = np.zeros(kin.mesh.num_dofs)
+        self.F_ext_x[0::2] = self.F_ext_y[1::2] = load
         self.output_springs = tuple(output_springs)
         self.spring_dofs = np.array([d for d, _ in output_springs], dtype=np.int64)
         self.spring_k = np.array([k for _, k in output_springs], dtype=float)
@@ -337,7 +324,7 @@ class NonlinearModel:
         F_int, K, arrays = internal_force_and_tangent(
             self.kin, U, self.E, self.gamma, want_tangent=want_tangent
         )
-        F_int = F_int + self.K_s @ U
+        F_int = F_int + self.k_s_diagonal * U
         np.add.at(F_int, self.spring_dofs, self.spring_k * U[self.spring_dofs])
         if want_tangent:
             # springs go into the diagonal of the element pattern, so every

@@ -168,8 +168,15 @@ def cmd_replay(args):
         with open(args.summary, "r", encoding="utf-8") as f:
             doc = json.load(f)
         cfg = config.parse_config(doc["resolved_config"])
+        d = doc["design"]
+        design = DesignVector(rho=np.array(d["rho"]),
+                              supports=np.array(d["supports"]),
+                              load=np.array(d["load"]), theta=d["theta"])
     except (OSError, config.ConfigError) as err:
         return _fail(str(err))
+    except (ValueError, KeyError, TypeError) as err:
+        return _fail(f"{args.summary} is not a run summary: "
+                     f"{type(err).__name__}: {err}")
     mesh_file = os.path.join(os.path.dirname(args.summary) or ".",
                              "mesh.mesh")
     if os.path.exists(mesh_file):
@@ -178,12 +185,7 @@ def cmd_replay(args):
         problem = build_problem_from_config(cfg)
     except Exception as err:
         return _fail(f"problem reconstruction failed: {err}")
-    d = doc["design"]
-    design = DesignVector(rho=np.array(d["rho"]),
-                          supports=np.array(d["supports"]),
-                          load=np.array(d["load"]), theta=d["theta"])
     outdir = args.output or (os.path.dirname(args.summary) or ".")
-    os.makedirs(outdir, exist_ok=True)
     try:
         # the run's own solver settings, at the requested increments
         solver_cfg = dataclasses.replace(
@@ -192,6 +194,7 @@ def cmd_replay(args):
             problem, design, solver_cfg, stroke_scale=args.stroke_scale)
     except Exception as err:
         return _fail(f"replay solve failed: {err}")
+    os.makedirs(outdir, exist_ok=True)
     outputs.write_case_artifacts(outdir, problem, paths, design,
                                  u_in_norm=control.u_in_norm,
                                  prefix="replay_")

@@ -229,6 +229,9 @@ class ShapeSample:
     dofs maps local entries to global displacement DOFs (node i contributes
     DOFs 2i and 2i+1). weights are the barycentric coordinates; grad_x/grad_y
     are the element-constant spatial shape-function gradients.
+
+    The sample owns N, the (2, n_dofs) operator reading (ux, uy) at the
+    point: interpolate applies it and rows builds N^T.
     """
 
     element: int
@@ -246,10 +249,20 @@ class ShapeSample:
         return 2 * self.nodes + 1
 
     def interpolate(self, u):
-        """(ux, uy) of the global DOF vector u at the sample point."""
+        """N u: (ux, uy) of the DOF vector u at the sample point, or (2, k)
+        for the k columns of u, each made as interpolate(column) is."""
+        if u.ndim == 2:
+            return np.column_stack([self.interpolate(col) for col in u.T])
         return np.array(
             [u[self.dofs_x] @ self.weights, u[self.dofs_y] @ self.weights]
         )
+
+    def rows(self, n_dofs):
+        """N^T, dense (n_dofs, 2): the weights on the x- then y-DOFs."""
+        Nt = np.zeros((n_dofs, 2))
+        Nt[self.dofs_x, 0] = self.weights
+        Nt[self.dofs_y, 1] = self.weights
+        return Nt
 
     def gradient(self, u):
         """Displacement gradient H[a, b] = d u_a / d x_b at the sample point."""

@@ -497,16 +497,29 @@ CUSTOM_DEFAULTS = {
 }
 
 
+def _points(spec, key):
+    """spec[key], a flat coordinate list, as (n, 2) points."""
+    flat = np.asarray(spec[key], float).ravel()
+    if len(flat) % 2:
+        raise ValueError(f"[custom] {key} has {len(flat)} values, not pairs")
+    return flat.reshape(-1, 2)
+
+
 def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
     """Layout of a [custom] config block; see make_custom_problem."""
-    axis = {"x": 0, "y": 1}[spec["output_axis"]]
+    for key, allowed in (("output_axis", ("x", "y")),
+                         ("output_sign", (1.0, -1.0))):
+        if spec[key] not in allowed:
+            raise ValueError(f"[custom] {key} = {spec[key]!r}; need one of "
+                             f"{allowed}")
+    axis = ("x", "y").index(spec["output_axis"])
     out, selector, springs = None, (), ()
     if spec["output_point"]:
         out = msh.nearest_node(mesh, spec["output_point"])
         selector = ((2 * out + axis, float(spec["output_sign"])),)
         if k_out:
             springs = ((2 * out + axis, float(k_out)),)
-    counters = np.asarray(spec["counter_forces"], float).reshape(-1, 2)
+    counters = _points(spec, "counter_forces")
     if len(counters) and out is None:
         raise ValueError("counter forces need an output_point")
     cases = [LoadCase("nominal")] + [
@@ -529,7 +542,7 @@ def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
     elif objective == "min_f_in_final":
         objective = Scaled([FIn(step=M)], 0.0, "upper", max(f_p_bound, 1.0))
     elif objective == "path_error":
-        prec = np.asarray(spec["precision_points"], float).reshape(-1, 2)
+        prec = _points(spec, "precision_points")
         if len(prec) not in (1, M):
             raise ValueError("need 1 or M precision points")
         objective = _path_error(mesh, out, prec, len(cases), M)
@@ -537,7 +550,7 @@ def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
         raise ValueError(f"unknown objective {objective!r}")
     return dict(
         vf=vf, rho0=float(spec["rho_init"] or vf),
-        supports=np.asarray(spec["supports"], float).reshape(-1, 2),
+        supports=_points(spec, "supports"),
         load=np.asarray(spec["load"], float).reshape(2),
         theta=np.deg2rad(float(spec["theta_deg"])),
         sup_box=_node_box(mesh, float(spec["bc_margin"])),
@@ -643,7 +656,7 @@ def make_custom_problem(spec, fixed_bcs=False, **kwargs):
     spring (k_out 0) and 4 steps.
     """
     spec = {**CUSTOM_DEFAULTS, **spec}
-    outline = np.asarray(spec["outline"], float).reshape(-1, 2)
+    outline = _points(spec, "outline")
     h = (0.02 * max(outline.max(axis=0) - outline.min(axis=0))
          if len(outline) else None)
     family = Family(element_size=h, r=2.5e-3, r_min=3e-3, beta=500.0,

@@ -154,14 +154,6 @@ class EquilibriumPath:
         return self.requested_states[m - 1]
 
 
-def input_point_response(sample, columns):
-    """2x2 matrix of (x, y) input-point displacements of solution columns."""
-    out = np.empty((2, columns.shape[1]))
-    for j in range(columns.shape[1]):
-        out[:, j] = sample.interpolate(columns[:, j])
-    return out
-
-
 def _solve_2x2(M2, rhs):
     det = M2[0, 0] * M2[1, 1] - M2[0, 1] * M2[1, 0]
     scale = (np.hypot(M2[0, 0], M2[0, 1]) * np.hypot(M2[1, 0], M2[1, 1]))
@@ -372,7 +364,7 @@ def newton_update(model, control, lu, U, lam, target, rhs=None, ref=None):
     defect = target - control.sample.interpolate(U)
     if dU is not None:
         defect = defect - control.sample.interpolate(dU)
-    dlam = _solve_2x2(input_point_response(control.sample, ref), defect)
+    dlam = _solve_2x2(control.sample.interpolate(ref), defect)
     U = U + ref @ dlam
     if dU is not None:
         U = U + dU
@@ -507,16 +499,10 @@ def linear_reference_solve(model, control, s=1.0):
 
     system = model.assemble(np.zeros(model.mesh.num_dofs))
     n = model.mesh.num_dofs
-    smp = control.sample
-    Nmat = sp.csc_matrix(
-        (np.concatenate([smp.weights, smp.weights]),
-         (np.array([0, 0, 0, 1, 1, 1]),
-          np.concatenate([smp.dofs_x, smp.dofs_y]))),
-        shape=(2, n),
-    )
     K = system.K_T
     F = sp.csc_matrix(np.column_stack([system.F_ext_x, system.F_ext_y]))
-    A = sp.bmat([[K, -F], [Nmat, None]], format="csc")
+    N = sp.csc_matrix(control.sample.rows(n).T)
+    A = sp.bmat([[K, -F], [N, None]], format="csc")
     b = np.concatenate([model.F_counter, control.target(s)])
     x = spsolve(A, b)
     return x[:n], x[n:]

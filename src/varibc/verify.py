@@ -4,8 +4,9 @@
 acceptance criteria 1-6 with the oracles, seeds, probes and tolerances of the
 acceptance gate; tests/test_acceptance.py calls these same functions, so the
 table and the gate cannot drift apart. The last three rows are property
-checks only this table runs: smooth-min distance bounds, the global tangent
-against a directional finite difference, and mesh area conservation.
+checks: smooth-min distance bounds, the global tangent against a directional
+finite difference, and mesh area conservation; the unit tests of the first
+two call these same functions.
 desk_scale_gripper is criterion 7's optimization run, too long for the table.
 
 Every check returns (ok, detail); the CLI prints the table and sets the exit
@@ -258,7 +259,7 @@ def desk_scale_gripper(fixed_bcs, rho_scale=None):
                        bool(np.all(final.g <= 1e-3)))
 
 
-def _check_smooth_min():
+def smooth_min_bounds():
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(200):
@@ -272,7 +273,7 @@ def _check_smooth_min():
     return True, "lower/upper bounds hold on 200 random sets"
 
 
-def _check_tangent():
+def tangent_directional_fd():
     f = fx.load_fixture("mini_gripper_100")
     fields, model = f.build()
     rng = np.random.default_rng(3)
@@ -287,7 +288,7 @@ def _check_tangent():
     return err <= 1e-5, f"directional FD error {err:.2e}"
 
 
-def _check_mesh_area():
+def mesh_area_conservation():
     g = msh.rectangle_geometry(1.3, 0.8, 0.11,
                                nondesign_regions=())
     m = msh.generate_mesh(g)
@@ -308,9 +309,9 @@ CHECKS = [
     ("criterion 5: projection identities", projection_identities),
     ("criterion 6: force decomposition identity",
      force_decomposition_identity),
-    ("smooth-min distance bounds", _check_smooth_min),
-    ("global tangent vs directional FD", _check_tangent),
-    ("mesh area conservation", _check_mesh_area),
+    ("smooth-min distance bounds", smooth_min_bounds),
+    ("global tangent vs directional FD", tangent_directional_fd),
+    ("mesh area conservation", mesh_area_conservation),
 ]
 
 

@@ -482,6 +482,27 @@ class TestCliReplay:
                          str(tmp_path / "rep")]) == 1
         assert "unknown key 'threads'" in capsys.readouterr().err
 
+    DESIGN = {"rho": [0.3], "supports": [0.01, 0.02], "load": [0.0, 0.05],
+              "theta": 0.0}
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"design": DESIGN}),
+        json.dumps({"resolved_config": 'problem = "gripper"\n'}),
+        json.dumps({"resolved_config": 'problem = "gripper"\n',
+                    "design": {**DESIGN, "rho": [1.5]}}),
+    ], ids=["not_json", "no_resolved_config", "no_design", "bad_design"])
+    def test_malformed_summary_fails_before_writing(self, tmp_path, capsys,
+                                                    text):
+        path = tmp_path / "design_summary.json"
+        path.write_text(text)
+        rep = tmp_path / "rep"
+        assert cli.main(["replay", str(path), "-o", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+        assert not rep.exists()
+
 
 class TestCliMesh:
     def test_mesh_subcommand(self, tiny_cfg, tmp_path, capsys):

@@ -5,6 +5,7 @@ import oracles
 from varibc import design_field as df
 from varibc import fixtures as fx
 from varibc import mesh as M
+from varibc import verify
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +79,8 @@ class TestSmoothMin:
         assert np.allclose(d, want, atol=1e-12)
 
     def test_lower_bound_property(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            pts = rng.normal(size=(rng.integers(1, 6), 2))
-            q = rng.normal(size=(1, 2))
-            d = df.smooth_min_distance(pts, q, Q=12)[0][0]
-            true = np.min(np.hypot(*(q - pts).T))
-            assert d <= true + 1e-12
-            assert d >= true / len(pts) ** (1.0 / 12.0) - 1e-12
+        ok, detail = verify.smooth_min_bounds()
+        assert ok, detail
 
     def test_coincident_point_returns_zero(self):
         pts = [[0.5, 0.5], [2.0, 0.0]]

@@ -252,6 +252,18 @@ class TestShapeValues:
             smp = M.shape_values_at(mesh, p)
             assert abs(smp.weights.sum() - 1.0) <= 1e-12
 
+    def test_columns_and_rows_apply_the_same_operator(self, mesh):
+        smp = M.shape_values_at(mesh, (0.37, 0.61))
+        cols = np.random.default_rng(4).normal(size=(mesh.num_dofs, 3))
+        got = smp.interpolate(cols)
+        assert got.shape == (2, 3)
+        for j in range(3):
+            assert np.array_equal(got[:, j], smp.interpolate(cols[:, j]))
+        Nt = smp.rows(mesh.num_dofs)
+        assert Nt.shape == (mesh.num_dofs, 2)
+        assert np.count_nonzero(Nt) == 6
+        assert np.allclose(Nt.T @ cols, got, rtol=1e-14, atol=1e-14)
+
 
 class TestMeshIO:
     def test_round_trip(self):

@@ -347,6 +347,15 @@ class TestCustomProblem:
             custom_problem(output_point=[], counter_forces=[1.0, 0.0])
         with pytest.raises(ValueError, match="unknown objective"):
             custom_problem(objective="max_fun")
+        for key, value in (("output_sign", 0.0), ("output_sign", 2.0),
+                           ("output_axis", "z"),
+                           ("counter_forces", [1.0, 0.0, 2.0]),
+                           ("precision_points", [0.1, 0.02, 0.03]),
+                           ("supports", [0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match=rf"\[custom\] {key}"):
+                custom_problem(**{"objective": "path_error",
+                                  "precision_points": [0.1, 0.02],
+                                  key: value})
 
     def test_max_u_out_needs_an_output_point(self):
         with pytest.raises(ValueError, match="output_point"):

@@ -76,7 +76,7 @@ class TestInputPointResponse:
         cols[1::2, 0] = -0.7
         cols[0::2, 1] = 1.1
         cols[1::2, 1] = 0.2
-        M2 = S.input_point_response(ctrl.sample, cols)
+        M2 = ctrl.sample.interpolate(cols)
         assert np.allclose(M2, [[0.3, 1.1], [-0.7, 0.2]], atol=1e-14)
 
     def test_point_at_node_reads_nodal_values(self, gripper):
@@ -85,7 +85,7 @@ class TestInputPointResponse:
         smp = M.shape_values_at(f.mesh, f.mesh.nodes[node])
         rng = np.random.default_rng(0)
         cols = rng.normal(size=(f.mesh.num_dofs, 2))
-        M2 = S.input_point_response(smp, cols)
+        M2 = smp.interpolate(cols)
         assert np.allclose(M2[0], cols[2 * node, :], atol=1e-12)
         assert np.allclose(M2[1], cols[2 * node + 1, :], atol=1e-12)
 
@@ -94,7 +94,7 @@ class TestInputPointResponse:
         ctrl = f.control()
         rng = np.random.default_rng(1)
         cols = rng.normal(size=(f.mesh.num_dofs, 2))
-        M2 = S.input_point_response(ctrl.sample, cols)
+        M2 = ctrl.sample.interpolate(cols)
         e, lam = M.locate_point(f.mesh, f.design.load)
         tri = f.mesh.triangles[e]
         for j in range(2):
