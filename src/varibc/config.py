@@ -188,8 +188,6 @@ def parse_config(source):
         if values["mesh"]["source"] == "generate" and len(c["outline"]) < 6:
             raise ConfigError("custom problem needs an outline polygon "
                               "(or an imported mesh)")
-        if len(c["load"]) != 2:
-            raise ConfigError("custom problem needs load = [x, y]")
         if len(c["supports"]) % 2 or len(c["supports"]) == 0:
             raise ConfigError("custom supports must be [x1, y1, x2, y2, ...]")
     if values["mesh"]["source"] not in ("generate", "import"):

@@ -8,37 +8,33 @@ form varibc poses:
 
 optimizer.mma_update normalizes every free variable to the unit box, so each
 range factor of the reference algorithm is 1, and the coefficients a0 = 1,
-a_i = 0, c_i = 1000, d_i = 1 are fixed in subsolv's body. The asymptotes
-start at x -+ 0.5, adapt by 0.7 (oscillation) and 1.2 (monotone progress)
-and are clamped to x -+ [1e-4, 10]. The subproblem is solved by the usual
-primal-dual Newton interior-point method. Move limits are accepted per
-variable.
+a_i = 0, c_i = 1000, d_i = 1 are fixed. The asymptotes start at x -+ 0.5,
+adapt by 0.7 (oscillation) and 1.2 (monotone progress) and are clamped to
+x -+ [1e-4, 10]. Move limits are accepted per variable.
 
-The subproblem's primal-dual iterate is one array w holding
-(x, y, z, lam, xsi, eta, mu, zet, s), and the Newton direction dw and the
-residual r share its layout; the named parts are views (z and zet of length
-1). Every part but x stays positive, so the step length takes one maximum of
--1.01 dw / w over them, beside the two bounds on x, and each trial point of
-the line search is one update w = w_old + steg dw.
+The subproblem is solved through its dual (Svanberg 1987's own method) in
+the m multipliers lam >= 0. With p = p0 + P^T lam and q = q0 + Q^T lam,
+x_j = clip((l_j sqrt(p_j) + u_j sqrt(q_j)) / (sqrt(p_j) + sqrt(q_j)),
+alfa_j, beta_j) minimizes x_j's terms in closed form; a = 0 gives z = 0 and
+y = max(0, lam - c). The dual is concave, with gradient g(x) - y - b and
+minus Hessian G D^-1 G^T over the x_j inside their interval, plus 1 where
+lam_i > c (G = dg/dx, D the second x-derivatives of the x terms).
 
-With a = 0, z decouples from lam, yet the Newton system stays the bordered
-(m+1) one, with a zero border: np.linalg.solve rounds dlam differently in
-the last bits over m+1 rows than over m, so solving the z row on its own
-would move x_new (on 8 of 16 subproblems captured from an h = 3 mm gripper
-run, by up to 4.4e-16).
-
-Each Newton step of the subproblem solve works in arrays allocated once per
-solve. The products of an iterate (upp - x, x - low and their squares,
-x - alfa, beta - x, p0 + P^T lam, q0 + Q^T lam and the constraint values) are
-evaluated once per trial point of the line search, so the step after it reads
-those of the accepted point instead of recomputing them, and the residual is
-written part by part into one vector. GG = P/(upp - x)^2 - Q/(x - low)^2 and
-GG/diagx are formed in place. The solve copies P and Q to C order once, so
-every (m, n) pass runs along the n variables (optimizer.mma_update's column
-gather hands them over in Fortran order, where those passes run m-element
-inner loops). The matrix products' summation order follows the layout, so
-the iterates differ from those on Fortran-ordered operands in the last bits
-only.
+Newton steps start at lam = 0, hold lam_i at 0 where lam_i = 0 and the
+gradient is not positive, and project onto lam >= 0. Their matrix counts
+each clipped x_j with weight CLIPPED: with no x free and no lam_i > c it
+would be zero, with fewer free x than stepped constraints singular, and
+x_j that leave their bound along a step add curvature it cannot see. A
+trial point is taken if it passes Armijo's test on the dual value, which
+forgives a loss of ROUNDOFF times the dual's sum over x (near the optimum
+the gain is below the value's round-off); a rejected one multiplies the
+matrix's diagonal by a larger 1 + damping, an accepted one shrinks it.
+Constraints that repeat a quantity over load cases give the matrix nearly
+equal rows, whose Newton step overshoots by orders of magnitude in a
+direction that backtracking along it cannot correct; damping turns the
+step towards the gradient. The solve stops at a projected gradient of
+DUAL_TOL relative to b; with no barrier, x is the subproblem's optimum,
+clipped variables on their bounds.
 """
 
 from __future__ import annotations
@@ -50,11 +46,16 @@ ASYINCR = 1.2
 ASYDECR = 0.7
 ALBEFA = 0.1
 RAA0 = 1e-5
-EPSIMIN = 1e-7
+C = 1000.0            # c_i: the price of the constraint slack y_i
+DUAL_TOL = 1e-12      # projected dual gradient, relative to max(|b|, 1)
+ROUNDOFF = 1e-13      # Armijo slack, relative to the dual's sum over x
+CLIPPED = 1e-4        # weight of a clipped x_j in the Newton matrix
+MAX_DUAL_EVALUATIONS = 500  # of the dual, rejected trial points included
 
 
 class SubproblemError(RuntimeError):
-    """The dual subproblem solve failed to produce finite iterates."""
+    """The subproblem's dual solve met a non-finite value or a Newton matrix
+    it cannot solve, or ran out of evaluations."""
 
 
 def mmasub(iter_count, x, xold1, xold2, df0dx, fval, dfdx, low, upp, move):
@@ -107,121 +108,55 @@ def mmasub(iter_count, x, xold1, xold2, df0dx, fval, dfdx, low, upp, move):
 
 
 def subsolv(low, upp, alfa, beta, p0, q0, P, Q, b):
-    """Primal-dual Newton interior-point solve of the MMA subproblem, with
-    a0 = 1, a = 0, c = 1000 and d = 1. Returns (x, y, z, lam)."""
-    m, n = P.shape
+    """Dual Newton solve of the MMA subproblem, with a0 = 1, a = 0,
+    c = C and d = 1. Returns (x, y, z, lam)."""
+    m = b.size
+    tol = DUAL_TOL * max(np.abs(b).max(), 1.0)
 
-    def parts(v):
-        return np.split(v, np.cumsum([n, m, 1, m, n, n, m, 1]))
+    def dual(lam):
+        """(value, gradient, x, free, p, q, sum over x) of the dual."""
+        p = p0 + lam @ P
+        q = q0 + lam @ Q
+        sp, sq = np.sqrt(p), np.sqrt(q)
+        x = (low * sp + upp * sq) / (sp + sq)
+        free = (alfa < x) & (x < beta)
+        np.clip(x, alfa, beta, out=x)
+        ux, xl = upp - x, x - low
+        w = np.sum(p / ux + q / xl)
+        y = np.maximum(lam - C, 0.0)
+        value = w - 0.5 * (y @ y) - lam @ b
+        if not np.isfinite(value):
+            raise SubproblemError("non-finite dual value")
+        grad = P @ (1.0 / ux) + Q @ (1.0 / xl) - y - b
+        return value, grad, x, free, p, q, w
 
-    w_old, dw, r = np.empty((3, 3 * n + 4 * m + 2))
-    w = np.ones_like(r)  # y, z, lam, zet and s start at 1
-    x, y, z, lam, xsi, eta, mu, zet, s = parts(w)
-    dx, dy, dz, dlam, dxsi, deta, dmu, dzet, ds = parts(dw)
-    rex, rey, rez, relam, rexsi, reeta, remu, rezet, res = parts(r)
-    x[:] = 0.5 * (alfa + beta)
-    xsi[:] = np.maximum(1.0 / np.maximum(x - alfa, 1e-12), 1.0)
-    eta[:] = np.maximum(1.0 / np.maximum(beta - x, 1e-12), 1.0)
-    mu[:] = 500.0  # max(1, c / 2)
-    epsi = 1.0
-    # C order: the (m, n) passes below then run along the n variables
-    P = np.ascontiguousarray(P)
-    Q = np.ascontiguousarray(Q)
-
-    # products at the current iterate (dpsi = d psi / dx), which residuals()
-    # and the Newton step read: evaluated once per trial point, so the line
-    # search's accepted point leaves them for the next step
-    ux1, xl1, ux2, xl2, xa, bx, plam, qlam, dpsi = np.empty((9, n))
-    gvec = np.empty(m)
-    GG = np.empty((m, n))
-    GGd = np.empty((m, n))
-
-    def products():
-        np.subtract(upp, x, out=ux1)
-        np.subtract(x, low, out=xl1)
-        np.multiply(ux1, ux1, out=ux2)
-        np.multiply(xl1, xl1, out=xl2)
-        np.subtract(x, alfa, out=xa)
-        np.subtract(beta, x, out=bx)
-        np.matmul(P.T, lam, out=plam)
-        np.add(plam, p0, out=plam)
-        np.matmul(Q.T, lam, out=qlam)
-        np.add(qlam, q0, out=qlam)
-        np.add(P @ (1.0 / ux1), Q @ (1.0 / xl1), out=gvec)
-        np.subtract(plam / ux2, qlam / xl2, out=dpsi)
-
-    def residuals(epsi_):
-        np.add(dpsi - xsi, eta, out=rex)
-        np.subtract(1000.0 + y - mu, lam, out=rey)
-        rez[0] = 1.0 - zet[0]
-        np.subtract(gvec - y + s, b, out=relam)
-        np.subtract(xsi * xa, epsi_, out=rexsi)
-        np.subtract(eta * bx, epsi_, out=reeta)
-        np.subtract(mu * y, epsi_, out=remu)
-        rezet[0] = zet[0] * z[0] - epsi_
-        np.subtract(lam * s, epsi_, out=res)
-        # the norm as np.linalg.norm computes it; max |r| without a copy
-        return float(np.sqrt(r.dot(r))), float(max(r.max(), -r.min()))
-
-    products()
-    while epsi > EPSIMIN:
-        residunorm, residumax = residuals(epsi)
-        for _ in range(200):
-            if residumax <= 0.9 * epsi:
-                break
-            np.divide(P, ux2, out=GG)
-            np.divide(Q, xl2, out=GGd)
-            GG -= GGd
-            delx = dpsi - epsi / xa + epsi / bx
-            dely = 1000.0 + y - lam - epsi / y
-            delz = 1.0 - epsi / z[0]
-            dellam = gvec - y - b + epsi / lam
-            diagx = 2.0 * (plam / (ux1 * ux2) + qlam / (xl1 * xl2))
-            diagx = diagx + xsi / xa + eta / bx
-            diagy = 1.0 + mu / y
-            diaglam = s / lam
-            diaglamyi = diaglam + 1.0 / diagy
-
-            # m is small here: solve the (m+1) dense system, bordered by
-            # a = 0 (see the module docstring)
-            delxd = delx / diagx
-            blam = dellam + dely / diagy - GG @ delxd
-            np.divide(GG, diagx, out=GGd)
-            AA = np.zeros((m + 1, m + 1))
-            AA[:m, :m] = np.diag(diaglamyi) + GGd @ GG.T
-            AA[m, m] = -zet[0] / z[0]
-            bb = np.concatenate([blam, [delz]])
-            try:
-                solut = np.linalg.solve(AA, bb)
-            except np.linalg.LinAlgError as err:
-                raise SubproblemError(str(err)) from None
-            dlam[:] = solut[:m]
-            dz[:] = solut[m]
-            dx[:] = -delxd - (GG.T @ dlam) / diagx
-            dy[:] = -dely / diagy + dlam / diagy
-            dxsi[:] = -xsi + epsi / xa - (xsi * dx) / xa
-            deta[:] = -eta + epsi / bx + (eta * dx) / bx
-            dmu[:] = -mu + epsi / y - (mu * dy) / y
-            dzet[:] = -zet + epsi / z - zet * dz / z
-            ds[:] = -s + epsi / lam - (s * dlam) / lam
-
-            # every part but x stays positive; x stays inside (alfa, beta)
-            stmxx = np.max(-1.01 * dw[n:] / w[n:])
-            stmalfa = np.max(-1.01 * dx / xa)
-            stmbeta = np.max(1.01 * dx / bx)
-            steg = 1.0 / max(stmxx, stmalfa, stmbeta, 1.0)
-
-            w_old[:] = w
-            resinew = 2.0 * residunorm
-            for _ in range(50):
-                if resinew <= residunorm:
-                    break
-                np.add(w_old, steg * dw, out=w)
-                products()
-                resinew, residumax = residuals(epsi)
-                steg *= 0.5
-            residunorm = resinew
-            if not np.isfinite(residunorm):
-                raise SubproblemError("non-finite subproblem residual")
-        epsi *= 0.1
-    return x, y, float(z[0]), lam
+    lam = np.zeros(m)
+    value, grad, x, free, p, q, w = dual(lam)
+    evaluations, damping, H = 1, 0.0, None
+    while np.abs(np.maximum(lam + grad, 0.0) - lam).max() > tol:
+        if evaluations == MAX_DUAL_EVALUATIONS:
+            raise SubproblemError(f"dual solve unconverged after "
+                                  f"{evaluations} evaluations")
+        if H is None:
+            ux, xl = upp - x, x - low
+            G = P / ux**2 - Q / xl**2
+            D = 2.0 * (p / ux**3 + q / xl**3) / np.where(free, 1.0, CLIPPED)
+            H = (G / D) @ G.T
+            H[np.diag_indices(m)] += lam > C
+        step = np.flatnonzero(~((lam == 0.0) & (grad <= 0.0)))
+        Hs = H[np.ix_(step, step)]
+        Hs[np.diag_indices(step.size)] *= 1.0 + damping
+        trial = lam.copy()
+        try:
+            trial[step] += np.linalg.solve(Hs, grad[step])
+        except np.linalg.LinAlgError as err:
+            raise SubproblemError(str(err)) from None
+        np.maximum(trial, 0.0, out=trial)
+        new = dual(trial)
+        evaluations += 1
+        if new[0] >= value + 1e-4 * (grad @ (trial - lam)) - ROUNDOFF * w:
+            lam, H, damping = trial, None, 0.25 * damping
+            value, grad, x, free, p, q, w = new
+        else:
+            damping = max(4.0 * damping, 1e-3)
+    return x, np.maximum(lam - C, 0.0), 0.0, lam

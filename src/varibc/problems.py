@@ -232,12 +232,18 @@ class ProblemSpec:
                 raise ValueError("bounds and move limits must cover zeta")
         if not np.all(self.lower <= self.upper):
             raise ValueError("lower bounds exceed upper bounds")
+        n_rho = len(self.design0.rho)
+        names = ["rho"] * n_rho + self.design0.bc_names()
+        # a negative move puts MMA's lower step bound above its upper one
+        bad = np.flatnonzero(~(self.move_limits >= 0.0))
+        if bad.size:
+            raise ValueError(f"move limit of {names[bad[0]]} = "
+                             f"{self.move_limits[bad[0]]:g}; need one >= 0")
         # MMA works in the bound box, so design0 must start inside it;
         # DesignVector already holds the densities to [0, 1]
-        n_rho = len(self.design0.rho)
         z, lo, hi = (v[n_rho:] for v in (self.design0.to_array(),
                                          self.lower, self.upper))
-        for name, v, a, b in zip(self.design0.bc_names(), z, lo, hi):
+        for name, v, a, b in zip(names[n_rho:], z, lo, hi):
             if not a <= v <= b:
                 raise ValueError(f"initial {name} = {v:g} lies outside its "
                                  f"bounds [{a:g}, {b:g}]")
@@ -505,6 +511,14 @@ def _points(spec, key):
     return flat.reshape(-1, 2)
 
 
+def _point(spec, key):
+    """spec[key], one (x, y) point."""
+    points = _points(spec, key)
+    if len(points) != 1:
+        raise ValueError(f"[custom] {key} has {points.size} values, not 2")
+    return points[0]
+
+
 def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
     """Layout of a [custom] config block; see make_custom_problem."""
     for key, allowed in (("output_axis", ("x", "y")),
@@ -515,7 +529,7 @@ def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
     axis = ("x", "y").index(spec["output_axis"])
     out, selector, springs = None, (), ()
     if spec["output_point"]:
-        out = msh.nearest_node(mesh, spec["output_point"])
+        out = msh.nearest_node(mesh, _point(spec, "output_point"))
         selector = ((2 * out + axis, float(spec["output_sign"])),)
         if k_out:
             springs = ((2 * out + axis, float(k_out)),)
@@ -551,7 +565,7 @@ def _custom(spec, mesh, params, M, u_in, k_out, fixed_bcs):
     return dict(
         vf=vf, rho0=float(spec["rho_init"] or vf),
         supports=_points(spec, "supports"),
-        load=np.asarray(spec["load"], float).reshape(2),
+        load=_point(spec, "load"),
         theta=np.deg2rad(float(spec["theta_deg"])),
         sup_box=_node_box(mesh, float(spec["bc_margin"])),
         load_box=_node_box(mesh),

@@ -567,18 +567,21 @@ class TestCustomProblem:
     @pytest.mark.parametrize("key,value", [
         ("vf_bound", 0.0), ("f_in_bound", 0.0), ("f_p_bound", 0.0),
         ("f_p_bound", -0.4), ("f_in_bound", -30.0),
-        ("f_in_bound", float("inf"))])
+        ("f_in_bound", float("inf")), ("load", "[0.015, 0.05, 0.0]"),
+        ("output_point", "[0.1]"), ("output_point", "[0.1, 0.05, 0.0]")])
     def test_out_of_range_bound_fails_before_writing(self, tmp_path, capsys,
                                                      key, value):
         # each bound also scales its constraint: 0 divides by zero, a
-        # negative one inverts the constraint and an infinite one gives NaN
+        # negative one inverts the constraint and an infinite one gives NaN;
+        # a point takes exactly two values
+        entries = {"load": "[0.015, 0.05]", "output_point": "[0.1, 0.05]",
+                   key: value}
         bad = tmp_path / "bad.cfg"
         bad.write_text(
             'problem = "custom"\n[mesh]\nelement_size = 0.02\n'
             '[custom]\noutline = [0.0, 0.0, 0.1, 0.0, 0.1, 0.1, 0.0, 0.1]\n'
             'supports = [0.015, 0.015, 0.015, 0.085]\n'
-            'load = [0.015, 0.05]\noutput_point = [0.1, 0.05]\n'
-            f'{key} = {value}\n')
+            + "".join(f"{k} = {v}\n" for k, v in entries.items()))
         out = tmp_path / "out"
         assert cli.main(["run", str(bad), "-q", "-o", str(out),
                          "--max-iterations", "1"]) == 1
@@ -609,6 +612,27 @@ class TestCustomProblem:
         err = capsys.readouterr().err
         assert err.startswith("error: problem construction failed: initial "
                               f"{name} = ")
+        assert not (out / "config_resolved.cfg").exists()
+
+    @pytest.mark.parametrize("key,name", [
+        ("move_rho", "rho"), ("move_xy", "X_s1"), ("move_theta_deg", "theta")])
+    def test_negative_move_limit_fails_before_writing(self, tmp_path, capsys,
+                                                      key, name):
+        # a negative move limit gives MMA a step box whose lower end lies
+        # above its upper one
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            'problem = "custom"\n[mesh]\nelement_size = 0.02\n'
+            '[custom]\noutline = [0.0, 0.0, 0.1, 0.0, 0.1, 0.1, 0.0, 0.1]\n'
+            'supports = [0.015, 0.015, 0.015, 0.085]\n'
+            'load = [0.015, 0.05]\noutput_point = [0.1, 0.05]\n'
+            f'{key} = -0.1\n')
+        out = tmp_path / "out"
+        assert cli.main(["run", str(bad), "-q", "-o", str(out),
+                         "--max-iterations", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem construction failed: move "
+                              f"limit of {name} = -")
         assert not (out / "config_resolved.cfg").exists()
 
 

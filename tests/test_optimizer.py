@@ -146,10 +146,77 @@ def seeded_subproblem(m=13, n=2000, move=0.05):
                 Q=Q, b=b)
 
 
-class TestSubproblemKkt:
-    """subsolv's answer against the KKT conditions of the MMA subproblem,
+def repeated_subproblem(groups=3, repeats=4, n=2000, move=0.05):
+    """An MMA subproblem whose constraints come in groups of nearly equal
+    gradients and different values, as one quantity bounded in several
+    load cases gives them."""
+    rng = np.random.default_rng(4)
+    m = groups * repeats
+    x0 = rng.uniform(0.2, 0.8, n)
+    low, upp = x0 - 0.5, x0 + 0.5
+    ux1, xl1 = upp - x0, x0 - low
+    df0 = rng.normal(0.0, 0.05, n)
+    p0 = (np.maximum(df0, 0.0) + 0.1) * ux1**2
+    q0 = (np.maximum(-df0, 0.0) + 0.1) * xl1**2
+    dg = np.repeat(rng.normal(size=(groups, n)), repeats, axis=0)
+    dg *= 1.0 + 1e-3 * rng.normal(size=(m, n))
+    pq = 0.001 * np.abs(dg) + 1e-5
+    P = (np.maximum(dg, 0.0) + pq) * ux1**2
+    Q = (np.maximum(-dg, 0.0) + pq) * xl1**2
+    b = P @ (1.0 / ux1) + Q @ (1.0 / xl1) - rng.uniform(0.0, 2.0, m)
+    return dict(low=low, upp=upp, alfa=x0 - move, beta=x0 + move, p0=p0,
+                q0=q0, P=P, Q=Q, b=b)
+
+
+def assert_kkt(sub, x, y, z, lam, tol=1e-10):
+    """The KKT conditions of the MMA subproblem at subsolv's answer,
     evaluated from P, Q, b, the bounds and the fixed a0 = 1, a = 0,
     c = 1000 and d = 1 alone."""
+    alfa, beta = sub["alfa"], sub["beta"]
+    ux, xl = sub["upp"] - x, x - sub["low"]
+    assert np.all(alfa <= x) and np.all(x <= beta)
+    assert np.all(y >= 0) and z >= 0 and np.all(lam >= 0)
+    # d/dx of the Lagrangian equals xsi - eta: bound multipliers that
+    # are nonnegative and complementary to x - alfa and beta - x
+    dldx = ((sub["p0"] + sub["P"].T @ lam) / ux**2
+            - (sub["q0"] + sub["Q"].T @ lam) / xl**2)
+    assert np.max(np.maximum(dldx, 0.0) * (x - alfa)) <= tol
+    assert np.max(np.maximum(-dldx, 0.0) * (beta - x)) <= tol
+    # primal feasibility and complementary slackness
+    h = sub["P"] @ (1.0 / ux) + sub["Q"] @ (1.0 / xl) - y - sub["b"]
+    assert h.max() <= tol
+    assert np.max(lam * -h) <= tol
+    # y and z: the Lagrangian's derivatives are the multipliers of
+    # y >= 0 and z >= 0
+    mu = 1000.0 + y - lam
+    assert mu.min() >= -tol and np.max(mu * y) <= tol
+    assert z <= tol  # its multiplier zet = a0 - a lam is 1
+
+
+@pytest.fixture(scope="module")
+def captured(tiny_variable_problem):
+    """The evaluated design0 of the tiny variable-BC gripper and subsolv's
+    arguments in mma_update's first step from it."""
+    prob = tiny_variable_problem
+    ev = O.evaluate_design(prob, prob.design0)
+    subs = []
+
+    def capture(*args):
+        subs.append(dict(zip(
+            ["low", "upp", "alfa", "beta", "p0", "q0", "P", "Q", "b"], args)))
+        return real(*args)
+
+    real = mma.subsolv
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mma, "subsolv", capture)
+        _, fallback = O.mma_update(prob, prob.design0, ev, {})
+    assert not fallback
+    [sub] = subs
+    return ev, sub
+
+
+class TestSubproblemKkt:
+    """subsolv's answer against the KKT conditions of the MMA subproblem."""
 
     @pytest.fixture(scope="class")
     def solved(self):
@@ -157,27 +224,8 @@ class TestSubproblemKkt:
         return sub, mma.subsolv(**sub)
 
     def test_answer_meets_the_kkt_conditions(self, solved):
-        sub, (x, y, z, lam) = solved
-        tol = 5 * mma.EPSIMIN
-        alfa, beta = sub["alfa"], sub["beta"]
-        ux, xl = sub["upp"] - x, x - sub["low"]
-        assert np.all(alfa < x) and np.all(x < beta)
-        assert np.all(y >= 0) and z >= 0 and np.all(lam >= 0)
-        # d/dx of the Lagrangian equals xsi - eta: bound multipliers that
-        # are nonnegative and complementary to x - alfa and beta - x
-        dldx = ((sub["p0"] + sub["P"].T @ lam) / ux**2
-                - (sub["q0"] + sub["Q"].T @ lam) / xl**2)
-        assert np.max(np.maximum(dldx, 0.0) * (x - alfa)) <= tol
-        assert np.max(np.maximum(-dldx, 0.0) * (beta - x)) <= tol
-        # primal feasibility and complementary slackness
-        h = sub["P"] @ (1.0 / ux) + sub["Q"] @ (1.0 / xl) - y - sub["b"]
-        assert h.max() <= tol
-        assert np.max(lam * -h) <= tol
-        # y and z: the Lagrangian's derivatives are the multipliers of
-        # y >= 0 and z >= 0
-        mu = 1000.0 + y - lam
-        assert mu.min() >= -tol and np.max(mu * y) <= tol
-        assert z <= tol  # its multiplier zet = a0 - a lam is 1
+        sub, answer = solved
+        assert_kkt(sub, *answer)
 
     def test_subproblem_exercises_bounds_and_constraints(self, solved):
         sub, (x, y, z, lam) = solved
@@ -186,6 +234,76 @@ class TestSubproblemKkt:
         at_beta = np.sum(sub["beta"] - x <= 1e-5)
         assert min(at_alfa, at_beta, n - at_alfa - at_beta) >= n // 20
         assert np.any(lam > 1e-3) and np.any(lam < 1e-6)
+
+    def test_captured_subproblem_meets_the_kkt_conditions(self, captured):
+        _, sub = captured
+        x, y, z, lam = mma.subsolv(**sub)
+        assert_kkt(sub, x, y, z, lam)
+        assert np.any(lam > 0.0)
+
+    def test_repeated_constraints_meet_the_kkt_conditions(self):
+        # nearly equal rows make the Newton matrix nearly singular, and its
+        # step moves one group's multipliers far apart: undamped, the
+        # solve runs out of evaluations
+        sub = repeated_subproblem()
+        x, y, z, lam = mma.subsolv(**sub)
+        assert_kkt(sub, x, y, z, lam)
+        assert np.count_nonzero(lam) >= 2
+
+    @pytest.mark.parametrize("fval", [-0.5, 2.0])
+    def test_zero_curvature_subproblem_meets_the_kkt_conditions(self, fval):
+        # a steep objective clips every x to a move limit at lam = 0,
+        # where the constraint is violated: no x is free and no lam > c,
+        # so only the clipped x give the Newton matrix curvature. At
+        # fval = 2 no x in the move limits satisfies the constraint, so
+        # the slack y takes it up and lam settles at c + y.
+        rng = np.random.default_rng(3)
+        n = 20
+        x0 = rng.uniform(0.2, 0.8, n)
+        low, upp = x0 - 0.5, x0 + 0.5
+        ux1, xl1 = upp - x0, x0 - low
+        df0 = 100.0 * rng.choice([-1.0, 1.0], n)
+        dg = np.sign(df0)[None, :] * -1.0  # the constraint opposes f0
+        p0 = (np.maximum(df0, 0.0) + 0.1) * ux1**2
+        q0 = (np.maximum(-df0, 0.0) + 0.1) * xl1**2
+        P = (np.maximum(dg, 0.0) + 1e-3) * ux1**2
+        Q = (np.maximum(-dg, 0.0) + 1e-3) * xl1**2
+        b = P @ (1.0 / ux1) + Q @ (1.0 / xl1) - fval
+        sub = dict(low=low, upp=upp, alfa=x0 - 0.05, beta=x0 + 0.05, p0=p0,
+                   q0=q0, P=P, Q=Q, b=b)
+        sp, sq = np.sqrt(p0), np.sqrt(q0)
+        x_free = (low * sp + upp * sq) / (sp + sq)
+        x_lam0 = np.clip(x_free, sub["alfa"], sub["beta"])
+        assert np.all(x_lam0 != x_free)
+        assert P @ (1.0 / (upp - x_lam0)) + Q @ (1.0 / (x_lam0 - low)) > b
+        x, y, z, lam = mma.subsolv(**sub)
+        assert_kkt(sub, x, y, z, lam)
+        if fval < 0.0:
+            assert 0.0 < lam[0] < mma.C and y[0] == 0.0
+        else:
+            assert lam[0] > mma.C and y[0] > 0.5
+
+    def test_running_out_of_evaluations_raises_and_falls_back(
+            self, tiny_variable_problem, captured, monkeypatch):
+        ev, sub = captured
+        monkeypatch.setattr(mma, "MAX_DUAL_EVALUATIONS", 1)
+        with pytest.raises(mma.SubproblemError, match="unconverged"):
+            mma.subsolv(**sub)
+        raised = []
+        real = mma.mmasub
+
+        def recording(*args):
+            try:
+                return real(*args)
+            except mma.SubproblemError as err:
+                raised.append(str(err))
+                raise
+
+        monkeypatch.setattr(mma, "mmasub", recording)
+        prob = tiny_variable_problem
+        _, fallback = O.mma_update(prob, prob.design0, ev, {})
+        assert fallback is True
+        assert raised == ["dual solve unconverged after 1 evaluations"]
 
 
 def fake_record(mean_drho, gmax):

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -351,11 +352,28 @@ class TestCustomProblem:
                            ("output_axis", "z"),
                            ("counter_forces", [1.0, 0.0, 2.0]),
                            ("precision_points", [0.1, 0.02, 0.03]),
-                           ("supports", [0.0, 0.0, 0.0])):
+                           ("supports", [0.0, 0.0, 0.0]),
+                           ("load", [0.0, 0.025, 0.0]),
+                           ("output_point", [0.1]),
+                           ("output_point", [0.1, 0.025, 0.0])):
             with pytest.raises(ValueError, match=rf"\[custom\] {key}"):
                 custom_problem(**{"objective": "path_error",
                                   "precision_points": [0.1, 0.02],
                                   key: value})
+
+    @pytest.mark.parametrize("key,name", [
+        ("move_rho", "rho"), ("move_xy", "X_s1"), ("move_theta_deg", "theta")])
+    def test_negative_move_limit_raises(self, key, name):
+        with pytest.raises(ValueError, match=f"move limit of {name} = -"):
+            custom_problem(**{key: -0.1})
+        custom_problem(**{key: 0.0})
+
+    def test_first_negative_move_limit_is_named(self):
+        prob = P.make_problem("gripper", element_size=8e-3)
+        moves = prob.move_limits.copy()
+        moves[-3:] = -1e-3  # X_f, Y_f and theta
+        with pytest.raises(ValueError, match="move limit of X_f = -0.001;"):
+            dataclasses.replace(prob, move_limits=moves)
 
     def test_max_u_out_needs_an_output_point(self):
         with pytest.raises(ValueError, match="output_point"):
